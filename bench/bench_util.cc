@@ -85,6 +85,12 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_decode_mbps =
           std::strtod(argv[i] + sizeof(kDecodeMbpsFlag) - 1, nullptr);
     }
+    constexpr const char kEncodeMbpsFlag[] = "--assert-encode-mbps=";
+    if (std::strncmp(argv[i], kEncodeMbpsFlag,
+                     sizeof(kEncodeMbpsFlag) - 1) == 0) {
+      scale.assert_encode_mbps =
+          std::strtod(argv[i] + sizeof(kEncodeMbpsFlag) - 1, nullptr);
+    }
     constexpr const char kTraceOutFlag[] = "--trace-out=";
     if (std::strncmp(argv[i], kTraceOutFlag, sizeof(kTraceOutFlag) - 1) ==
         0) {

@@ -14,8 +14,9 @@
 // Emits BENCH_codec.json (override with --json=PATH) with per-fixture
 // encode/decode MB/s (MB of FLW1 sketch state processed per second),
 // ratio, and slot-mode tallies. CI gates ride the --assert-dense-ratio,
-// --assert-sparse-ratio, and --assert-decode-mbps flags; each exits
-// nonzero when the measured value falls below the bound.
+// --assert-sparse-ratio, --assert-decode-mbps and --assert-encode-mbps
+// flags; each exits nonzero when the measured value falls below the
+// bound.
 
 #include <cinttypes>
 #include <cstdio>
@@ -252,6 +253,12 @@ int Run(const BenchScale& scale) {
                      points[i].decode_mbps, scale.assert_decode_mbps) &&
          ok;
   }
+  // The encode gate rides the sparse fixture only: the shape checkpoints
+  // and deltas are mostly made of, where a return to multi-pass slot
+  // encoding shows most. Dense and mixed encode rates are reported only.
+  ok = GateAtLeast("sparse encode MB/s", points[0].encode_mbps,
+                   scale.assert_encode_mbps) &&
+       ok;
   return ok ? 0 : 1;
 }
 

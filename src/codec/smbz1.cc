@@ -1,9 +1,12 @@
 #include "codec/smbz1.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/bit_util.h"
+#include "common/le_bytes.h"
+#include "common/macros.h"
 #include "hash/murmur3.h"
 #include "io/crc32c.h"
 
@@ -35,43 +38,18 @@ constexpr uint32_t kMaxRound = 63;
 // header cannot demand gigabytes.
 constexpr uint64_t kMaxNumBits = uint64_t{1} << 26;
 
-// Word payloads move through memcpy: the codebase already commits to
-// little-endian hosts for byte<->u64 punning (hash/murmur3.cc), and the
-// byte-at-a-time loops dominated the raw/literal decode profile.
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  const size_t at = out->size();
-  out->resize(at + 8);
-  std::memcpy(out->data() + at, &v, 8);
-}
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64(std::span<const uint8_t> in, size_t* pos, uint64_t* v) {
-  if (in.size() < 8 || *pos > in.size() - 8) return false;
-  std::memcpy(v, in.data() + *pos, 8);
-  *pos += 8;
-  return true;
-}
-
 size_t VarintSize(uint64_t v) {
-  size_t size = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++size;
-  }
-  return size;
+  // Seven payload bits per byte; `| 1` gives zero its one byte.
+  return (static_cast<size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
-void AppendVarint(std::vector<uint8_t>* out, uint64_t v) {
+uint8_t* PutVarint(uint8_t* p, uint64_t v) {
   while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
+    *p++ = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out->push_back(static_cast<uint8_t>(v));
+  *p++ = static_cast<uint8_t>(v);
+  return p;
 }
 
 bool ReadVarint(std::span<const uint8_t> in, size_t* pos, uint64_t* v) {
@@ -99,155 +77,182 @@ uint64_t TailMask(uint64_t num_bits) {
   return tail == 0 ? ~uint64_t{0} : (uint64_t{1} << tail) - 1;
 }
 
-uint64_t PopcountWords(std::span<const uint64_t> words) {
-  uint64_t total = 0;
-  for (const uint64_t w : words) {
-    total += static_cast<uint64_t>(Popcount64(w));
-  }
-  return total;
-}
-
 // True when no bit at or above num_bits is set — the precondition for
 // both sparse polarities (a position list cannot name stray tail bits).
 bool TailClean(uint64_t num_bits, std::span<const uint64_t> words) {
-  const size_t tail = num_bits % 64;
-  return tail == 0 || (words.back() >> tail) == 0;
+  return (words.back() & ~TailMask(num_bits)) == 0;
 }
 
-// Exact encoded size of the sparse position payload (count varint plus
-// delta varints) for the given polarity, without materializing it.
-// `invert` = true walks zero positions within [0, num_bits).
-size_t SparsePayloadSize(uint64_t num_bits, std::span<const uint64_t> words,
-                         bool invert) {
-  const uint64_t tail_mask = TailMask(num_bits);
-  size_t size = 0;
-  uint64_t count = 0;
-  uint64_t prev = 0;
-  bool first = true;
-  for (size_t w = 0; w < words.size(); ++w) {
-    uint64_t word = invert ? ~words[w] : words[w];
-    if (invert && w + 1 == words.size()) word &= tail_mask;
-    while (word != 0) {
-      const uint64_t position =
-          w * 64 + static_cast<uint64_t>(CountTrailingZeros64(word));
-      word &= word - 1;
-      size += VarintSize(first ? position : position - prev - 1);
-      first = false;
-      prev = position;
-      ++count;
-    }
-  }
-  return VarintSize(count) + size;
-}
-
-void AppendSparsePayload(uint64_t num_bits, std::span<const uint64_t> words,
-                         bool invert, std::vector<uint8_t>* out) {
-  const uint64_t tail_mask = TailMask(num_bits);
-  uint64_t count = invert ? num_bits - PopcountWords(words)
-                          : PopcountWords(words);
-  AppendVarint(out, count);
-  uint64_t prev = 0;
-  bool first = true;
-  for (size_t w = 0; w < words.size(); ++w) {
-    uint64_t word = invert ? ~words[w] : words[w];
-    if (invert && w + 1 == words.size()) word &= tail_mask;
-    while (word != 0) {
-      const uint64_t position =
-          w * 64 + static_cast<uint64_t>(CountTrailingZeros64(word));
-      word &= word - 1;
-      AppendVarint(out, first ? position : position - prev - 1);
-      first = false;
-      prev = position;
-    }
-  }
-}
+constexpr uint64_t kZeroRun = 0;
+constexpr uint64_t kOnesRun = 1;
+constexpr uint64_t kLiteralRun = 2;
 
 // Greedy word-run grouping: zero words and all-ones words fold into run
-// tokens, everything else accumulates into literal runs. Returns the
-// exact payload size; when `out` is non-null the tokens are appended.
-size_t RlePayload(std::span<const uint64_t> words,
-                  std::vector<uint8_t>* out) {
-  size_t size = 0;
-  auto emit = [&](uint64_t kind, size_t begin, size_t len) {
-    const uint64_t token = (static_cast<uint64_t>(len) << 2) | kind;
-    size += VarintSize(token);
-    if (out != nullptr) AppendVarint(out, token);
-    if (kind == 2) {
-      size += len * 8;
-      if (out != nullptr) {
-        for (size_t w = begin; w < begin + len; ++w) {
-          AppendU64(out, words[w]);
-        }
-      }
-    }
-  };
+// tokens, everything else accumulates into literal runs. Calls
+// fn(kind, begin, len) for each run in order.
+template <typename Fn>
+void ForEachRun(std::span<const uint64_t> words, Fn fn) {
+  const size_t n = words.size();
   size_t i = 0;
-  while (i < words.size()) {
+  while (i < n) {
+    const size_t begin = i;
     const uint64_t w = words[i];
     if (w == 0 || w == ~uint64_t{0}) {
-      const uint64_t kind = (w == 0) ? 0 : 1;
-      size_t len = 1;
-      while (i + len < words.size() && words[i + len] == w) ++len;
-      emit(kind, i, len);
-      i += len;
-    } else {
-      size_t len = 1;
-      while (i + len < words.size() && words[i + len] != 0 &&
-             words[i + len] != ~uint64_t{0}) {
-        ++len;
+      while (++i < n && words[i] == w) {
       }
-      emit(2, i, len);
-      i += len;
+      fn(w == 0 ? kZeroRun : kOnesRun, begin, i - begin);
+    } else {
+      while (++i < n && words[i] != 0 && words[i] != ~uint64_t{0}) {
+      }
+      fn(kLiteralRun, begin, i - begin);
     }
   }
+}
+
+uint64_t RunToken(uint64_t kind, size_t len) {
+  return (static_cast<uint64_t>(len) << 2) | kind;
+}
+
+// The exact rle payload size, plus the popcount from the same pass:
+// runs count arithmetically, only literal words are popcounted.
+size_t RleSizeAndPopcount(std::span<const uint64_t> words,
+                          uint64_t* popcount) {
+  size_t size = 0;
+  uint64_t ones = 0;
+  ForEachRun(words, [&](uint64_t kind, size_t begin, size_t len) {
+    size += VarintSize(RunToken(kind, len));
+    if (kind == kOnesRun) {
+      ones += 64 * static_cast<uint64_t>(len);
+    } else if (kind == kLiteralRun) {
+      size += len * 8;
+      for (size_t w = begin; w < begin + len; ++w) {
+        ones += static_cast<uint64_t>(Popcount64(words[w]));
+      }
+    }
+  });
+  *popcount = ones;
   return size;
 }
 
-void AppendSlotHeader(SlotMode mode, bool invert, const SlotState& state,
-                      std::vector<uint8_t>* out) {
+uint8_t* PutRle(uint8_t* p, std::span<const uint64_t> words) {
+  ForEachRun(words, [&](uint64_t kind, size_t begin, size_t len) {
+    p = PutVarint(p, RunToken(kind, len));
+    if (kind == kLiteralRun) {
+      std::memcpy(p, words.data() + begin, len * 8);
+      p += len * 8;
+    }
+  });
+  return p;
+}
+
+// Calls fn(gap) for each position of the listed polarity below
+// num_bits, ascending; gap is the position itself for the first and
+// the distance minus one after that. `invert` lists zero positions.
+template <typename Fn>
+void ForEachSparseGap(uint64_t num_bits, std::span<const uint64_t> words,
+                      bool invert, Fn fn) {
+  const uint64_t flip = invert ? ~uint64_t{0} : 0;
+  const uint64_t tail_mask = TailMask(num_bits);
+  uint64_t next = 0;  // one past the previous position
+  for (size_t w = 0; w < words.size(); ++w) {
+    uint64_t word = words[w] ^ flip;
+    if (w + 1 == words.size()) word &= tail_mask;
+    while (word != 0) {
+      const uint64_t position =
+          w * 64 + static_cast<uint64_t>(CountTrailingZeros64(word));
+      word &= word - 1;
+      fn(position - next);
+      next = position + 1;
+    }
+  }
+}
+
+// The minority polarity and its bit count, for a tail-clean slot.
+struct SparsePlan {
+  bool invert = false;
+  uint64_t count = 0;
+};
+
+SparsePlan PlanSparse(uint64_t num_bits, uint64_t popcount) {
+  const bool invert = popcount * 2 > num_bits;
+  return {invert, invert ? num_bits - popcount : popcount};
+}
+
+size_t SparseSize(uint64_t num_bits, std::span<const uint64_t> words,
+                  const SparsePlan& plan) {
+  size_t size = VarintSize(plan.count);
+  ForEachSparseGap(num_bits, words, plan.invert,
+                   [&](uint64_t gap) { size += VarintSize(gap); });
+  return size;
+}
+
+uint8_t* PutSparse(uint8_t* p, uint64_t num_bits,
+                   std::span<const uint64_t> words, const SparsePlan& plan) {
+  p = PutVarint(p, plan.count);
+  ForEachSparseGap(num_bits, words, plan.invert,
+                   [&](uint64_t gap) { p = PutVarint(p, gap); });
+  return p;
+}
+
+// Appends the record for an already-priced mode: the buffer grows once
+// by the exact record size and the payload is written in place.
+void WriteRecord(SlotMode mode, uint64_t num_bits, const SlotState& state,
+                 const SparsePlan& sparse, size_t payload_size,
+                 std::vector<uint8_t>* out) {
+  const size_t at = out->size();
+  out->resize(at + 1 + VarintSize(state.round) + VarintSize(state.ones) +
+              payload_size);
+  uint8_t* p = out->data() + at;
   uint8_t mode_byte = static_cast<uint8_t>(mode);
-  if (invert) mode_byte |= 0x04;
-  out->push_back(mode_byte);
-  AppendVarint(out, state.round);
-  AppendVarint(out, state.ones);
+  if (mode == SlotMode::kSparse && sparse.invert) mode_byte |= 0x04;
+  *p++ = mode_byte;
+  p = PutVarint(p, state.round);
+  p = PutVarint(p, state.ones);
+  switch (mode) {
+    case SlotMode::kRaw:
+      std::memcpy(p, state.words.data(), state.words.size_bytes());
+      p += state.words.size_bytes();
+      break;
+    case SlotMode::kSparse:
+      p = PutSparse(p, num_bits, state.words, sparse);
+      break;
+    case SlotMode::kRle:
+      p = PutRle(p, state.words);
+      break;
+  }
+  SMB_DCHECK(p == out->data() + out->size());
 }
 
 }  // namespace
 
 void EncodeSlot(uint64_t num_bits, const SlotState& state,
                 std::vector<uint8_t>* out, CodecStats* stats) {
-  const size_t raw_size = state.words.size() * 8;
-  const size_t rle_size = RlePayload(state.words, nullptr);
-  size_t sparse_size = raw_size + 1;  // assume infeasible until proven
-  bool invert = false;
-  if (TailClean(num_bits, state.words)) {
-    // Only the minority polarity can win; pricing both would double the
-    // scan for no benefit.
-    invert = PopcountWords(state.words) * 2 > num_bits;
-    sparse_size = SparsePayloadSize(num_bits, state.words, invert);
-  }
+  const size_t raw_size = state.words.size_bytes();
+  uint64_t popcount = 0;
+  const size_t rle_size = RleSizeAndPopcount(state.words, &popcount);
+  // Ties go raw < sparse < rle: sparse must beat raw and not lose to
+  // rle; rle must beat both.
   SlotMode mode = SlotMode::kRaw;
   size_t best = raw_size;
-  if (sparse_size < best) {
-    mode = SlotMode::kSparse;
-    best = sparse_size;
+  SparsePlan sparse;
+  if (TailClean(num_bits, state.words)) {
+    sparse = PlanSparse(num_bits, popcount);
+    // Every listed position costs at least one byte, so a count that
+    // already loses skips the position walk.
+    const size_t min_sparse = VarintSize(sparse.count) + sparse.count;
+    if (min_sparse < best && min_sparse <= rle_size) {
+      const size_t sparse_size = SparseSize(num_bits, state.words, sparse);
+      if (sparse_size < best) {
+        mode = SlotMode::kSparse;
+        best = sparse_size;
+      }
+    }
   }
   if (rle_size < best) {
     mode = SlotMode::kRle;
     best = rle_size;
   }
-  AppendSlotHeader(mode, mode == SlotMode::kSparse && invert, state, out);
-  switch (mode) {
-    case SlotMode::kRaw:
-      for (const uint64_t w : state.words) AppendU64(out, w);
-      break;
-    case SlotMode::kSparse:
-      AppendSparsePayload(num_bits, state.words, invert, out);
-      break;
-    case SlotMode::kRle:
-      RlePayload(state.words, out);
-      break;
-  }
+  WriteRecord(mode, num_bits, state, sparse, best, out);
   if (stats != nullptr) {
     switch (mode) {
       case SlotMode::kRaw: ++stats->raw_slots; break;
@@ -259,23 +264,18 @@ void EncodeSlot(uint64_t num_bits, const SlotState& state,
 
 bool EncodeSlotAs(SlotMode mode, uint64_t num_bits, const SlotState& state,
                   std::vector<uint8_t>* out) {
-  bool invert = false;
+  uint64_t popcount = 0;
+  const size_t rle_size = RleSizeAndPopcount(state.words, &popcount);
+  SparsePlan sparse;
+  size_t payload_size = state.words.size_bytes();
   if (mode == SlotMode::kSparse) {
     if (!TailClean(num_bits, state.words)) return false;
-    invert = PopcountWords(state.words) * 2 > num_bits;
+    sparse = PlanSparse(num_bits, popcount);
+    payload_size = SparseSize(num_bits, state.words, sparse);
+  } else if (mode == SlotMode::kRle) {
+    payload_size = rle_size;
   }
-  AppendSlotHeader(mode, invert, state, out);
-  switch (mode) {
-    case SlotMode::kRaw:
-      for (const uint64_t w : state.words) AppendU64(out, w);
-      break;
-    case SlotMode::kSparse:
-      AppendSparsePayload(num_bits, state.words, invert, out);
-      break;
-    case SlotMode::kRle:
-      RlePayload(state.words, out);
-      break;
-  }
+  WriteRecord(mode, num_bits, state, sparse, payload_size, out);
   return true;
 }
 
@@ -375,50 +375,49 @@ std::optional<std::vector<uint8_t>> CompressFlw1Image(
   if (std::memcmp(flw1.data(), kFlw1Magic, sizeof(kFlw1Magic)) != 0) {
     return std::nullopt;
   }
-  size_t pos = sizeof(kFlw1Magic);
-  uint64_t num_bits = 0, threshold = 0, base_seed = 0, num_flows = 0,
-           words_per_slot = 0;
-  if (!ReadU64(flw1, &pos, &num_bits) || !ReadU64(flw1, &pos, &threshold) ||
-      !ReadU64(flw1, &pos, &base_seed) || !ReadU64(flw1, &pos, &num_flows) ||
-      !ReadU64(flw1, &pos, &words_per_slot)) {
-    return std::nullopt;
-  }
+  const uint8_t* header = flw1.data() + sizeof(kFlw1Magic);
+  const uint64_t num_bits = LoadU64(header);
+  const uint64_t threshold = LoadU64(header + 8);
+  const uint64_t base_seed = LoadU64(header + 16);
+  const uint64_t num_flows = LoadU64(header + 24);
+  const uint64_t words_per_slot = LoadU64(header + 32);
   if (num_bits == 0 || num_bits > kMaxNumBits) return std::nullopt;
   if (words_per_slot != WordsForBits(num_bits)) return std::nullopt;
-  const size_t expected = kFlw1HeaderBytes +
-                          static_cast<size_t>(num_flows) *
-                              (2 + static_cast<size_t>(words_per_slot)) * 8 +
-                          kFlw1ChecksumBytes;
-  if (flw1.size() != expected) return std::nullopt;
+  // Exact size by division: a multiplied-out num_flows can wrap size_t.
+  const size_t record_bytes = (2 + static_cast<size_t>(words_per_slot)) * 8;
+  const size_t body_bytes =
+      flw1.size() - kFlw1HeaderBytes - kFlw1ChecksumBytes;
+  if (body_bytes % record_bytes != 0 ||
+      num_flows != body_bytes / record_bytes) {
+    return std::nullopt;
+  }
   const uint64_t checksum =
       Murmur3_128(flw1.data(), flw1.size() - kFlw1ChecksumBytes,
                   kFlw1ChecksumSeed)
           .lo;
-  uint64_t stored_checksum = 0;
-  size_t checksum_pos = flw1.size() - kFlw1ChecksumBytes;
-  ReadU64(flw1, &checksum_pos, &stored_checksum);
-  if (checksum != stored_checksum) return std::nullopt;
+  if (checksum != LoadU64(flw1.data() + flw1.size() - kFlw1ChecksumBytes)) {
+    return std::nullopt;
+  }
 
   std::vector<uint8_t> out;
   out.reserve(kHeaderBytes + static_cast<size_t>(num_flows) * 16 +
               kCrcBytes);
-  for (char c : kMagic) out.push_back(static_cast<uint8_t>(c));
+  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
   out.push_back(kVersion);
   out.push_back(0);
   out.push_back(0);
-  AppendU64(&out, num_bits);
-  AppendU64(&out, threshold);
-  AppendU64(&out, base_seed);
-  AppendU64(&out, num_flows);
-  AppendU64(&out, words_per_slot);
+  for (const uint64_t field :
+       {num_bits, threshold, base_seed, num_flows, words_per_slot}) {
+    AppendU64(&out, field);
+  }
   std::vector<uint64_t> words(static_cast<size_t>(words_per_slot));
-  for (uint64_t f = 0; f < num_flows; ++f) {
-    uint64_t key = 0, meta = 0;
-    ReadU64(flw1, &pos, &key);
-    ReadU64(flw1, &pos, &meta);
+  const uint8_t* record = flw1.data() + kFlw1HeaderBytes;
+  for (uint64_t f = 0; f < num_flows; ++f, record += record_bytes) {
+    const uint64_t meta = LoadU64(record + 8);
     if (meta > 0xFFFFFFFFull) return std::nullopt;
-    for (auto& w : words) ReadU64(flw1, &pos, &w);
-    AppendU64(&out, key);
+    // One copy per slot: the FLW1 words sit 4 bytes off 8-byte alignment.
+    std::memcpy(words.data(), record + 16, words.size() * 8);
+    AppendU64(&out, LoadU64(record));
     SlotState state;
     state.round = static_cast<uint32_t>(meta) >> kRoundShift;
     state.ones = static_cast<uint32_t>(meta) & kFillMask;
@@ -438,25 +437,16 @@ std::optional<std::vector<uint8_t>> DecompressToFlw1Image(
   if (smbz1.size() < kHeaderBytes + kCrcBytes) return std::nullopt;
   if (!IsSmbz1Image(smbz1)) return std::nullopt;
   if (smbz1[6] != 0 || smbz1[7] != 0) return std::nullopt;
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(smbz1[smbz1.size() - 4 +
-                                              static_cast<size_t>(i)])
-                  << (8 * i);
-  }
+  const uint32_t stored_crc = LoadU32(smbz1.data() + smbz1.size() - kCrcBytes);
   if (io::Crc32c(smbz1.data(), smbz1.size() - kCrcBytes) != stored_crc) {
     return std::nullopt;
   }
-  size_t pos = 8;
-  uint64_t num_bits = 0, threshold = 0, base_seed = 0, num_flows = 0,
-           words_per_slot = 0;
-  if (!ReadU64(smbz1, &pos, &num_bits) ||
-      !ReadU64(smbz1, &pos, &threshold) ||
-      !ReadU64(smbz1, &pos, &base_seed) ||
-      !ReadU64(smbz1, &pos, &num_flows) ||
-      !ReadU64(smbz1, &pos, &words_per_slot)) {
-    return std::nullopt;
-  }
+  const uint8_t* header = smbz1.data() + 8;
+  const uint64_t num_bits = LoadU64(header);
+  const uint64_t threshold = LoadU64(header + 8);
+  const uint64_t base_seed = LoadU64(header + 16);
+  const uint64_t num_flows = LoadU64(header + 24);
+  const uint64_t words_per_slot = LoadU64(header + 32);
   if (num_bits == 0 || num_bits > kMaxNumBits) return std::nullopt;
   if (words_per_slot != WordsForBits(num_bits)) return std::nullopt;
   // Every flow costs at least key + mode byte + two varints; a header
@@ -470,15 +460,15 @@ std::optional<std::vector<uint8_t>> DecompressToFlw1Image(
               static_cast<size_t>(num_flows) *
                   (2 + static_cast<size_t>(words_per_slot)) * 8 +
               kFlw1ChecksumBytes);
-  for (char c : kFlw1Magic) out.push_back(static_cast<uint8_t>(c));
-  AppendU64(&out, num_bits);
-  AppendU64(&out, threshold);
-  AppendU64(&out, base_seed);
-  AppendU64(&out, num_flows);
-  AppendU64(&out, words_per_slot);
+  out.insert(out.end(), kFlw1Magic, kFlw1Magic + sizeof(kFlw1Magic));
+  for (const uint64_t field :
+       {num_bits, threshold, base_seed, num_flows, words_per_slot}) {
+    AppendU64(&out, field);
+  }
   std::vector<uint64_t> words(static_cast<size_t>(words_per_slot));
   const std::span<const uint8_t> body =
       smbz1.first(smbz1.size() - kCrcBytes);
+  size_t pos = kHeaderBytes;
   for (uint64_t f = 0; f < num_flows; ++f) {
     uint64_t key = 0;
     if (!ReadU64(body, &pos, &key)) return std::nullopt;
@@ -489,13 +479,11 @@ std::optional<std::vector<uint8_t>> DecompressToFlw1Image(
     AppendU64(&out, key);
     AppendU64(&out, (static_cast<uint64_t>(slot.round) << kRoundShift) |
                         slot.ones);
-    for (const uint64_t w : words) AppendU64(&out, w);
+    AppendU64s(&out, words);
   }
   // Trailing garbage between the last record and the CRC is a defect.
   if (pos != body.size()) return std::nullopt;
-  AppendU64(&out, Murmur3_128(out.data(),
-                              out.size(), kFlw1ChecksumSeed)
-                      .lo);
+  AppendU64(&out, Murmur3_128(out.data(), out.size(), kFlw1ChecksumSeed).lo);
   return out;
 }
 

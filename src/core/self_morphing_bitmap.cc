@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/bit_util.h"
+#include "common/le_bytes.h"
 #include "common/macros.h"
 #include "core/smb_merge.h"
 #include "core/smb_params.h"
@@ -381,24 +382,6 @@ namespace {
 constexpr char kMagic[4] = {'S', 'M', 'B', '2'};
 constexpr uint64_t kChecksumSeed = 0x534D4232u;  // "SMB2"
 
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(in[*pos + static_cast<size_t>(i)])
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
-
 uint64_t SnapshotChecksum(const uint8_t* data, size_t len) {
   return Murmur3_128(data, len, kChecksumSeed).lo;
 }
@@ -415,7 +398,7 @@ std::vector<uint8_t> SelfMorphingBitmap::Serialize() const {
   AppendU64(&out, round_);
   AppendU64(&out, ones_in_round_);
   AppendU64(&out, bits_.words().size());
-  for (uint64_t w : bits_.words()) AppendU64(&out, w);
+  AppendU64s(&out, bits_.words());
   AppendU64(&out, SnapshotChecksum(out.data(), out.size()));
   return out;
 }
@@ -435,7 +418,10 @@ std::optional<SelfMorphingBitmap> SelfMorphingBitmap::Deserialize(
   if (num_bits < 8 || threshold < 1 || threshold > num_bits) {
     return std::nullopt;
   }
-  if (word_count != (num_bits + 63) / 64) return std::nullopt;
+  // Rounded up without `num_bits + 63`, which wraps near 2^64.
+  if (word_count != num_bits / 64 + (num_bits % 64 != 0)) {
+    return std::nullopt;
+  }
   // Exact-size check: trailing bytes after the word array + checksum would
   // silently be ignored otherwise (a truncated-then-padded snapshot could
   // pass).
@@ -450,9 +436,7 @@ std::optional<SelfMorphingBitmap> SelfMorphingBitmap::Deserialize(
   if (ones > logical_bits) return std::nullopt;
 
   std::vector<uint64_t> words(word_count);
-  for (auto& w : words) {
-    if (!ReadU64(bytes, &pos, &w)) return std::nullopt;
-  }
+  if (!ReadU64s(bytes, &pos, words)) return std::nullopt;
   uint64_t checksum = 0;
   if (!ReadU64(bytes, &pos, &checksum) ||
       checksum != SnapshotChecksum(bytes.data(), bytes.size() - 8)) {

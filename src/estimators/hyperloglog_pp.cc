@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/le_bytes.h"
 #include "common/macros.h"
 #include "estimators/loglog_common.h"
 
@@ -100,36 +101,18 @@ namespace {
 constexpr char kHllppMagic[4] = {'H', 'P', 'P', '2'};
 constexpr uint64_t kHllppChecksumSeed = 0x48505032u;  // "HPP2"
 
-void AppendU64Le(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64Le(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(in[*pos + static_cast<size_t>(i)])
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
-
 }  // namespace
 
 std::vector<uint8_t> HyperLogLogPP::Serialize() const {
   std::vector<uint8_t> out;
   out.reserve(4 + 24 + registers_.size());
   for (char c : kHllppMagic) out.push_back(static_cast<uint8_t>(c));
-  AppendU64Le(&out, registers_.size());
-  AppendU64Le(&out, hash_seed());
+  AppendU64(&out, registers_.size());
+  AppendU64(&out, hash_seed());
   for (size_t i = 0; i < registers_.size(); ++i) {
     out.push_back(static_cast<uint8_t>(registers_.Get(i)));
   }
-  AppendU64Le(&out, Murmur3_128(out.data(), out.size(),
+  AppendU64(&out, Murmur3_128(out.data(), out.size(),
                                 kHllppChecksumSeed).lo);
   return out;
 }
@@ -143,8 +126,8 @@ std::optional<HyperLogLogPP> HyperLogLogPP::Deserialize(
   size_t pos = 4;
   uint64_t num_registers = 0;
   uint64_t seed = 0;
-  if (!ReadU64Le(bytes, &pos, &num_registers) ||
-      !ReadU64Le(bytes, &pos, &seed)) {
+  if (!ReadU64(bytes, &pos, &num_registers) ||
+      !ReadU64(bytes, &pos, &seed)) {
     return std::nullopt;
   }
   // Exact-size check rejects both truncation and trailing garbage.
@@ -153,7 +136,7 @@ std::optional<HyperLogLogPP> HyperLogLogPP::Deserialize(
   }
   size_t checksum_pos = pos + num_registers;
   uint64_t checksum = 0;
-  if (!ReadU64Le(bytes, &checksum_pos, &checksum) ||
+  if (!ReadU64(bytes, &checksum_pos, &checksum) ||
       checksum != Murmur3_128(bytes.data(), bytes.size() - 8,
                               kHllppChecksumSeed).lo) {
     return std::nullopt;

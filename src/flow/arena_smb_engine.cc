@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/bit_util.h"
+#include "common/le_bytes.h"
 #include "common/macros.h"
 #include "core/smb_merge.h"
 #include "fault/failpoints.h"
@@ -456,7 +457,7 @@ void ArenaSmbEngine::EvictRow(uint32_t row) {
     // recorder) is not involved.
     const uint32_t meta = meta_[row];
     cold_->Freeze(flow, meta >> kRoundShift, meta & kFillMask,
-                  MaterializedWords(row));
+                  MaterializedWords(row, &inspect_scratch_));
   } else if (spill_sink_) {
     // Injected spill loss: the sink write "fails" and the evicted state is
     // dropped, but eviction itself must complete without disturbing any
@@ -471,7 +472,7 @@ void ArenaSmbEngine::EvictRow(uint32_t row) {
       spilled.round = meta >> kRoundShift;
       spilled.ones_in_round = meta & kFillMask;
       spilled.estimate = EstimateSlot(row);
-      spilled.words = MaterializedWords(row);
+      spilled.words = MaterializedWords(row, &inspect_scratch_);
       spill_sink_(spilled);
       ++spilled_flows_;
     }
@@ -560,38 +561,21 @@ void ArenaSmbEngine::ForEachFlow(
   }
 }
 
-void ArenaSmbEngine::CopyRowWords(uint32_t row, uint64_t* dst) const {
-  std::memset(dst, 0, words_per_slot_ * sizeof(uint64_t));
-  const uint32_t ref = slab_ref_[row];
-  SMB_DCHECK(ref != kDeadRef);
-  if (ref & kNurseryFlag) {
-    const uint32_t count = meta_[row] & kFillMask;
-    const uint32_t* positions = NurseryPositions(ref);
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint32_t pos = positions[i];
-      dst[pos >> 6] |= uint64_t{1} << (pos & 63);
-    }
-  } else {
-    std::memcpy(dst, arena_.SlotWords(ref),
-                words_per_slot_ * sizeof(uint64_t));
-  }
-}
-
 std::span<const uint64_t> ArenaSmbEngine::MaterializedWords(
-    uint32_t row) const {
+    uint32_t row, std::vector<uint64_t>* scratch) const {
   const uint32_t ref = slab_ref_[row];
   SMB_DCHECK(ref != kDeadRef);
   if ((ref & kNurseryFlag) == 0) {
     return {arena_.SlotWords(ref), words_per_slot_};
   }
-  inspect_scratch_.assign(words_per_slot_, 0);
+  scratch->assign(words_per_slot_, 0);
   const uint32_t count = meta_[row] & kFillMask;
   const uint32_t* positions = NurseryPositions(ref);
   for (uint32_t i = 0; i < count; ++i) {
     const uint32_t pos = positions[i];
-    inspect_scratch_[pos >> 6] |= uint64_t{1} << (pos & 63);
+    (*scratch)[pos >> 6] |= uint64_t{1} << (pos & 63);
   }
-  return {inspect_scratch_.data(), words_per_slot_};
+  return {scratch->data(), words_per_slot_};
 }
 
 void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
@@ -652,9 +636,10 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
     if (other.slab_ref_[src_row] == kDeadRef) continue;
     // Materialized view (nursery rows included) — the merge replay works
     // on real bitmap words on both sides.
-    merge_one(other.flow_keys_[src_row],
-              other.MaterializedWords(src_row).data(),
-              other.meta_[src_row]);
+    merge_one(
+        other.flow_keys_[src_row],
+        other.MaterializedWords(src_row, &other.inspect_scratch_).data(),
+        other.meta_[src_row]);
   }
   if (other.cold_ != nullptr) {
     // The source's frozen flows are engine state too; materialize each
@@ -737,7 +722,7 @@ std::optional<ArenaSmbEngine::FlowState> ArenaSmbEngine::Inspect(
   FlowState state;
   state.round = meta >> kRoundShift;
   state.ones_in_round = meta & kFillMask;
-  state.words = MaterializedWords(probe.slot);
+  state.words = MaterializedWords(probe.slot, &inspect_scratch_);
   return state;
 }
 
@@ -754,93 +739,107 @@ namespace {
 // materialized on write, so the format is residency-agnostic.
 constexpr char kMagic[4] = {'F', 'L', 'W', '1'};
 constexpr uint64_t kChecksumSeed = 0x464C5731u;  // "FLW1"
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(in[*pos + static_cast<size_t>(i)])
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 5 * 8;
+constexpr size_t kChecksumBytes = 8;
 
 uint64_t SnapshotChecksum(const uint8_t* data, size_t len) {
   return Murmur3_128(data, len, kChecksumSeed).lo;
 }
 
+// Reserves the whole image up front so every record is appended with
+// bulk copies and no reallocation.
+std::vector<uint8_t> BeginSnapshot(const ArenaSmbEngine::Config& config,
+                                   size_t num_flows, size_t words_per_slot) {
+  std::vector<uint8_t> out(std::begin(kMagic), std::end(kMagic));
+  out.reserve(kHeaderBytes + num_flows * (2 + words_per_slot) * 8 +
+              kChecksumBytes);
+  for (const uint64_t field :
+       {uint64_t{config.num_bits}, uint64_t{config.threshold},
+        config.base_seed, uint64_t{num_flows}, uint64_t{words_per_slot}}) {
+    AppendU64(&out, field);
+  }
+  return out;
+}
+
+void AppendRecord(std::vector<uint8_t>* out, uint64_t flow, uint64_t meta,
+                  std::span<const uint64_t> words) {
+  AppendU64(out, flow);
+  AppendU64(out, meta);
+  AppendU64s(out, words);
+}
+
+void SealSnapshot(std::vector<uint8_t>* out) {
+  AppendU64(out, SnapshotChecksum(out->data(), out->size()));
+}
+
 }  // namespace
+
+bool ArenaSmbEngine::ReachableState(uint32_t round, uint32_t ones,
+                                    std::span<const uint64_t> words) const {
+  if (words.size() != words_per_slot_) return false;
+  // A non-final round morphs the moment v reaches T; v never exceeds
+  // the logical bitmap.
+  if (round > max_round_) return false;
+  if (round < max_round_ && ones >= config_.threshold) return false;
+  if (ones > config_.num_bits - round * config_.threshold) return false;
+  // Stray bits above num_bits, or a popcount inconsistent with the
+  // claimed (r, v), mean a corrupted record.
+  const size_t tail_bits = config_.num_bits % 64;
+  if (tail_bits != 0 && (words.back() >> tail_bits) != 0) return false;
+  uint64_t popcount = 0;
+  for (const uint64_t w : words) {
+    if (w != 0) popcount += static_cast<uint64_t>(Popcount64(w));
+  }
+  return popcount == round * config_.threshold + ones;
+}
 
 std::vector<uint8_t> ArenaSmbEngine::Serialize() const {
   const size_t cold_flows = cold_ != nullptr ? cold_->NumFlows() : 0;
-  std::vector<uint8_t> out;
-  out.reserve(4 + 6 * 8 +
-              (NumFlows() + cold_flows) * (2 + words_per_slot_) * 8);
-  for (char c : kMagic) out.push_back(static_cast<uint8_t>(c));
-  AppendU64(&out, config_.num_bits);
-  AppendU64(&out, config_.threshold);
-  AppendU64(&out, config_.base_seed);
-  AppendU64(&out, NumFlows() + cold_flows);
-  AppendU64(&out, words_per_slot_);
-  std::vector<uint64_t> words(words_per_slot_);
+  std::vector<uint8_t> out =
+      BeginSnapshot(config_, NumFlows() + cold_flows, words_per_slot_);
+  std::vector<uint64_t> scratch(words_per_slot_);
   for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
     if (slab_ref_[row] == kDeadRef) continue;
-    AppendU64(&out, flow_keys_[row]);
-    AppendU64(&out, meta_[row]);
-    CopyRowWords(row, words.data());
-    for (size_t w = 0; w < words_per_slot_; ++w) AppendU64(&out, words[w]);
+    AppendRecord(&out, flow_keys_[row], meta_[row],
+                 MaterializedWords(row, &scratch));
   }
   if (cold_ != nullptr) {
     // Frozen flows ride the same snapshot, materialized, after the live
     // rows — ascending key so snapshot bytes are deterministic.
     for (const uint64_t flow : cold_->SortedFlows()) {
       uint32_t round = 0, ones = 0;
-      cold_->ReadState(flow, &round, &ones,
-                       {words.data(), words_per_slot_});
-      AppendU64(&out, flow);
-      AppendU64(&out, (round << kRoundShift) | ones);
-      for (size_t w = 0; w < words_per_slot_; ++w) AppendU64(&out, words[w]);
+      cold_->ReadState(flow, &round, &ones, scratch);
+      AppendRecord(&out, flow, (round << kRoundShift) | ones, scratch);
     }
   }
-  AppendU64(&out, SnapshotChecksum(out.data(), out.size()));
+  SealSnapshot(&out);
   return out;
 }
 
 std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
     const std::vector<uint8_t>& bytes, const ArenaTuning& tuning) {
-  if (bytes.size() < 4 || std::memcmp(bytes.data(), kMagic, 4) != 0) {
+  if (bytes.size() < kHeaderBytes + kChecksumBytes ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
   }
-  size_t pos = 4;
-  uint64_t num_bits, threshold, base_seed, num_flows, words_per_slot;
-  if (!ReadU64(bytes, &pos, &num_bits) || !ReadU64(bytes, &pos, &threshold) ||
-      !ReadU64(bytes, &pos, &base_seed) ||
-      !ReadU64(bytes, &pos, &num_flows) ||
-      !ReadU64(bytes, &pos, &words_per_slot)) {
-    return std::nullopt;
-  }
+  const uint8_t* header = bytes.data() + sizeof(kMagic);
+  const uint64_t num_bits = LoadU64(header);
+  const uint64_t threshold = LoadU64(header + 8);
+  const uint64_t base_seed = LoadU64(header + 16);
+  const uint64_t num_flows = LoadU64(header + 24);
+  const uint64_t words_per_slot = LoadU64(header + 32);
   if (!Supports(num_bits, threshold)) return std::nullopt;
   if (words_per_slot != (num_bits + 63) / 64) return std::nullopt;
-  // Exact-size check up front: trailing garbage after the flow records +
-  // checksum must not pass.
-  const size_t expected =
-      pos + num_flows * (2 + words_per_slot) * 8 + 8;
-  if (bytes.size() != expected) return std::nullopt;
-  if (SnapshotChecksum(bytes.data(), bytes.size() - 8) !=
-      [&] {
-        size_t cpos = bytes.size() - 8;
-        uint64_t checksum = 0;
-        ReadU64(bytes, &cpos, &checksum);
-        return checksum;
-      }()) {
+  // Exact size, by division so a huge num_flows cannot wrap the check:
+  // truncation and trailing garbage after the checksum must not pass.
+  const size_t record_bytes = (2 + words_per_slot) * 8;
+  const size_t body_bytes = bytes.size() - kHeaderBytes - kChecksumBytes;
+  if (body_bytes % record_bytes != 0 ||
+      num_flows != body_bytes / record_bytes) {
+    return std::nullopt;
+  }
+  if (SnapshotChecksum(bytes.data(), bytes.size() - kChecksumBytes) !=
+      LoadU64(bytes.data() + bytes.size() - kChecksumBytes)) {
     return std::nullopt;
   }
 
@@ -850,34 +849,17 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
   config.base_seed = base_seed;
   config.tuning = tuning;
   ArenaSmbEngine engine(config);
-  const size_t max_round = engine.max_round_;
-  const size_t tail_bits = num_bits % 64;
   std::vector<uint64_t> words(words_per_slot);
-  for (uint64_t f = 0; f < num_flows; ++f) {
-    uint64_t key, meta_u64;
-    if (!ReadU64(bytes, &pos, &key) || !ReadU64(bytes, &pos, &meta_u64)) {
-      return std::nullopt;
-    }
+  const uint8_t* record = bytes.data() + kHeaderBytes;
+  for (uint64_t f = 0; f < num_flows; ++f, record += record_bytes) {
+    const uint64_t key = LoadU64(record);
+    const uint64_t meta_u64 = LoadU64(record + 8);
     if (meta_u64 > 0xFFFFFFFFull) return std::nullopt;
     const uint32_t meta = static_cast<uint32_t>(meta_u64);
-    const size_t round = meta >> kRoundShift;
-    const size_t ones = meta & kFillMask;
-    if (round > max_round) return std::nullopt;
-    // Same reachability rules as the SMB snapshot: a non-final round
-    // morphs the moment v reaches T; v never exceeds the logical bitmap.
-    if (round < max_round && ones >= threshold) return std::nullopt;
-    if (ones > num_bits - round * threshold) return std::nullopt;
-    uint64_t popcount = 0;
-    for (auto& w : words) {
-      if (!ReadU64(bytes, &pos, &w)) return std::nullopt;
-      popcount += static_cast<uint64_t>(Popcount64(w));
-    }
-    // Stray bits above num_bits, or a popcount inconsistent with the
-    // claimed (r, v), mean a corrupted record.
-    if (tail_bits != 0 && (words.back() >> tail_bits) != 0) {
-      return std::nullopt;
-    }
-    if (popcount != round * threshold + ones) return std::nullopt;
+    const uint32_t round = meta >> kRoundShift;
+    const uint32_t ones = meta & kFillMask;
+    std::memcpy(words.data(), record + 16, words.size() * 8);
+    if (!engine.ReachableState(round, ones, words)) return std::nullopt;
     bool created = false;
     const uint32_t row =
         engine.FindOrCreateRow(key, FlowTable::BucketHash(key), &created);
@@ -915,40 +897,27 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
 
 std::vector<uint8_t> ArenaSmbEngine::SerializeFlows(
     std::span<const uint64_t> flows) const {
-  std::vector<uint32_t> rows;
-  rows.reserve(flows.size());
-  for (const uint64_t flow : flows) {
-    const FlowTable::Probe probe =
-        table_.Find(flow, FlowTable::BucketHash(flow));
-    if (probe.found) rows.push_back(probe.slot);
-  }
   // Callers may list a flow more than once; a duplicate record would make
   // the image fail Deserialize()'s duplicate-key check. Keep the first
   // occurrence so the image order still matches the caller's.
-  std::vector<uint32_t> deduped;
-  deduped.reserve(rows.size());
-  for (const uint32_t row : rows) {
-    if (std::find(deduped.begin(), deduped.end(), row) == deduped.end()) {
-      deduped.push_back(row);
-    }
+  std::vector<uint32_t> rows;
+  rows.reserve(flows.size());
+  std::vector<bool> listed(flow_keys_.size());
+  for (const uint64_t flow : flows) {
+    const FlowTable::Probe probe =
+        table_.Find(flow, FlowTable::BucketHash(flow));
+    if (!probe.found || listed[probe.slot]) continue;
+    listed[probe.slot] = true;
+    rows.push_back(probe.slot);
   }
-  rows = std::move(deduped);
-  std::vector<uint8_t> out;
-  out.reserve(4 + 6 * 8 + rows.size() * (2 + words_per_slot_) * 8);
-  for (char c : kMagic) out.push_back(static_cast<uint8_t>(c));
-  AppendU64(&out, config_.num_bits);
-  AppendU64(&out, config_.threshold);
-  AppendU64(&out, config_.base_seed);
-  AppendU64(&out, rows.size());
-  AppendU64(&out, words_per_slot_);
-  std::vector<uint64_t> words(words_per_slot_);
+  std::vector<uint8_t> out =
+      BeginSnapshot(config_, rows.size(), words_per_slot_);
+  std::vector<uint64_t> scratch(words_per_slot_);
   for (const uint32_t row : rows) {
-    AppendU64(&out, flow_keys_[row]);
-    AppendU64(&out, meta_[row]);
-    CopyRowWords(row, words.data());
-    for (size_t w = 0; w < words_per_slot_; ++w) AppendU64(&out, words[w]);
+    AppendRecord(&out, flow_keys_[row], meta_[row],
+                 MaterializedWords(row, &scratch));
   }
-  AppendU64(&out, SnapshotChecksum(out.data(), out.size()));
+  SealSnapshot(&out);
   return out;
 }
 
@@ -957,17 +926,7 @@ bool ArenaSmbEngine::UpsertFlowState(uint64_t flow, uint32_t round,
                                      std::span<const uint64_t> words) {
   // Same reachability rules Deserialize() applies per record; a replica
   // must never hold state its own recording path could not have reached.
-  if (words.size() != words_per_slot_) return false;
-  if (round > max_round_) return false;
-  if (round < max_round_ && ones >= config_.threshold) return false;
-  if (ones > config_.num_bits - round * config_.threshold) return false;
-  const size_t tail_bits = config_.num_bits % 64;
-  if (tail_bits != 0 && (words.back() >> tail_bits) != 0) return false;
-  uint64_t popcount = 0;
-  for (const uint64_t w : words) {
-    popcount += static_cast<uint64_t>(Popcount64(w));
-  }
-  if (popcount != round * config_.threshold + ones) return false;
+  if (!ReachableState(round, ones, words)) return false;
   const uint32_t row = FindOrCreateRow(flow, FlowTable::BucketHash(flow));
   PromoteRow(row);  // replicated state lives on the main slab
   uint64_t* dst = arena_.SlotWords(slab_ref_[row]);
@@ -984,7 +943,7 @@ void ArenaSmbEngine::ForEachFlowState(
     if (slab_ref_[row] == kDeadRef) continue;
     const uint32_t meta = meta_[row];
     fn(flow_keys_[row], meta >> kRoundShift, meta & kFillMask,
-       MaterializedWords(row));
+       MaterializedWords(row, &inspect_scratch_));
   }
   if (cold_ != nullptr) {
     std::vector<uint64_t> words(words_per_slot_);

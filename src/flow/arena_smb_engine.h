@@ -357,11 +357,15 @@ class ArenaSmbEngine {
         nursery_.SlotWords(ref & ~kNurseryFlag));
   }
 
-  // The row's bitmap words; nursery rows are materialized into
-  // inspect_scratch_ (valid until the next call or mutation).
-  std::span<const uint64_t> MaterializedWords(uint32_t row) const;
-  // Zero-fills dst and writes the row's bitmap into it.
-  void CopyRowWords(uint32_t row, uint64_t* dst) const;
+  // The row's bitmap words: main-slab rows in place, nursery rows
+  // materialized into *scratch (valid until its next use or a mutation).
+  std::span<const uint64_t> MaterializedWords(
+      uint32_t row, std::vector<uint64_t>* scratch) const;
+  // Deserialize()'s and UpsertFlowState()'s reachability rules: round
+  // bound, morph gate, fill bound, no bits above num_bits, and popcount
+  // equal to round * T + ones.
+  bool ReachableState(uint32_t round, uint32_t ones,
+                      std::span<const uint64_t> words) const;
 
   // The estimate as a pure function of the packed morph metadata — the
   // whole reason frozen flows can be queried without decoding their

@@ -2,40 +2,10 @@
 
 #include <cstring>
 
+#include "common/le_bytes.h"
 #include "io/crc32c.h"
 
 namespace smb::io {
-namespace {
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint64_t ReadU64At(const std::vector<uint8_t>& in, size_t pos) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(in[pos + static_cast<size_t>(i)]) << (8 * i);
-  }
-  return v;
-}
-
-uint32_t ReadU32At(const std::vector<uint8_t>& in, size_t pos) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(in[pos + static_cast<size_t>(i)]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 const char* FrameDefectName(FrameDefect defect) {
   switch (defect) {
@@ -84,15 +54,15 @@ bool ParseFramedImage(const char magic[8], const std::vector<uint8_t>& image,
     *d = FrameDefect::kBadHeader;
     return false;
   }
-  if (ReadU32At(image, kFramedHeaderBytes - 4) !=
+  if (LoadU32(image.data() + kFramedHeaderBytes - 4) !=
       Crc32c(image.data(), kFramedHeaderBytes - 4)) {
     *error = "header CRC mismatch";
     *d = FrameDefect::kBadHeader;
     return false;
   }
-  const uint64_t stored_tag = ReadU64At(image, 8);
-  const uint64_t payload_size = ReadU64At(image, 16);
-  const uint64_t chunk_bytes = ReadU64At(image, 24);
+  const uint64_t stored_tag = LoadU64(image.data() + 8);
+  const uint64_t payload_size = LoadU64(image.data() + 16);
+  const uint64_t chunk_bytes = LoadU64(image.data() + 24);
   if (payload_size > kMaxFramedPayloadBytes || chunk_bytes < 1 ||
       chunk_bytes > kMaxFramedChunkBytes) {
     *error = "implausible header geometry";
@@ -114,8 +84,8 @@ bool ParseFramedImage(const char magic[8], const std::vector<uint8_t>& image,
     const uint64_t expected_len =
         chunk + 1 < num_chunks ? chunk_bytes
                                : payload_size - chunk * chunk_bytes;
-    const uint32_t len = ReadU32At(image, pos);
-    const uint32_t crc = ReadU32At(image, pos + 4);
+    const uint32_t len = LoadU32(image.data() + pos);
+    const uint32_t crc = LoadU32(image.data() + pos + 4);
     pos += kFramedChunkOverheadBytes;
     if (len != expected_len) {
       *error = "chunk " + std::to_string(chunk) + " has wrong length";

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/bit_util.h"
+#include "common/le_bytes.h"
 #include "common/macros.h"
 #include "core/self_morphing_bitmap.h"
 #include "estimators/hyperloglog_pp.h"
@@ -35,24 +36,6 @@ uint64_t DeriveShardSeed(uint64_t base_seed, size_t index) {
 //   u64 checksum (Murmur3_64 of every preceding byte).
 constexpr char kShardedMagic[4] = {'S', 'H', 'D', '1'};
 constexpr uint64_t kShardedChecksumSeed = 0x53484431u;  // "SHD1"
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(in[*pos + static_cast<size_t>(i)])
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
 
 std::optional<EstimatorKind> KindFromIndex(uint64_t index) {
   for (EstimatorKind kind : AllEstimatorKinds()) {
@@ -171,8 +154,8 @@ std::optional<std::vector<uint8_t>> ShardedEstimator::Serialize() const {
   if (!KindSupportsSerialization(config_.shard_spec.kind)) {
     return std::nullopt;
   }
-  std::vector<uint8_t> out;
-  for (char c : kShardedMagic) out.push_back(static_cast<uint8_t>(c));
+  std::vector<uint8_t> out(std::begin(kShardedMagic),
+                           std::end(kShardedMagic));
   AppendU64(&out, static_cast<uint64_t>(config_.shard_spec.kind));
   AppendU64(&out, config_.shard_spec.memory_bits);
   AppendU64(&out, config_.shard_spec.design_cardinality);
@@ -197,11 +180,8 @@ std::optional<ShardedEstimator> ShardedEstimator::Deserialize(
       std::memcmp(bytes.data(), kShardedMagic, 4) != 0) {
     return std::nullopt;
   }
-  size_t checksum_pos = bytes.size() - 8;
-  uint64_t stored_checksum = 0;
-  ReadU64(bytes, &checksum_pos, &stored_checksum);
-  if (stored_checksum != Murmur3_128(bytes.data(), bytes.size() - 8,
-                                     kShardedChecksumSeed).lo) {
+  if (LoadU64(bytes.data() + bytes.size() - 8) !=
+      Murmur3_128(bytes.data(), bytes.size() - 8, kShardedChecksumSeed).lo) {
     return std::nullopt;
   }
   size_t pos = 4;

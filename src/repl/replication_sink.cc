@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "codec/smbz1.h"
+#include "common/le_bytes.h"
 #include "fault/failpoints.h"
 #include "telemetry/metrics_registry.h"
 
@@ -17,24 +18,6 @@ namespace {
 //   per child: u64 child_id | u64 high_water | u64 snapshot_len
 //              | snapshot bytes (ArenaSmbEngine FLW1 image)
 constexpr char kParentMagic[8] = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64(const std::vector<uint8_t>& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(in[*pos + static_cast<size_t>(i)])
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
 
 }  // namespace
 
@@ -93,7 +76,7 @@ void ReplicationSink::RecoverFromCheckpoint() {
     if (!ReadU64(payload, &pos, &child_id) ||
         !ReadU64(payload, &pos, &high_water) ||
         !ReadU64(payload, &pos, &snap_len) ||
-        pos + snap_len > payload.size()) {
+        snap_len > payload.size() - pos) {
       return;  // torn inner layout: keep the clean-start state
     }
     std::vector<uint8_t> snapshot(

@@ -3,38 +3,11 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/le_bytes.h"
 #include "io/crc32c.h"
 
 namespace smb::repl {
 namespace {
-
-void AppendU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void AppendU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint64_t ReadU64At(const uint8_t* in, size_t pos) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(in[pos + static_cast<size_t>(i)]) << (8 * i);
-  }
-  return v;
-}
-
-uint32_t ReadU32At(const uint8_t* in, size_t pos) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(in[pos + static_cast<size_t>(i)]) << (8 * i);
-  }
-  return v;
-}
 
 bool ValidFrameType(uint8_t type) {
   return type >= static_cast<uint8_t>(FrameType::kHello) &&
@@ -55,9 +28,9 @@ std::vector<uint8_t> EncodeFingerprint(const GeometryFingerprint& fp) {
 bool DecodeFingerprint(std::span<const uint8_t> payload,
                        GeometryFingerprint* fp) {
   if (payload.size() != 24) return false;
-  fp->num_bits = ReadU64At(payload.data(), 0);
-  fp->threshold = ReadU64At(payload.data(), 8);
-  fp->base_seed = ReadU64At(payload.data(), 16);
+  fp->num_bits = LoadU64(payload.data());
+  fp->threshold = LoadU64(payload.data() + 8);
+  fp->base_seed = LoadU64(payload.data() + 16);
   return true;
 }
 
@@ -73,7 +46,7 @@ bool DecodeHello(std::span<const uint8_t> payload, HelloPayload* hello) {
     return false;
   }
   hello->codec_mask =
-      payload.size() == 32 ? ReadU64At(payload.data(), 24) : 0;
+      payload.size() == 32 ? LoadU64(payload.data() + 24) : 0;
   return true;
 }
 
@@ -90,7 +63,7 @@ bool DecodeCodecMask(std::span<const uint8_t> payload, uint64_t* mask) {
     return true;
   }
   if (payload.size() != 8) return false;
-  *mask = ReadU64At(payload.data(), 0);
+  *mask = LoadU64(payload.data());
   return true;
 }
 
@@ -128,7 +101,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
     *error = "bad frame magic";
     return Result::kCorrupt;
   }
-  if (ReadU32At(header, kWireHeaderBytes - 4) !=
+  if (LoadU32(header + kWireHeaderBytes - 4) !=
       io::Crc32c(header, kWireHeaderBytes - 4)) {
     poisoned_ = true;
     *error = "frame header CRC mismatch";
@@ -136,7 +109,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
   }
   const uint8_t type = header[8];
   const uint8_t version = header[9];
-  const uint32_t payload_len = ReadU32At(header, 28);
+  const uint32_t payload_len = LoadU32(header + 28);
   if (!ValidFrameType(type) || version != kWireVersion ||
       payload_len > kWireMaxPayloadBytes) {
     poisoned_ = true;
@@ -155,7 +128,7 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
   std::copy(buffer_.begin() +
                 static_cast<long>(kWireHeaderBytes + payload_len),
             buffer_.begin() + static_cast<long>(total), crc_bytes);
-  if (ReadU32At(crc_bytes, 0) !=
+  if (LoadU32(crc_bytes) !=
       io::Crc32c(payload.data(), payload.size())) {
     poisoned_ = true;
     *error = "frame payload CRC mismatch";
@@ -163,8 +136,8 @@ FrameDecoder::Result FrameDecoder::Next(Frame* out, std::string* error) {
   }
   buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<long>(total));
   out->type = static_cast<FrameType>(type);
-  out->child_id = ReadU64At(header, 12);
-  out->seq = ReadU64At(header, 20);
+  out->child_id = LoadU64(header + 12);
+  out->seq = LoadU64(header + 20);
   out->payload = std::move(payload);
   return Result::kFrame;
 }

@@ -115,6 +115,69 @@ TEST(Smbz1PropertyTest, AutoChooserRoundTripsAndNeverBeatsRawBound) {
   }
 }
 
+// Runs of zero words, all-ones words and random literals, so rle is
+// priced against real competition. `tail_clean` = false leaves stray
+// bits above num_bits in a ragged last word, which rules sparse out.
+MorphState ClusteredState(Xoshiro256& rng, const Geometry& g,
+                          bool tail_clean) {
+  MorphState state;
+  state.words.assign((g.num_bits + 63) / 64, 0);
+  size_t w = 0;
+  while (w < state.words.size()) {
+    const uint64_t kind = rng.NextBounded(3);
+    const size_t len = 1 + rng.NextBounded(6);
+    for (size_t i = 0; i < len && w < state.words.size(); ++i, ++w) {
+      state.words[w] = kind == 0 ? 0 : kind == 1 ? ~uint64_t{0} : rng.Next();
+    }
+  }
+  const size_t tail = g.num_bits % 64;
+  if (tail_clean && tail != 0) {
+    state.words.back() &= (uint64_t{1} << tail) - 1;
+  }
+  // The codec carries (r, v) verbatim; it never checks them against the
+  // bitmap, so any in-range pair exercises the header path.
+  state.round = static_cast<uint32_t>(rng.NextBounded(8));
+  state.ones = static_cast<uint32_t>(rng.NextBounded(g.threshold));
+  return state;
+}
+
+// The shortest forced encoding, ties broken raw < sparse < rle.
+std::vector<uint8_t> ShortestForcedRecord(uint64_t num_bits,
+                                          const SlotState& state) {
+  std::vector<uint8_t> best;
+  for (const SlotMode mode :
+       {SlotMode::kRaw, SlotMode::kSparse, SlotMode::kRle}) {
+    std::vector<uint8_t> record;
+    if (!EncodeSlotAs(mode, num_bits, state, &record)) continue;
+    if (best.empty() || record.size() < best.size()) best = record;
+  }
+  return best;
+}
+
+// The chooser's contract byte for byte: round trips alone would accept
+// a chooser that picked a different valid mode, silently changing the
+// SMBZ1 bytes of every checkpoint and delta.
+TEST(Smbz1PropertyTest, ChooserEmitsShortestForcedRecordWithTieOrder) {
+  Xoshiro256 rng(0xC4005E);
+  std::vector<Geometry> geometries(std::begin(kGeometries),
+                                   std::end(kGeometries));
+  geometries.push_back({10000, 1000});  // the CLI geometry
+  for (const Geometry& g : geometries) {
+    const uint64_t max_round = (g.num_bits - 1) / g.threshold - 1;
+    for (size_t i = 0; i < kStatesPerMode; ++i) {
+      for (const MorphState& state :
+           {RandomState(rng, g, max_round), ClusteredState(rng, g, true),
+            ClusteredState(rng, g, false)}) {
+        const SlotState slot{state.round, state.ones, state.words};
+        std::vector<uint8_t> chosen;
+        EncodeSlot(g.num_bits, slot, &chosen);
+        ASSERT_EQ(chosen, ShortestForcedRecord(g.num_bits, slot))
+            << "num_bits " << g.num_bits << " state " << i;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Corrupt-input rejection matrices. Scaled down (but never off) under
 // SMB_SMOKE_SCALE so the ASan fuzz-smoke CI leg stays fast.

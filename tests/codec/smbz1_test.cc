@@ -12,6 +12,7 @@
 
 #include "common/random.h"
 #include "flow/arena_smb_engine.h"
+#include "hash/murmur3.h"
 
 namespace smb::codec {
 namespace {
@@ -202,6 +203,21 @@ TEST(Smbz1ImageTest, RejectsNonFlw1Input) {
   const ArenaSmbEngine engine = PopulatedEngine(8, 3);
   std::vector<uint8_t> flw1 = engine.Serialize();
   flw1[flw1.size() / 2] ^= 0x10;
+  EXPECT_FALSE(CompressFlw1Image(flw1).has_value());
+}
+
+// Header and checksum only, claiming 2^61 flows: num_flows times the
+// record size wraps size_t to exactly the 52-byte image size, so a size
+// check that multiplies would accept it and encode records that are
+// not there.
+TEST(Smbz1ImageTest, RejectsFlowCountThatWrapsSizeCheck) {
+  std::vector<uint8_t> flw1 = PopulatedEngine(0, 1).Serialize();
+  ASSERT_EQ(flw1.size(), 52u);
+  constexpr size_t kNumFlowsOffset = 4 + 3 * 8;
+  const uint64_t num_flows = uint64_t{1} << 61;
+  std::memcpy(flw1.data() + kNumFlowsOffset, &num_flows, 8);
+  const uint64_t checksum = Murmur3_128(flw1.data(), 44, 0x464C5731u).lo;
+  std::memcpy(flw1.data() + 44, &checksum, 8);
   EXPECT_FALSE(CompressFlw1Image(flw1).has_value());
 }
 

@@ -190,6 +190,21 @@ TEST(SmbCorruptInputTest, WordCountMismatchRejected) {
   EXPECT_FALSE(SelfMorphingBitmap::Deserialize(bytes).has_value());
 }
 
+// num_bits = 2^64 - 1 wraps a `(num_bits + 63) / 64` word count to
+// zero, so a header-only image with word_count 0 would pass the size
+// check and leave no last word for the tail-bit check to read.
+TEST(SmbCorruptInputTest, WordCountThatWrapsRejected) {
+  auto bytes = MakeLoaded(12, 10).Serialize();
+  bytes.resize(kWordsOffset + 8);
+  WriteU64At(&bytes, kNumBitsOffset, ~uint64_t{0});
+  WriteU64At(&bytes, kThresholdOffset, ~uint64_t{0});
+  WriteU64At(&bytes, kRoundOffset, 0);
+  WriteU64At(&bytes, kOnesOffset, 0);
+  WriteU64At(&bytes, kWordCountOffset, 0);
+  FixChecksum(&bytes);
+  EXPECT_FALSE(SelfMorphingBitmap::Deserialize(bytes).has_value());
+}
+
 TEST(SmbCorruptInputTest, CraftedButConsistentSnapshotAccepted) {
   // Sanity check that FixChecksum + the offset map above match the real
   // format: an untouched re-signed snapshot still round-trips.

@@ -275,6 +275,19 @@ TEST(ArenaSmbEngineCorruptionTest, RejectsDuplicateFlowKeys) {
   EXPECT_FALSE(ArenaSmbEngine::Deserialize(bytes).has_value());
 }
 
+// Header and checksum only, claiming 2^61 flows: num_flows times the
+// record size wraps size_t to exactly zero, so a size check that
+// multiplies would accept the 52 bytes and read records past the end.
+TEST(ArenaSmbEngineCorruptionTest, RejectsFlowCountThatWrapsSizeCheck) {
+  std::vector<uint8_t> bytes = ArenaSmbEngine(SmallConfig()).Serialize();
+  ASSERT_EQ(bytes.size(), kHeaderBytes + 8);
+  constexpr size_t kNumFlowsOffset = 4 + 3 * 8;
+  const uint64_t num_flows = uint64_t{1} << 61;
+  std::memcpy(bytes.data() + kNumFlowsOffset, &num_flows, 8);
+  Reseal(&bytes);
+  EXPECT_FALSE(ArenaSmbEngine::Deserialize(bytes).has_value());
+}
+
 TEST(ArenaSmbEngineCorruptionTest, RejectsStrayTailBits) {
   ArenaSmbEngine engine(SmallConfig());  // m = 5000, tail = 5000 % 64 = 8
   engine.Record(1, 10);

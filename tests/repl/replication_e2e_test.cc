@@ -18,8 +18,10 @@
 #include <tuple>
 #include <vector>
 
+#include "common/le_bytes.h"
 #include "common/random.h"
 #include "flow/arena_smb_engine.h"
+#include "io/checkpoint_store.h"
 #include "repl/child_replicator.h"
 #include "repl/replication_sink.h"
 
@@ -448,6 +450,29 @@ TEST_F(ReplicationE2eTest, GeometryMismatchIsRefusedAtHello) {
   EXPECT_TRUE(Fingerprint(sink.MergedEngine()).empty());
   // The child never drains (nothing acks it) but keeps its data safe.
   EXPECT_EQ(children[0].replicator->stats().spooled_deltas, 1u);
+}
+
+// A parent checkpoint whose child record claims a snapshot length near
+// 2^64 (so `pos + length` wraps below the payload size) is a torn inner
+// layout: the restarted parent starts clean instead of copying a range
+// that ends before it begins.
+TEST_F(ReplicationE2eTest, RecoveryRejectsWrappingSnapshotLength) {
+  const ReplicationSink::Options options = SinkOptions(/*durable=*/true);
+  {
+    io::CheckpointStore::Options store_options;
+    store_options.directory = options.checkpoint_dir;
+    store_options.sync = false;
+    io::CheckpointStore store(store_options);
+    std::vector<uint8_t> payload = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
+    AppendU64(&payload, 1);                 // num_children
+    AppendU64(&payload, 7);                 // child_id
+    AppendU64(&payload, 3);                 // high_water
+    AppendU64(&payload, ~uint64_t{0} - 8);  // snapshot_len
+    payload.resize(payload.size() + 16, 0);
+    ASSERT_TRUE(store.Write(payload).ok);
+  }
+  ReplicationSink sink(options);
+  EXPECT_EQ(sink.NumChildren(), 0u);
 }
 
 }  // namespace

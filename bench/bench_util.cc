@@ -91,6 +91,12 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_encode_mbps =
           std::strtod(argv[i] + sizeof(kEncodeMbpsFlag) - 1, nullptr);
     }
+    constexpr const char kEncodeCrcRatioFlag[] = "--assert-encode-crc-ratio=";
+    if (std::strncmp(argv[i], kEncodeCrcRatioFlag,
+                     sizeof(kEncodeCrcRatioFlag) - 1) == 0) {
+      scale.assert_encode_crc_ratio =
+          std::strtod(argv[i] + sizeof(kEncodeCrcRatioFlag) - 1, nullptr);
+    }
     constexpr const char kTraceOutFlag[] = "--trace-out=";
     if (std::strncmp(argv[i], kTraceOutFlag, sizeof(kTraceOutFlag) - 1) ==
         0) {

@@ -37,12 +37,14 @@ struct BenchScale {
   double assert_speedup = 0.0;
   // codec_throughput gates (0 disables each): minimum SMBZ1 compression
   // ratio on the dense and sparse fixtures, minimum decode throughput in
-  // MB/s of rehydrated FLW1 bytes, and minimum sparse-fixture encode
-  // throughput in MB/s of FLW1 input.
+  // MB/s of rehydrated FLW1 bytes, minimum sparse-fixture encode
+  // throughput in MB/s of FLW1 input, and minimum ratio of that encode
+  // rate to the rate of a CRC-32C pass over the same bytes.
   double assert_dense_ratio = 0.0;
   double assert_sparse_ratio = 0.0;
   double assert_decode_mbps = 0.0;
   double assert_encode_mbps = 0.0;
+  double assert_encode_crc_ratio = 0.0;
   // --trace-out=PATH captures the span tracer across the measured runs
   // and writes Chrome trace-event JSON to PATH. In SMB_TRACING=OFF builds
   // the file is still written (a valid zero-event trace), so scripts need

@@ -515,19 +515,25 @@ double ArenaSmbEngine::EstimateSlot(uint32_t row) const {
   return EstimateMeta(meta >> kRoundShift, meta & kFillMask);
 }
 
-double ArenaSmbEngine::Query(uint64_t flow) const {
+bool ArenaSmbEngine::FindMeta(uint64_t flow, uint32_t* meta) const {
   const FlowTable::Probe probe =
       table_.Find(flow, FlowTable::BucketHash(flow));
-  if (probe.found) return EstimateSlot(probe.slot);
-  if (cold_ != nullptr) {
-    uint32_t round = 0, ones = 0;
-    if (cold_->PeekMeta(flow, &round, &ones)) {
-      // The estimate is a pure function of (r, v); the frozen payload
-      // stays compressed.
-      return EstimateMeta(round, ones);
-    }
+  if (probe.found) {
+    *meta = meta_[probe.slot];
+    return true;
   }
-  return 0.0;
+  uint32_t round = 0, ones = 0;
+  if (cold_ == nullptr || !cold_->PeekMeta(flow, &round, &ones)) return false;
+  *meta = (round << kRoundShift) | ones;
+  return true;
+}
+
+double ArenaSmbEngine::Query(uint64_t flow) const {
+  // The estimate is a pure function of (r, v), so a frozen flow answers
+  // from its cold-tier header and its payload stays compressed.
+  uint32_t meta = 0;
+  if (!FindMeta(flow, &meta)) return 0.0;
+  return EstimateMeta(meta >> kRoundShift, meta & kFillMask);
 }
 
 std::vector<uint64_t> ArenaSmbEngine::FlowsOver(double threshold) const {
@@ -578,14 +584,60 @@ std::span<const uint64_t> ArenaSmbEngine::MaterializedWords(
   return {scratch->data(), words_per_slot_};
 }
 
+std::span<const uint64_t> ArenaSmbEngine::HeldWords(
+    uint64_t flow, std::vector<uint64_t>* scratch) const {
+  const FlowTable::Probe probe =
+      table_.Find(flow, FlowTable::BucketHash(flow));
+  if (probe.found) return MaterializedWords(probe.slot, scratch);
+  SMB_DCHECK(cold_ != nullptr && cold_->Contains(flow));
+  scratch->assign(words_per_slot_, 0);
+  uint32_t round = 0, ones = 0;
+  cold_->ReadState(flow, &round, &ones, *scratch);
+  return {scratch->data(), words_per_slot_};
+}
+
+void ArenaSmbEngine::MergeFlowState(uint64_t flow,
+                                    std::span<uint64_t> dst_words,
+                                    uint32_t* dst_meta,
+                                    std::span<const uint64_t> src_words,
+                                    uint32_t src_meta,
+                                    std::span<uint64_t> replay) const {
+  const SmbMergeGeometry geometry{config_.num_bits, config_.threshold,
+                                  max_round_, 2.0};
+  // Exactly the salt the flow's standalone snapshot would use in
+  // SelfMorphingBitmap::MergeFrom: fmix(per_flow_seed ^ merge salt).
+  const uint64_t salt = Murmur3Fmix64(
+      Murmur3Fmix64(config_.base_seed ^ flow) ^ kSmbMergeSalt);
+  size_t round = *dst_meta >> kRoundShift;
+  size_t fill = *dst_meta & kFillMask;
+  const size_t src_round = src_meta >> kRoundShift;
+  const size_t src_fill = src_meta & kFillMask;
+  if (SmbMergePrefersSource(round, fill, src_round, src_fill)) {
+    // The source is the coarser state: it becomes the base and the
+    // destination's old bits are replayed into it.
+    std::copy(dst_words.begin(), dst_words.end(), replay.begin());
+    std::copy(src_words.begin(), src_words.end(), dst_words.begin());
+    const size_t replay_round = round;
+    const size_t replay_fill = fill;
+    round = src_round;
+    fill = src_fill;
+    SmbReplayMergeBits(geometry, salt, dst_words, &round, &fill, replay,
+                       replay_round, replay_fill);
+  } else {
+    SmbReplayMergeBits(geometry, salt, dst_words, &round, &fill, src_words,
+                       src_round, src_fill);
+  }
+  *dst_meta = (static_cast<uint32_t>(round) << kRoundShift) |
+              static_cast<uint32_t>(fill);
+}
+
 void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
   SMB_CHECK_MSG(CanMergeWith(other),
                 "arena merge requires identical (num_bits, threshold, "
                 "base_seed)");
-  const SmbMergeGeometry geometry{config_.num_bits, config_.threshold,
-                                  max_round_, 2.0};
   std::vector<uint64_t> replay(words_per_slot_);
-  const auto merge_one = [&](uint64_t flow, const uint64_t* src_words,
+  const auto merge_one = [&](uint64_t flow,
+                             std::span<const uint64_t> src_words,
                              uint32_t src_meta) {
     const uint64_t bucket_hash = FlowTable::BucketHash(flow);
     // A frozen flow counts as known: FindOrCreateRow thaws it, so the
@@ -594,52 +646,25 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
                          (cold_ != nullptr && cold_->Contains(flow));
     const uint32_t row = FindOrCreateRow(flow, bucket_hash);
     PromoteRow(row);  // merge results live on the main slab
-    uint64_t* dst_words = arena_.SlotWords(slab_ref_[row]);
+    const std::span<uint64_t> dst_words(arena_.SlotWords(slab_ref_[row]),
+                                        words_per_slot_);
     if (!existed) {
       // Flow unknown here: adopt the source state verbatim (the
       // merge-with-empty identity, without the replay detour).
-      std::copy(src_words, src_words + words_per_slot_, dst_words);
+      std::copy(src_words.begin(), src_words.end(), dst_words.begin());
       meta_[row] = src_meta;
       return;
     }
-    // Exactly the salt the flow's standalone snapshot would use in
-    // SelfMorphingBitmap::MergeFrom: fmix(per_flow_seed ^ merge salt).
-    const uint64_t salt = Murmur3Fmix64(
-        Murmur3Fmix64(config_.base_seed ^ flow) ^ kSmbMergeSalt);
-    size_t round = meta_[row] >> kRoundShift;
-    size_t fill = meta_[row] & kFillMask;
-    const size_t src_round = src_meta >> kRoundShift;
-    const size_t src_fill = src_meta & kFillMask;
-    if (SmbMergePrefersSource(round, fill, src_round, src_fill)) {
-      std::copy(dst_words, dst_words + words_per_slot_, replay.data());
-      std::copy(src_words, src_words + words_per_slot_, dst_words);
-      const size_t replay_round = round;
-      const size_t replay_fill = fill;
-      round = src_round;
-      fill = src_fill;
-      SmbReplayMergeBits(
-          geometry, salt, std::span<uint64_t>(dst_words, words_per_slot_),
-          &round, &fill,
-          std::span<const uint64_t>(replay.data(), words_per_slot_),
-          replay_round, replay_fill);
-    } else {
-      SmbReplayMergeBits(
-          geometry, salt, std::span<uint64_t>(dst_words, words_per_slot_),
-          &round, &fill,
-          std::span<const uint64_t>(src_words, words_per_slot_), src_round,
-          src_fill);
-    }
-    meta_[row] = (static_cast<uint32_t>(round) << kRoundShift) |
-                 static_cast<uint32_t>(fill);
+    MergeFlowState(flow, dst_words, &meta_[row], src_words, src_meta,
+                   replay);
   };
   for (uint32_t src_row = 0; src_row < other.flow_keys_.size(); ++src_row) {
     if (other.slab_ref_[src_row] == kDeadRef) continue;
     // Materialized view (nursery rows included) — the merge replay works
     // on real bitmap words on both sides.
-    merge_one(
-        other.flow_keys_[src_row],
-        other.MaterializedWords(src_row, &other.inspect_scratch_).data(),
-        other.meta_[src_row]);
+    merge_one(other.flow_keys_[src_row],
+              other.MaterializedWords(src_row, &other.inspect_scratch_),
+              other.meta_[src_row]);
   }
   if (other.cold_ != nullptr) {
     // The source's frozen flows are engine state too; materialize each
@@ -647,14 +672,50 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
     std::vector<uint64_t> cold_words(words_per_slot_);
     for (const uint64_t flow : other.cold_->SortedFlows()) {
       uint32_t round = 0, ones = 0;
-      other.cold_->ReadState(flow, &round, &ones,
-                             {cold_words.data(), words_per_slot_});
-      merge_one(flow, cold_words.data(), (round << kRoundShift) | ones);
+      other.cold_->ReadState(flow, &round, &ones, cold_words);
+      merge_one(flow, cold_words, (round << kRoundShift) | ones);
     }
   }
   // Adopted flows may have pushed past the budget; reclaim at the merge
   // boundary (no cached row ids here).
   MaybeEvict();
+}
+
+double ArenaSmbEngine::QueryMerged(
+    std::span<const ArenaSmbEngine* const> engines, uint64_t flow) {
+  // One probe per engine finds the holders; the first holder's state is
+  // what MergeFrom would adopt verbatim into the fresh engine.
+  size_t first = engines.size();
+  uint32_t acc_meta = 0;
+  size_t holders = 0;
+  for (size_t i = 0; i < engines.size(); ++i) {
+    SMB_CHECK_MSG(engines[i]->CanMergeWith(*engines.front()),
+                  "arena merge requires identical (num_bits, threshold, "
+                  "base_seed)");
+    uint32_t meta = 0;
+    if (!engines[i]->FindMeta(flow, &meta)) continue;
+    if (holders++ == 0) {
+      first = i;
+      acc_meta = meta;
+    }
+  }
+  if (holders == 0) return 0.0;
+  const ArenaSmbEngine& base = *engines[first];
+  if (holders > 1) {
+    const size_t words = base.words_per_slot_;
+    std::vector<uint64_t> acc(words), scratch(words), replay(words);
+    const std::span<const uint64_t> base_words =
+        base.HeldWords(flow, &scratch);
+    std::copy(base_words.begin(), base_words.end(), acc.begin());
+    for (size_t i = first + 1; i < engines.size(); ++i) {
+      uint32_t meta = 0;
+      if (!engines[i]->FindMeta(flow, &meta)) continue;
+      base.MergeFlowState(flow, acc, &acc_meta,
+                          engines[i]->HeldWords(flow, &scratch), meta,
+                          replay);
+    }
+  }
+  return base.EstimateMeta(acc_meta >> kRoundShift, acc_meta & kFillMask);
 }
 
 size_t ArenaSmbEngine::ResidentBytes() const {

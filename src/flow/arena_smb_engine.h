@@ -257,6 +257,21 @@ class ArenaSmbEngine {
   // merging flow by flow. Requires CanMergeWith(other).
   void MergeFrom(const ArenaSmbEngine& other);
 
+  // Merged point query: the estimate a fresh engine would give for
+  // `flow` after MergeFrom over `engines` in the given order, computed
+  // for that one flow only (the order matters — the replay merge is not
+  // bitwise commutative). No holder answers 0.0; a single holder answers
+  // its own Query(flow) without materializing anything (a frozen flow
+  // from its cold-tier header); two or more materialize each holder's
+  // words and fold them in order through the same per-flow replay
+  // MergeFrom uses, so the answer is bit-identical to building the merged
+  // engine and querying it. Budget caveat: a merged engine whose config
+  // has a memory budget may evict flows inside MergeFrom; this answers
+  // as if nothing was evicted. Requires every engine to CanMergeWith the
+  // others.
+  static double QueryMerged(std::span<const ArenaSmbEngine* const> engines,
+                            uint64_t flow);
+
   // Replication (DESIGN.md §16) --------------------------------------------
   // FLW1 snapshot restricted to `flows` (identical layout to Serialize();
   // listed flows not currently live are skipped). This is the replication
@@ -361,6 +376,19 @@ class ArenaSmbEngine {
   // materialized into *scratch (valid until its next use or a mutation).
   std::span<const uint64_t> MaterializedWords(
       uint32_t row, std::vector<uint64_t>* scratch) const;
+  // The packed (r, v) of a flow held live or frozen; false when absent.
+  bool FindMeta(uint64_t flow, uint32_t* meta) const;
+  // A held flow's bitmap words: main-slab rows in place, nursery and
+  // frozen flows materialized into *scratch.
+  std::span<const uint64_t> HeldWords(uint64_t flow,
+                                      std::vector<uint64_t>* scratch) const;
+  // The per-flow replay merge shared by MergeFrom and QueryMerged: folds
+  // the source state into (dst_words, *dst_meta) in place, orienting so
+  // the coarser state is the base and salting exactly as the flow's
+  // standalone snapshot would. `replay` is scratch of words_per_slot_.
+  void MergeFlowState(uint64_t flow, std::span<uint64_t> dst_words,
+                      uint32_t* dst_meta, std::span<const uint64_t> src_words,
+                      uint32_t src_meta, std::span<uint64_t> replay) const;
   // Deserialize()'s and UpsertFlowState()'s reachability rules: round
   // bound, morph gate, fill bound, no bits above num_bits, and popcount
   // equal to round * T + ones.

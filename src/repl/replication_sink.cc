@@ -474,7 +474,15 @@ ArenaSmbEngine ReplicationSink::MergedEngine() const {
 }
 
 double ReplicationSink::MergedQuery(uint64_t flow) const {
-  return MergedEngine().Query(flow);
+  // Same ascending-child-id order as MergedEngine(), folded for this one
+  // flow only.
+  std::vector<const ArenaSmbEngine*> replicas;
+  replicas.reserve(children_.size());
+  for (const auto& [id, child] : children_) {
+    (void)id;
+    replicas.push_back(child.replica.get());
+  }
+  return ArenaSmbEngine::QueryMerged(replicas, flow);
 }
 
 std::vector<ReplicationSink::ChildInfo> ReplicationSink::Children(

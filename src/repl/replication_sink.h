@@ -126,11 +126,17 @@ class ReplicationSink {
   void Close();
 
   // Fresh engine holding the merge of every child replica, ascending
-  // child id — the global query surface.
+  // child id — the whole-view read surface (top-K, FlowsOver, snapshots).
+  // Point queries go through MergedQuery instead.
   ArenaSmbEngine MergedEngine() const;
 
-  // Merged estimate for one flow (convenience over MergedEngine for
-  // single queries).
+  // Merged estimate for one flow, equal bit for bit to
+  // MergedEngine().Query(flow) but without building the merged engine:
+  // ArenaSmbEngine::QueryMerged folds just this flow across the replicas
+  // in ascending child id (one table probe per replica when at most one
+  // holds it). Budget caveat: with a memory budget in
+  // options.engine_config, MergedEngine() may evict flows while it
+  // merges; this answers as if nothing was evicted.
   double MergedQuery(uint64_t flow) const;
 
   std::vector<ChildInfo> Children(uint64_t now_ms) const;

@@ -70,9 +70,14 @@ std::optional<Trace> ReadTraceFile(const std::string& path) {
     return std::nullopt;
   }
   // Structural sanity: the remaining bytes must match the header exactly.
-  const uint64_t expected =
-      sizeof(kMagic) + 16 + num_flows * 8 + num_packets * 16;
-  if (in.size() != expected) return std::nullopt;
+  // Checked by division, so a huge count cannot wrap the byte total and
+  // reach the resizes below.
+  const size_t body = in.size() - pos;
+  if (num_flows > body / 8) return std::nullopt;
+  const size_t packet_bytes = body - num_flows * 8;
+  if (packet_bytes % 16 != 0 || num_packets != packet_bytes / 16) {
+    return std::nullopt;
+  }
 
   Trace trace;
   trace.true_cardinality.resize(num_flows);

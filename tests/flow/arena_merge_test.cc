@@ -2,11 +2,14 @@
 // arena's per-flow replay merge must be bit-identical to merging the
 // flows' standalone SMB snapshots (same salt derivation), FLW1 snapshots
 // from different processes must merge after load, and the legacy map
-// engine must agree with the arena flow for flow.
+// engine must agree with the arena flow for flow. QueryMerged, the
+// one-flow fold behind merged point queries, must answer exactly what a
+// MergeFrom-built engine's Query answers.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -221,6 +224,100 @@ TEST(ArenaMergeTest, SnapshotFlowSmbMatchesEngineQuery) {
   EXPECT_DOUBLE_EQ(legacy_snap->Estimate(), legacy.Query(8));
   EXPECT_EQ(arena_snap->Serialize(), legacy_snap->Serialize());
   EXPECT_FALSE(arena.SnapshotFlowSmb(999).has_value());
+}
+
+// Three engines over kMergeFlows flows: engine i holds flow f when bit i
+// of f % 8 is set, so every holder count from 0 to 3 occurs. Per-engine
+// spreads cycle from a few items (nursery rows) through a promoted
+// round-0 row to late rounds, offset per engine so the same flow sits at
+// different rounds in different engines and both merge orientations
+// occur. Item ranges half-overlap across engines. Engine 2 runs the cold
+// tier under a small budget, so its early flows are frozen.
+constexpr uint64_t kMergeFlows = 64;
+
+std::vector<ArenaSmbEngine> BuildMergeEngines() {
+  const std::vector<uint64_t> counts = {3, 9, 120, 700, 4000, 30000};
+  std::vector<ArenaSmbEngine> engines;
+  for (uint64_t e = 0; e < 3; ++e) {
+    ArenaSmbEngine::Config config = EngineConfig();
+    if (e == 2) {
+      config.tuning.cold_tier = true;
+      config.tuning.memory_budget_bytes = 3000;
+    }
+    ArenaSmbEngine engine(config);
+    for (uint64_t flow = 0; flow < kMergeFlows; ++flow) {
+      if (((flow % 8) & (uint64_t{1} << e)) == 0) continue;
+      const uint64_t n = counts[(flow * 5 + e * 2) % counts.size()];
+      const uint64_t base = flow * 1000000 + e * (n / 2);
+      for (uint64_t i = 0; i < n; ++i) engine.Record(flow, base + i);
+    }
+    engines.push_back(std::move(engine));
+  }
+  return engines;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// QueryMerged over `order` against a fresh engine that MergeFrom'd the
+// same engines in the same order, for every flow and some absent ids.
+void ExpectQueryMergedMatchesMergeFrom(
+    const std::vector<const ArenaSmbEngine*>& order) {
+  ArenaSmbEngine merged(EngineConfig());
+  for (const ArenaSmbEngine* engine : order) merged.MergeFrom(*engine);
+  std::vector<uint64_t> flows;
+  for (uint64_t flow = 0; flow < kMergeFlows; ++flow) flows.push_back(flow);
+  for (const uint64_t absent :
+       {kMergeFlows, uint64_t{1} << 40, ~uint64_t{0}}) {
+    flows.push_back(absent);
+  }
+  for (const uint64_t flow : flows) {
+    EXPECT_EQ(Bits(ArenaSmbEngine::QueryMerged(order, flow)),
+              Bits(merged.Query(flow)))
+        << "flow " << flow << " over " << order.size() << " engines";
+  }
+}
+
+TEST(ArenaMergeTest, QueryMergedMatchesMergeFromInEveryOrder) {
+  const std::vector<ArenaSmbEngine> engines = BuildMergeEngines();
+  // The engines reach every residency and holder count.
+  EXPECT_GT(engines[0].Stats().nursery_flows, 0u);
+  EXPECT_GT(engines[0].Stats().main_flows, 0u);
+  size_t late_round_rows = 0;
+  size_t holder_counts[4] = {0, 0, 0, 0};
+  size_t shared_with_cold_engine = 0;
+  for (uint64_t flow = 0; flow < kMergeFlows; ++flow) {
+    size_t holders = 0;
+    for (const ArenaSmbEngine& engine : engines) {
+      const auto state = engine.Inspect(flow);
+      if (!state.has_value()) continue;
+      ++holders;
+      if (state->round >= 3) ++late_round_rows;
+    }
+    ++holder_counts[holders];
+    if (holders >= 2 && engines[2].Inspect(flow).has_value()) {
+      ++shared_with_cold_engine;
+    }
+  }
+  EXPECT_GT(late_round_rows, 0u);
+  for (size_t h = 0; h < 4; ++h) {
+    EXPECT_GT(holder_counts[h], 0u) << h << " holders";
+  }
+  // More shared flows than engine 2 keeps live: at least one frozen flow
+  // takes the cold source through the replay fold.
+  EXPECT_GT(engines[2].Stats().cold_flows, 0u);
+  EXPECT_GT(shared_with_cold_engine, engines[2].NumFlows());
+
+  const ArenaSmbEngine* a = &engines[0];
+  const ArenaSmbEngine* b = &engines[1];
+  const ArenaSmbEngine* c = &engines[2];
+  // Every order of all three (ascending and not), every pair, single
+  // engines (including the cold one), no engines, and an engine listed
+  // twice.
+  const std::vector<std::vector<const ArenaSmbEngine*>> orders = {
+      {a, b, c}, {a, c, b}, {b, a, c}, {b, c, a}, {c, a, b}, {c, b, a},
+      {a, b},    {b, c},    {c, a},    {a},       {c},       {},
+      {b, b}};
+  for (const auto& order : orders) ExpectQueryMergedMatchesMergeFrom(order);
 }
 
 }  // namespace

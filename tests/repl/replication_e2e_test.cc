@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "io/checkpoint_store.h"
 #include "repl/child_replicator.h"
 #include "repl/replication_sink.h"
+#include "telemetry/metrics_registry.h"
 
 namespace smb::repl {
 namespace {
@@ -52,6 +54,39 @@ FlowFingerprint Fingerprint(const ArenaSmbEngine& engine) {
                          std::vector<uint64_t>(words.begin(), words.end())));
   });
   return fp;
+}
+
+// MergedQuery folds one flow across the replicas; it must answer every
+// held flow and absent ids exactly as the merged engine does, and it must
+// not build one: a rebuild creates a row per flow, so the process-wide
+// created-rows counter stays put across many point queries.
+void ExpectMergedQueryMatchesMergedEngine(const ReplicationSink& sink) {
+  const ArenaSmbEngine merged = sink.MergedEngine();
+  std::vector<uint64_t> flows;
+  merged.ForEachFlow([&](uint64_t flow, double) { flows.push_back(flow); });
+  ASSERT_FALSE(flows.empty());
+  for (const uint64_t absent : {uint64_t{0}, uint64_t{1} << 40,
+                                ~uint64_t{0}}) {
+    flows.push_back(absent);
+  }
+  for (const uint64_t flow : flows) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(sink.MergedQuery(flow)),
+              std::bit_cast<uint64_t>(merged.Query(flow)))
+        << "flow " << flow;
+  }
+  if constexpr (telemetry::kEnabled) {
+    const telemetry::Counter* created =
+        telemetry::MetricsRegistry::Global().GetCounter(
+            "flow_flows_created_total");
+    const uint64_t before = created->Value();
+    for (size_t q = 0; q < 1000; ++q) {
+      (void)sink.MergedQuery(flows[q % flows.size()]);
+    }
+    EXPECT_EQ(created->Value(), before);
+    // The counter is live: a rebuild moves it by one row per flow.
+    const ArenaSmbEngine rebuilt = sink.MergedEngine();
+    EXPECT_EQ(created->Value(), before + rebuilt.NumFlows());
+  }
 }
 
 struct Child {
@@ -186,6 +221,7 @@ TEST_F(ReplicationE2eTest, FourChildrenConvergeToOracleMerge) {
   DrainAll(&sink, children);
 
   EXPECT_EQ(Fingerprint(sink.MergedEngine()), OracleFingerprint(children));
+  ExpectMergedQueryMatchesMergedEngine(sink);
   for (const Child& child : children) {
     ExpectAccountingIdentity(child);
     const auto stats = child.replicator->stats();
@@ -236,6 +272,7 @@ TEST_F(ReplicationE2eTest, ParentRestartLosesNoAckedData) {
   // must already be there BEFORE any child reconnects.
   sink = std::make_unique<ReplicationSink>(SinkOptions(/*durable=*/true));
   EXPECT_EQ(Fingerprint(sink->MergedEngine()), acked);
+  ExpectMergedQueryMatchesMergedEngine(*sink);
   for (const auto& info : sink->Children(now_ms_)) {
     EXPECT_EQ(info.acked_seq, 2u);
     EXPECT_EQ(info.applied_seq, 2u);
@@ -251,6 +288,7 @@ TEST_F(ReplicationE2eTest, ParentRestartLosesNoAckedData) {
   }
   DrainAll(sink.get(), children);
   EXPECT_EQ(Fingerprint(sink->MergedEngine()), OracleFingerprint(children));
+  ExpectMergedQueryMatchesMergedEngine(*sink);
   for (const Child& child : children) ExpectAccountingIdentity(child);
 }
 

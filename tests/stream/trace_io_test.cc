@@ -69,6 +69,30 @@ TEST_F(TraceIoTest, ReadRejectsTruncation) {
   EXPECT_FALSE(ReadTraceFile(Path("trunc.bin")).has_value());
 }
 
+// Header counts whose byte total wraps 2^64 back to the file's real size
+// must be refused before any allocation: 8 * 2^61 and 16 * 2^60 are both
+// 2^64, so each image below is exactly as long as a wrapped total says.
+TEST_F(TraceIoTest, ReadRejectsCountsThatWrapTheSizeCheck) {
+  const auto header = [](uint64_t num_flows, uint64_t num_packets) {
+    std::string bytes = "SMBT1";
+    for (const uint64_t field : {num_flows, num_packets}) {
+      for (int i = 0; i < 8; ++i) {
+        bytes.push_back(static_cast<char>(field >> (8 * i)));
+      }
+    }
+    return bytes;
+  };
+  const std::string flows_wrap = header(uint64_t{1} << 61, 0);
+  ASSERT_EQ(flows_wrap.size(), 21u);
+  std::ofstream(Path("flows_wrap.bin"), std::ios::binary) << flows_wrap;
+  EXPECT_FALSE(ReadTraceFile(Path("flows_wrap.bin")).has_value());
+
+  const std::string packets_wrap = header(0, uint64_t{1} << 60);
+  ASSERT_EQ(packets_wrap.size(), 21u);
+  std::ofstream(Path("packets_wrap.bin"), std::ios::binary) << packets_wrap;
+  EXPECT_FALSE(ReadTraceFile(Path("packets_wrap.bin")).has_value());
+}
+
 TEST(CsvTraceTest, ParsesBasicCsv) {
   const std::string csv =
       "# flow,element\n"

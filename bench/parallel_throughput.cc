@@ -2,25 +2,28 @@
 // single-threaded Add() baseline over the same stream.
 //
 // Emits one JSON object on stdout (machine-readable, one result per mode)
-// so CI and plotting scripts can track the speedup curve:
+// so CI and plotting scripts can track the speedup curve. Every mode times
+// recording only; the stream is built outside the clock.
 //   * add                 — one thread, one estimator, item-at-a-time
 //   * add_batch           — one thread, one estimator, block fast path
 //   * sharded_add_batch   — one thread driving all K shards
 //   * parallel/P          — P producers + K shard consumer threads through
-//                           the SPSC rings (ordered, deterministic mode)
+//                           the shard pipeline's SPSC rings
 //
 // The ISSUE-level target (>= 4x aggregate throughput at 8 threads) needs
 // >= 8 hardware threads; `hardware_concurrency` is part of the output so a
 // 1-core box's numbers are not misread as a pipeline regression.
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/json_writer.h"
 #include "common/timer.h"
-#include "parallel/parallel_recorder.h"
+#include "parallel/shard_pipeline.h"
 #include "parallel/sharded_estimator.h"
 #include "telemetry/exporter.h"
 #include "telemetry/metrics_registry.h"
@@ -48,29 +51,40 @@ struct ModeResult {
   double estimate;
 };
 
+// Runs `record` over the n-item bench stream and returns the seconds it
+// took. Each slice of the stream is built before the clock starts, so
+// every mode times recording only: the whole stream at fast scale, fixed
+// 64 MiB slices at full scale.
+template <typename RecordFn>
+double TimeOverStream(uint64_t n, RecordFn record) {
+  constexpr uint64_t kSliceItems = uint64_t{1} << 23;
+  std::vector<uint64_t> slice;
+  double seconds = 0.0;
+  for (uint64_t base = 0; base < n; base += kSliceItems) {
+    slice.resize(static_cast<size_t>(std::min(kSliceItems, n - base)));
+    for (size_t i = 0; i < slice.size(); ++i) {
+      slice[i] = NthItem(kStreamSeed, base + i);
+    }
+    WallTimer timer;
+    record(std::span<const uint64_t>(slice));
+    seconds += timer.ElapsedSeconds();
+  }
+  return seconds;
+}
+
 ModeResult RunSingle(uint64_t n, bool batched) {
   EstimatorSpec spec = ShardSpec(n);
   spec.memory_bits = kTotalMemoryBits;
   spec.design_cardinality = n;
   auto estimator = CreateEstimator(spec);
-  WallTimer timer;
-  if (batched) {
-    constexpr size_t kChunk = 4096;
-    std::vector<uint64_t> chunk(kChunk);
-    for (uint64_t base = 0; base < n; base += kChunk) {
-      const size_t len =
-          static_cast<size_t>(n - base < kChunk ? n - base : kChunk);
-      for (size_t i = 0; i < len; ++i) {
-        chunk[i] = NthItem(kStreamSeed, base + i);
-      }
-      estimator->AddBatch(std::span<const uint64_t>(chunk.data(), len));
-    }
-  } else {
-    for (uint64_t i = 0; i < n; ++i) {
-      estimator->Add(NthItem(kStreamSeed, i));
-    }
-  }
-  const double seconds = timer.ElapsedSeconds();
+  const double seconds =
+      TimeOverStream(n, [&](std::span<const uint64_t> items) {
+        if (batched) {
+          estimator->AddBatch(items);
+        } else {
+          for (const uint64_t item : items) estimator->Add(item);
+        }
+      });
   return {batched ? "add_batch" : "add", 1,
           static_cast<double>(n) / seconds / 1e6, estimator->Estimate()};
 }
@@ -80,18 +94,8 @@ ModeResult RunShardedSingleThread(uint64_t n) {
   config.shard_spec = ShardSpec(n);
   config.num_shards = kNumShards;
   ShardedEstimator estimator(config);
-  constexpr size_t kChunk = 4096;
-  std::vector<uint64_t> chunk(kChunk);
-  WallTimer timer;
-  for (uint64_t base = 0; base < n; base += kChunk) {
-    const size_t len =
-        static_cast<size_t>(n - base < kChunk ? n - base : kChunk);
-    for (size_t i = 0; i < len; ++i) {
-      chunk[i] = NthItem(kStreamSeed, base + i);
-    }
-    estimator.AddBatch(std::span<const uint64_t>(chunk.data(), len));
-  }
-  const double seconds = timer.ElapsedSeconds();
+  const double seconds = TimeOverStream(
+      n, [&](std::span<const uint64_t> items) { estimator.AddBatch(items); });
   return {"sharded_add_batch", 1, static_cast<double>(n) / seconds / 1e6,
           estimator.Estimate()};
 }
@@ -101,14 +105,11 @@ ModeResult RunParallel(uint64_t n, size_t producers) {
   config.shard_spec = ShardSpec(n);
   config.num_shards = kNumShards;
   ShardedEstimator estimator(config);
-  ParallelRecorder::Options options;
+  ShardPipelineOptions options;
   options.num_producers = producers;
-  ParallelRecorder recorder(&estimator, options);
-  WallTimer timer;
-  recorder.RecordStream(0, n, [](uint64_t i) {
-    return NthItem(kStreamSeed, i);
-  });
-  const double seconds = timer.ElapsedSeconds();
+  ShardPipeline<ShardedEstimator> pipeline(&estimator, options);
+  const double seconds = TimeOverStream(
+      n, [&](std::span<const uint64_t> items) { pipeline.Record(items); });
   return {"parallel", producers + kNumShards,
           static_cast<double>(n) / seconds / 1e6, estimator.Estimate()};
 }

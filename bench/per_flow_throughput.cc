@@ -47,8 +47,8 @@
 #include "common/json_writer.h"
 #include "common/timer.h"
 #include "flow/arena_smb_engine.h"
-#include "flow/flow_recorder.h"
 #include "flow/sharded_flow_monitor.h"
+#include "parallel/shard_pipeline.h"
 #include "sketch/per_flow_monitor.h"
 #include "stream/trace_gen.h"
 #include "trace/span_tracer.h"
@@ -121,11 +121,11 @@ ModeResult RunParallel(const Trace& trace, const EstimatorSpec& spec,
                        size_t producers, size_t shards) {
   const auto config = ArenaSmbEngine::ConfigForSpec(spec);
   ShardedFlowMonitor monitor(*config, shards);
-  FlowParallelRecorder::Options options;
+  ShardPipelineOptions options;
   options.num_producers = producers;
-  FlowParallelRecorder recorder(&monitor, options);
+  ShardPipeline<ShardedFlowMonitor> pipeline(&monitor, options);
   WallTimer timer;
-  recorder.RecordTrace(trace.packets);
+  pipeline.Record(trace.packets);
   const double seconds = timer.ElapsedSeconds();
   ModeResult result;
   result.mode = "parallel";

@@ -1,6 +1,7 @@
 #include "core/self_morphing_bitmap.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -12,7 +13,6 @@
 #include "hash/batch_hash.h"
 #include "hash/geometric.h"
 #include "telemetry/metrics_registry.h"
-#include "telemetry/morph_tracer.h"
 #include "trace/flight_recorder.h"
 #include "trace/span_tracer.h"
 
@@ -20,6 +20,12 @@ namespace smb {
 
 #if SMB_TELEMETRY_ENABLED
 namespace {
+
+// Process-unique id (>= 1) tagging one instance's kMorph flight events.
+uint64_t NextInstanceId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 // Process-wide SMB recording counters, registered once. The pointers stay
 // valid forever (the registry never deallocates entries), so the hot path
@@ -58,7 +64,7 @@ SelfMorphingBitmap::SelfMorphingBitmap(const Config& config)
   SMB_CHECK_MSG(config.threshold >= 1 && config.threshold <= config.num_bits,
                 "threshold must be in [1, num_bits]");
 #if SMB_TELEMETRY_ENABLED
-  telem_instance_id_ = telemetry::NextInstanceId();
+  telem_instance_id_ = NextInstanceId();
 #endif
 }
 
@@ -110,18 +116,19 @@ inline void SelfMorphingBitmap::MorphIfRoundFull() {
   if (SMB_UNLIKELY(ones_in_round_ >= threshold_) && round_ < max_round_) {
     ++round_;
     ones_in_round_ = 0;
-    // Black-box morph transition: (instance, new round, items seen).
-    // Morphs fire at most max_round times per sketch lifetime, so the
-    // flight ring's mutex is nowhere near the per-item path.
-    trace::FlightRecorder::Global().Record(trace::FlightEventType::kMorph,
+    // Black-box morph transition, the process's one morph record:
+    // (instance, new round, items seen), items seen exact under Add() and
+    // block-granular under AddBatch. Morphs fire at most max_round times
+    // per sketch lifetime, so the flight ring's mutex is nowhere near the
+    // per-item path.
 #if SMB_TELEMETRY_ENABLED
+    trace::FlightRecorder::Global().Record(trace::FlightEventType::kMorph,
                                            telem_instance_id_, round_,
                                            telem_items_seen_);
+    GlobalSmbCounters().morphs->Add();
 #else
+    trace::FlightRecorder::Global().Record(trace::FlightEventType::kMorph,
                                            0, round_, 0);
-#endif
-#if SMB_TELEMETRY_ENABLED
-    RecordMorphTelemetry();
 #endif
   }
 }
@@ -341,22 +348,6 @@ void SelfMorphingBitmap::Reset() {
   telem_items_seen_ = 0;
 #endif
 }
-
-#if SMB_TELEMETRY_ENABLED
-void SelfMorphingBitmap::RecordMorphTelemetry() {
-  GlobalSmbCounters().morphs->Add();
-  telemetry::MorphEvent event;
-  event.instance_id = telem_instance_id_;
-  event.round = round_;  // the round just entered (first morph records 1)
-  event.v = threshold_;  // the fill that triggered the morph is exactly T
-  event.bits_set = round_ * threshold_;
-  // Block-granular under AddBatch (items_seen is bumped per kBatchBlock
-  // items), exact under Add(); monotone non-decreasing either way.
-  event.items_seen = telem_items_seen_;
-  event.timestamp_ns = telemetry::MonotonicNanos();
-  telemetry::MorphTracer::Global().Record(event);
-}
-#endif  // SMB_TELEMETRY_ENABLED
 
 double SelfMorphingBitmap::SamplingProbability() const {
   return std::ldexp(1.0, -static_cast<int>(round_));

@@ -103,7 +103,7 @@ class SelfMorphingBitmap final : public CardinalityEstimator {
 
 #if SMB_TELEMETRY_ENABLED
   // Telemetry introspection (SMB_TELEMETRY=ON builds only) -----------------
-  // Id tagging this instance's events in telemetry::MorphTracer.
+  // Id tagging this instance's kMorph events in trace::FlightRecorder.
   uint64_t telemetry_instance_id() const { return telem_instance_id_; }
   // Items offered to this instance so far (accepted or gate-rejected).
   uint64_t telemetry_items_seen() const { return telem_items_seen_; }
@@ -164,11 +164,6 @@ class SelfMorphingBitmap final : public CardinalityEstimator {
   // gate.
   void ApplySurvivors(size_t block_items, size_t survivors,
                       const uint8_t* ranks, const size_t* positions);
-
-#if SMB_TELEMETRY_ENABLED
-  // Emits the MorphTracer event + morph counter; called right after a morph.
-  void RecordMorphTelemetry();
-#endif
 
   size_t threshold_;
   size_t max_round_;

@@ -154,6 +154,10 @@ ArenaSmbEngine::ArenaSmbEngine(const Config& config)
   }
 }
 
+uint64_t ArenaSmbEngine::FlowSeedOffset(uint64_t flow) const {
+  return ItemSeedOffset(Murmur3Fmix64(config_.base_seed ^ flow));
+}
+
 uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
                                          bool* created) {
   bool inserted = false;
@@ -169,10 +173,7 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
   (void)probe_len;
 #endif
   if (inserted) {
-    // Exactly the legacy per-flow seed derivation, pre-folded into the
-    // additive offset the keyed hash path consumes.
-    const uint64_t offset =
-        ItemSeedOffset(Murmur3Fmix64(config_.base_seed ^ flow));
+    const uint64_t offset = FlowSeedOffset(flow);
     if (!row_free_.empty()) {
       row_free_.pop_back();
       flow_keys_[row] = flow;
@@ -308,6 +309,10 @@ inline void ArenaSmbEngine::ApplyToRow(uint32_t row, uint64_t lo,
     v = 0;
   }
   meta_[row] = (round << kRoundShift) | v;
+}
+
+int ArenaSmbEngine::GateRank(uint64_t flow, uint64_t element) const {
+  return GeometricRank(ItemHash128(element + FlowSeedOffset(flow), 0).hi);
 }
 
 void ArenaSmbEngine::Record(uint64_t flow, uint64_t element) {

@@ -111,7 +111,7 @@ struct ArenaTuning {
   int numa_node = -1;
   // ShardedFlowMonitor-level knob (ignored by a single engine): spread
   // shards round-robin across online NUMA nodes — each shard's slabs are
-  // bound to its node and the parallel recorder pins that shard's
+  // bound to its node and the shard pipeline pins that shard's
   // consumer thread to the node's CPUs. No-op on single-node machines.
   bool numa_shards = false;
 };
@@ -156,6 +156,12 @@ class ArenaSmbEngine {
   void RecordBatch(std::span<const Packet> packets) {
     RecordBatch(packets.data(), packets.size());
   }
+
+  // The geometric rank this engine's sampling gate computes for one
+  // (flow, element) observation: GeometricRank(ItemHash128(element +
+  // ItemSeedOffset(Murmur3Fmix64(base_seed ^ flow)), 0).hi). A pure
+  // function of the config; the flow need not be tracked.
+  int GateRank(uint64_t flow, uint64_t element) const;
 
   // Estimated spread of `flow`; 0 for never-seen (or evicted-and-lost)
   // flows. Replays SelfMorphingBitmap::Estimate()'s exact operations.
@@ -334,6 +340,11 @@ class ArenaSmbEngine {
   // SoA row (key 8 + seed 8 + meta 4 + slab_ref 4 + ref byte 1) plus its
   // share of flow-table buckets at typical load (~24).
   static constexpr size_t kRowOverheadBytes = 48;
+
+  // The flow's per-flow hash seed, pre-folded for the keyed hash path:
+  // ItemSeedOffset(Murmur3Fmix64(base_seed ^ flow)), exactly the legacy
+  // PerFlowMonitor derivation.
+  uint64_t FlowSeedOffset(uint64_t flow) const;
 
   // Finds or creates the flow's row; newly created flows get their seed
   // offset, zeroed metadata and a storage slot (nursery when enabled).

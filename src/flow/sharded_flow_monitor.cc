@@ -4,7 +4,7 @@
 
 #include "common/bit_util.h"
 #include "common/macros.h"
-#include "flow/numa_topology.h"
+#include "parallel/numa_topology.h"
 #include "hash/batch_hash.h"
 #include "hash/murmur3.h"
 

@@ -1,5 +1,6 @@
 // ShardedFlowMonitor — K independent ArenaSmbEngine shards partitioned by
-// flow key, the shard layer the parallel per-flow recorder drains.
+// flow key, the packet sink of the shard pipeline
+// (parallel/shard_pipeline.h).
 //
 // Sharding preserves bit-identity with a single engine: every shard is
 // constructed with the same base seed, a flow's per-flow hash seed
@@ -16,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "flow/arena_smb_engine.h"
@@ -46,10 +48,22 @@ class ShardedFlowMonitor {
   // is off or the machine has a single node.
   int NumaNodeOfShard(size_t k) const { return shard_nodes_[k]; }
 
-  // Direct shard access for the parallel recorder's consumer threads;
-  // each shard must be touched by at most one thread at a time.
+  // Direct shard access; each shard must be touched by at most one
+  // thread at a time.
   ArenaSmbEngine* shard(size_t k) { return &shards_[k]; }
   const ArenaSmbEngine* shard(size_t k) const { return &shards_[k]; }
+
+  // ShardPipeline sink: packets route by flow, a drained run records
+  // through shard k's keyed batch path, and the degrade gate ranks a
+  // packet exactly as the flow's own sampling gate will.
+  using Item = Packet;
+  size_t ShardOf(const Packet& packet) const { return ShardOf(packet.flow); }
+  void RecordShardRun(size_t k, std::span<const Packet> run) {
+    shards_[k].RecordBatch(run);
+  }
+  int GateRank(size_t k, const Packet& packet) const {
+    return shards_[k].GateRank(packet.flow, packet.element);
+  }
 
   // Single-threaded convenience paths (route + record).
   void Record(uint64_t flow, uint64_t element) {
@@ -70,8 +84,8 @@ class ShardedFlowMonitor {
   ArenaSmbEngine::ArenaStats Stats() const;
 
   // Installs the sink on every shard. The sink may be called from the
-  // parallel recorder's consumer threads (one shard per thread), so it
-  // must be safe for concurrent invocation across different flows.
+  // shard pipeline's consumer threads (one shard per thread), so it must
+  // be safe for concurrent invocation across different flows.
   void SetSpillSink(ArenaSmbEngine::SpillSink sink);
 
  private:

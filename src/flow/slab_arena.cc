@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "common/bit_util.h"
-#include "flow/numa_topology.h"
+#include "parallel/numa_topology.h"
 
 #ifdef __linux__
 #include <sys/mman.h>

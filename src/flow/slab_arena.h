@@ -22,7 +22,7 @@
 //     hugepages); on kernels without either, a plain mapping. Stats
 //     record which tier each byte landed in.
 //   * numa_node >= 0: each chunk is mbind(MPOL_PREFERRED)-bound to the
-//     node via flow/numa_topology.h, with silent fallback when the
+//     node via parallel/numa_topology.h, with silent fallback when the
 //     syscall is unavailable.
 //
 // Accounting: ResidentBytes() reports mapped bytes (the address-space

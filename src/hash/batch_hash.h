@@ -16,8 +16,8 @@
 //
 // Callers: SelfMorphingBitmap::AddBatch (gate-first lane compaction),
 // LinearCounting::AddBatch (positions only), MultiResolutionBitmap::
-// AddBatch (rank = component level), and — through those — the
-// ParallelRecorder shard drain path.
+// AddBatch (rank = component level), and — through those — the shard
+// pipeline's drain path.
 
 #ifndef SMBCARD_HASH_BATCH_HASH_H_
 #define SMBCARD_HASH_BATCH_HASH_H_
@@ -30,7 +30,8 @@ namespace smb {
 // Block size the batch recording paths process per kernel invocation.
 // Large enough to amortize the dispatch load and fill the SIMD pipeline,
 // small enough that per-block lane buffers (~7 KB total) live on the
-// stack. The ParallelRecorder drain chunk is a multiple of this.
+// stack. It is the shard pipeline's producer hand-off size, and its drain
+// chunk is a multiple of it.
 inline constexpr size_t kBatchBlock = 256;
 
 // Fills lo_out[0..n) and rank_out[0..n) as described above. `items` must

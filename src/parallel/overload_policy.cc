@@ -1,21 +1,12 @@
 #include "parallel/overload_policy.h"
 
 #include <chrono>
-#include <span>
 #include <thread>
 
-#include "hash/geometric.h"
-#include "hash/murmur3.h"
-
 namespace smb {
-namespace {
 
-// One failed round of waiting for ring space. Phases by `round`:
-// [0, spin) tight retry, [spin, spin + yield) sched yield, beyond that
-// kBlock sleeps with exponential backoff (others never get there — they
-// give up first).
-void BackOff(const OverloadParams& params, size_t round,
-             OverloadCounters* counters) {
+void OverloadBackOff(const OverloadParams& params, size_t round,
+                     OverloadCounters* counters) {
   ++counters->ring_full_retries;
   if (round < params.spin_limit) {
     return;  // tight spin: retry immediately
@@ -33,68 +24,6 @@ void BackOff(const OverloadParams& params, size_t round,
   }
   if (sleep_us > params.sleep_max_us) sleep_us = params.sleep_max_us;
   std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
-}
-
-// In-place geometric pre-thin: keeps items whose rank clears `level`,
-// preserving relative order. Returns how many items were removed.
-size_t ThinRun(std::vector<uint64_t>* run, size_t from, int level,
-               uint64_t hash_seed) {
-  size_t kept = from;
-  for (size_t i = from; i < run->size(); ++i) {
-    const uint64_t item = (*run)[i];
-    if (GeometricRank(ItemHash128(item, hash_seed).hi) >= level) {
-      (*run)[kept++] = item;
-    }
-  }
-  const size_t removed = run->size() - kept;
-  run->resize(kept);
-  return removed;
-}
-
-}  // namespace
-
-size_t PushWithOverloadPolicy(SpscRing* ring, std::vector<uint64_t>* run,
-                              const OverloadParams& params,
-                              OverloadCounters* counters) {
-  size_t offset = 0;       // items already in the ring
-  size_t round = 0;        // consecutive no-progress rounds
-  bool degraded = false;   // the degrade gate engages at most once per run
-  size_t pushed_total = 0;
-  while (offset < run->size()) {
-    const size_t pushed = ring->TryPush(
-        std::span<const uint64_t>(run->data() + offset,
-                                  run->size() - offset));
-    if (pushed > 0) {
-      offset += pushed;
-      pushed_total += pushed;
-      round = 0;
-      continue;
-    }
-    if (params.policy != OverloadPolicy::kBlock &&
-        round >= params.give_up_rounds) {
-      if (params.policy == OverloadPolicy::kDropWithCount) {
-        counters->items_dropped += run->size() - offset;
-        run->resize(offset);
-        break;
-      }
-      // kDegradeToSample: thin the undelivered tail once, then push the
-      // survivors with blocking back-pressure.
-      if (!degraded) {
-        degraded = true;
-        ++counters->degrade_events;
-        int level = params.degrade_level;
-        if (level < 1) level = 1;
-        if (level > kMaxGeometricRank) level = kMaxGeometricRank;
-        counters->items_dropped +=
-            ThinRun(run, offset, level, params.degrade_hash_seed);
-        round = 0;
-        continue;
-      }
-    }
-    BackOff(params, round, counters);
-    ++round;
-  }
-  return pushed_total;
 }
 
 }  // namespace smb

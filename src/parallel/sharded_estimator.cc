@@ -8,6 +8,7 @@
 #include "common/macros.h"
 #include "core/self_morphing_bitmap.h"
 #include "estimators/hyperloglog_pp.h"
+#include "hash/geometric.h"
 #include "hash/murmur3.h"
 #include "telemetry/metrics_registry.h"
 
@@ -84,6 +85,10 @@ void ShardedEstimator::UpdateSkewGauge() const {
 
 uint64_t ShardedEstimator::ShardSeed(size_t index) const {
   return DeriveShardSeed(config_.shard_spec.hash_seed, index);
+}
+
+int ShardedEstimator::GateRank(size_t k, uint64_t item) const {
+  return GeometricRank(ItemHash128(item, ShardSeed(k)).hi);
 }
 
 size_t ShardedEstimator::ShardOf(uint64_t item) const {

@@ -12,9 +12,9 @@
 // This is the decomposition that makes SMB parallel despite being
 // non-mergeable: shard states never need to be combined bit-wise, they are
 // only ever summed at query time or shipped whole (Serialize/ReplaceShard)
-// between processes. ParallelRecorder drives one recording thread per
-// shard; this class itself is single-threaded (external synchronization is
-// the recorder's job).
+// between processes. As a ShardPipeline sink (parallel/shard_pipeline.h)
+// it gets one recording thread per shard; the class itself is
+// single-threaded (external synchronization is the pipeline's job).
 
 #ifndef SMBCARD_PARALLEL_SHARDED_ESTIMATOR_H_
 #define SMBCARD_PARALLEL_SHARDED_ESTIMATOR_H_
@@ -90,6 +90,18 @@ class ShardedEstimator {
   }
   // The item-hash seed shard `index` was constructed with.
   uint64_t ShardSeed(size_t index) const;
+
+  // ShardPipeline sink ------------------------------------------------------
+  using Item = uint64_t;
+  // Records a routed run into shard k only (AddBatch fast path).
+  void RecordShardRun(size_t k, std::span<const uint64_t> run) {
+    shards_[k]->AddBatch(run);
+  }
+  // Shard estimators are plain heap objects: no NUMA placement.
+  int NumaNodeOfShard(size_t) const { return -1; }
+  // The geometric rank shard k's sampling gate computes for `item`:
+  // GeometricRank(ItemHash128(item, ShardSeed(k)).hi).
+  int GateRank(size_t k, uint64_t item) const;
 
   // Distribution ------------------------------------------------------------
   // Full-state snapshot (config header + every shard's snapshot). Only

@@ -1,8 +1,8 @@
 // Fixed-capacity single-producer/single-consumer ring buffer of trivially
-// copyable items — the lock-free hand-off lane of the parallel recording
-// pipelines. ParallelRecorder allocates one uint64_t ring per (producer,
-// shard) pair; FlowParallelRecorder does the same with Packet rings. Each
-// ring has exactly one writer thread and one reader thread by construction.
+// copyable items — the lock-free hand-off lane of the shard pipeline
+// (parallel/shard_pipeline.h), which allocates one ring of its sink's item
+// type (uint64_t items or Packets) per (producer, shard) pair. Each ring
+// has exactly one writer thread and one reader thread by construction.
 //
 // Synchronization is the classic SPSC protocol: the producer publishes
 // slots with a release store of `tail_`, the consumer retires them with a
@@ -27,9 +27,7 @@
 namespace smb {
 
 // `T` must be trivially copyable (elements are moved by plain assignment
-// with no per-slot synchronization). The uint64_t instantiation is the
-// item lane of ParallelRecorder; the Packet instantiation is the per-flow
-// recorder's packet lane.
+// with no per-slot synchronization).
 template <typename T>
 class SpscRingOf {
  public:
@@ -94,10 +92,6 @@ class SpscRingOf {
   alignas(64) std::atomic<uint64_t> head_{0};
   uint64_t cached_tail_ = 0;
 };
-
-// The original 64-bit-item ring; every ParallelRecorder lane is one of
-// these.
-using SpscRing = SpscRingOf<uint64_t>;
 
 }  // namespace smb
 

@@ -19,6 +19,11 @@ namespace {
 //              | snapshot bytes (ArenaSmbEngine FLW1 image)
 constexpr char kParentMagic[8] = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
 
+// The recording geometry two engines must share to merge.
+GeometryFingerprint FingerprintOf(const ArenaSmbEngine::Config& config) {
+  return {config.num_bits, config.threshold, config.base_seed};
+}
+
 }  // namespace
 
 ReplicationSink::ReplicationSink(const Options& options)
@@ -92,7 +97,13 @@ void ReplicationSink::RecoverFromCheckpoint() {
       snapshot = std::move(*raw);
     }
     auto replica = ArenaSmbEngine::Deserialize(snapshot);
-    if (!replica.has_value()) return;
+    // A replica recorded under another geometry could never merge with
+    // this sink's config or its children's deltas: start clean instead.
+    if (!replica.has_value() ||
+        FingerprintOf(replica->config()) !=
+            FingerprintOf(options_.engine_config)) {
+      return;
+    }
     ChildState state;
     state.replica = std::make_unique<ArenaSmbEngine>(std::move(*replica));
     DeltaSequencer::Options seq_options;
@@ -280,14 +291,11 @@ void ReplicationSink::HandleFrame(size_t conn_index, Frame frame,
   Conn& conn = conns_[conn_index];
   if (frame.type == FrameType::kHello) {
     HelloPayload hello;
-    const auto& config = options_.engine_config;
     // DecodeHello accepts both the legacy 24-byte fingerprint-only hello
     // (codec_mask decodes as 0) and the extended form carrying the
     // child's codec capability bits.
     if (!DecodeHello(frame.payload, &hello) ||
-        hello.fingerprint !=
-            GeometryFingerprint{config.num_bits, config.threshold,
-                                config.base_seed}) {
+        hello.fingerprint != FingerprintOf(options_.engine_config)) {
       ++stats_.rejected_hellos;
       DropConn(conn_index);
       return;

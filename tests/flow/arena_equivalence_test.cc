@@ -14,9 +14,9 @@
 
 #include "core/self_morphing_bitmap.h"
 #include "flow/arena_smb_engine.h"
-#include "flow/flow_recorder.h"
 #include "flow/sharded_flow_monitor.h"
 #include "hash/murmur3.h"
+#include "parallel/shard_pipeline.h"
 #include "simd/simd_dispatch.h"
 #include "sketch/per_flow_monitor.h"
 #include "stream/trace_gen.h"
@@ -201,12 +201,12 @@ TEST(ArenaEquivalenceTest, ParallelRecorderMatchesSingleThread) {
   for (size_t producers : {1u, 2u, 4u}) {
     for (size_t shards : {1u, 3u}) {
       ShardedFlowMonitor sharded(*config, shards);
-      FlowParallelRecorder::Options options;
+      ShardPipelineOptions options;
       options.num_producers = producers;
       options.ring_capacity = 1 << 10;  // small rings: exercise stalls
-      FlowParallelRecorder recorder(&sharded, options);
-      const FlowRecorderStats stats = recorder.RecordTrace(trace);
-      EXPECT_EQ(stats.packets_recorded, trace.size());
+      ShardPipeline<ShardedFlowMonitor> pipeline(&sharded, options);
+      const ShardPipelineStats stats = pipeline.Record(trace);
+      EXPECT_EQ(stats.items_recorded, trace.size());
       ASSERT_EQ(sharded.NumFlows(), single.NumFlows())
           << producers << "p/" << shards << "s";
       for (uint64_t flow = 0; flow < 400; ++flow) {

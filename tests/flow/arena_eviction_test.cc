@@ -17,8 +17,8 @@
 
 #include "common/bit_util.h"
 #include "flow/arena_smb_engine.h"
-#include "flow/flow_recorder.h"
 #include "flow/sharded_flow_monitor.h"
+#include "parallel/shard_pipeline.h"
 #include "simd/simd_dispatch.h"
 #include "stream/trace_gen.h"
 
@@ -342,11 +342,11 @@ TEST(ArenaEvictionTest, ParallelSurvivorsMatchUnevictedOracle) {
     std::lock_guard<std::mutex> lock(mu);
     ever_evicted.insert(spilled.flow);
   });
-  FlowParallelRecorder::Options options;
+  ShardPipelineOptions options;
   options.num_producers = 2;
-  FlowParallelRecorder recorder(&sharded, options);
-  const FlowRecorderStats stats = recorder.RecordTrace(trace);
-  EXPECT_EQ(stats.packets_recorded, trace.size());
+  ShardPipeline<ShardedFlowMonitor> pipeline(&sharded, options);
+  const ShardPipelineStats stats = pipeline.Record(trace);
+  EXPECT_EQ(stats.items_recorded, trace.size());
 
   ASSERT_GT(sharded.Stats().evicted_flows, 0u);
   size_t untouched_survivors = 0;

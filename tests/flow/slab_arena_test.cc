@@ -10,7 +10,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "flow/numa_topology.h"
+#include "parallel/numa_topology.h"
 
 namespace smb {
 namespace {

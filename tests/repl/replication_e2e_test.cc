@@ -513,5 +513,45 @@ TEST_F(ReplicationE2eTest, RecoveryRejectsWrappingSnapshotLength) {
   EXPECT_EQ(sink.NumChildren(), 0u);
 }
 
+// A parent restarted under a different geometry cannot use replicas it
+// checkpointed under the old one: they would abort MergedEngine() and
+// refuse every correctly configured child's delta. It starts clean.
+TEST_F(ReplicationE2eTest, RecoveryStartsCleanOnGeometryMismatch) {
+  const ReplicationSink::Options options = SinkOptions(/*durable=*/true);
+  {
+    ArenaSmbEngine replica(SmallConfig());
+    for (uint64_t e = 0; e < 500; ++e) replica.Record(e % 5, e);
+    const std::vector<uint8_t> snapshot = replica.Serialize();
+    io::CheckpointStore::Options store_options;
+    store_options.directory = options.checkpoint_dir;
+    store_options.sync = false;
+    io::CheckpointStore store(store_options);
+    std::vector<uint8_t> payload = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
+    AppendU64(&payload, 1);  // num_children
+    AppendU64(&payload, 7);  // child_id
+    AppendU64(&payload, 3);  // high_water
+    AppendU64(&payload, snapshot.size());
+    payload.insert(payload.end(), snapshot.begin(), snapshot.end());
+    ASSERT_TRUE(store.Write(payload).ok);
+  }
+  using Mutation = void (*)(ArenaSmbEngine::Config*);
+  const Mutation mutations[] = {
+      [](ArenaSmbEngine::Config* c) { c->num_bits *= 2; },
+      [](ArenaSmbEngine::Config* c) { ++c->threshold; },
+      [](ArenaSmbEngine::Config* c) { ++c->base_seed; }};
+  for (const Mutation mutate : mutations) {
+    ReplicationSink::Options other = options;
+    mutate(&other.engine_config);
+    ReplicationSink sink(other);
+    EXPECT_EQ(sink.NumChildren(), 0u);
+    EXPECT_EQ(sink.MergedEngine().NumFlows(), 0u);
+    EXPECT_EQ(sink.MergedQuery(0), 0.0);
+  }
+  // Control: the checkpoint is intact and recovers under its own geometry.
+  ReplicationSink sink(options);
+  ASSERT_EQ(sink.NumChildren(), 1u);
+  EXPECT_GT(sink.MergedQuery(0), 0.0);
+}
+
 }  // namespace
 }  // namespace smb::repl

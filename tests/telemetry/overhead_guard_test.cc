@@ -15,7 +15,6 @@
 
 #include "core/self_morphing_bitmap.h"
 #include "telemetry/metrics_registry.h"
-#include "telemetry/morph_tracer.h"
 #include "trace/span_tracer.h"
 
 namespace smb {

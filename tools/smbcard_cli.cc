@@ -146,7 +146,8 @@
 #include "estimators/estimator_factory.h"
 #include "hash/murmur3.h"
 #include "io/checkpoint_store.h"
-#include "parallel/parallel_recorder.h"
+#include "numeric_flags.h"
+#include "parallel/shard_pipeline.h"
 #include "parallel/sharded_estimator.h"
 #include "repl/child_replicator.h"
 #include "repl/replication_sink.h"
@@ -209,28 +210,6 @@ struct CliOptions {
   std::vector<std::string> inputs;
 };
 
-// Parses "1048576", "512K", "64M", "2G" (binary multiples).
-bool ParseByteSize(const char* text, size_t* out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text) return false;
-  size_t multiplier = 1;
-  if (*end == 'K' || *end == 'k') {
-    multiplier = size_t{1} << 10;
-    ++end;
-  } else if (*end == 'M' || *end == 'm') {
-    multiplier = size_t{1} << 20;
-    ++end;
-  } else if (*end == 'G' || *end == 'g') {
-    multiplier = size_t{1} << 30;
-    ++end;
-  }
-  if (*end != '\0') return false;
-  *out = static_cast<size_t>(value) * multiplier;
-  return true;
-}
-
 void PrintUsageAndExit(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--algo NAME] [--memory BITS] [--design N] "
@@ -266,14 +245,30 @@ CliOptions ParseArgs(int argc, char** argv) {
       if (i + 1 >= argc) PrintUsageAndExit(argv[0]);
       return argv[++i];
     };
+    // Numeric values parse strictly (tools/numeric_flags.h); anything
+    // else is a usage error.
+    auto next_number = [&](auto* out) {
+      const char* text = next_value();
+      if (!smb::tools::ParseNumberFlag(text, out)) {
+        std::fprintf(stderr, "bad %s '%s'\n", arg.c_str(), text);
+        PrintUsageAndExit(argv[0]);
+      }
+    };
+    auto next_byte_size = [&](size_t* out) {
+      const char* text = next_value();
+      if (!smb::tools::ParseByteSize(text, out)) {
+        std::fprintf(stderr, "bad %s '%s'\n", arg.c_str(), text);
+        PrintUsageAndExit(argv[0]);
+      }
+    };
     if (arg == "--algo") {
       options.algo = next_value();
     } else if (arg == "--memory") {
-      options.memory_bits = std::strtoul(next_value(), nullptr, 10);
+      next_number(&options.memory_bits);
     } else if (arg == "--design") {
-      options.design_cardinality = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.design_cardinality);
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.seed);
     } else if (arg == "--all") {
       options.all = true;
     } else if (arg == "--save") {
@@ -281,31 +276,26 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--load") {
       options.load_path = next_value();
     } else if (arg == "--threads") {
-      options.threads = std::strtoul(next_value(), nullptr, 10);
+      next_number(&options.threads);
     } else if (arg == "--shards") {
-      options.shards = std::strtoul(next_value(), nullptr, 10);
+      next_number(&options.shards);
     } else if (arg == "--metrics-out") {
       options.metrics_out = next_value();
     } else if (arg == "--metrics-interval") {
-      options.metrics_interval_s = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.metrics_interval_s);
     } else if (arg == "--flight-recorder") {
       options.flight_recorder_out = next_value();
     } else if (arg == "--checkpoint-dir") {
       options.checkpoint_dir = next_value();
     } else if (arg == "--checkpoint-interval") {
-      options.checkpoint_interval_s =
-          std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.checkpoint_interval_s);
     } else if (arg == "--per-flow") {
       options.per_flow = true;
     } else if (arg == "--top") {
-      options.top_k = std::strtoul(next_value(), nullptr, 10);
+      next_number(&options.top_k);
       options.top_k_set = true;
     } else if (arg == "--memory-budget") {
-      const char* text = next_value();
-      if (!ParseByteSize(text, &options.memory_budget_bytes)) {
-        std::fprintf(stderr, "bad --memory-budget '%s'\n", text);
-        PrintUsageAndExit(argv[0]);
-      }
+      next_byte_size(&options.memory_budget_bytes);
     } else if (arg == "--eviction") {
       const std::string name = next_value();
       options.eviction_set = true;
@@ -326,25 +316,21 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--listen") {
       options.listen_path = next_value();
     } else if (arg == "--expect-children") {
-      options.expect_children = std::strtoul(next_value(), nullptr, 10);
+      next_number(&options.expect_children);
       options.expect_children_set = true;
     } else if (arg == "--listen-timeout") {
-      options.listen_timeout_s = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.listen_timeout_s);
       options.listen_timeout_set = true;
     } else if (arg == "--replicate-to") {
       options.replicate_to = next_value();
     } else if (arg == "--child-id") {
-      options.child_id = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.child_id);
       options.child_id_set = true;
     } else if (arg == "--spool-dir") {
       options.spool_dir = next_value();
     } else if (arg == "--spool-budget") {
-      const char* text = next_value();
       options.spool_budget_set = true;
-      if (!ParseByteSize(text, &options.spool_budget_bytes)) {
-        std::fprintf(stderr, "bad --spool-budget '%s'\n", text);
-        PrintUsageAndExit(argv[0]);
-      }
+      next_byte_size(&options.spool_budget_bytes);
     } else if (arg == "--shed-policy") {
       const std::string name = next_value();
       options.shed_policy_set = true;
@@ -357,14 +343,14 @@ CliOptions ParseArgs(int argc, char** argv) {
         PrintUsageAndExit(argv[0]);
       }
     } else if (arg == "--delta-every") {
-      options.delta_every_lines = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.delta_every_lines);
       options.delta_every_set = true;
       if (options.delta_every_lines == 0) {
         std::fprintf(stderr, "--delta-every wants a positive line count\n");
         PrintUsageAndExit(argv[0]);
       }
     } else if (arg == "--drain-timeout") {
-      options.drain_timeout_s = std::strtoull(next_value(), nullptr, 10);
+      next_number(&options.drain_timeout_s);
       options.drain_timeout_set = true;
     } else if (arg == "--codec") {
       const std::string name = next_value();
@@ -613,30 +599,26 @@ int RunParallel(const CliOptions& options) {
   FeedAllInputs(options, [&](const std::string& s) {
     keys.push_back(smb::Murmur3_64(s));
   });
-  smb::ParallelRecorder::Options recorder_options;
-  recorder_options.num_producers = threads;
-  recorder_options.overload_policy = options.overload_policy;
-  smb::ParallelRecorder recorder(&*estimator, recorder_options);
+  smb::ShardPipelineOptions pipeline_options;
+  pipeline_options.num_producers = threads;
+  pipeline_options.overload_policy = options.overload_policy;
+  smb::ShardPipeline<smb::ShardedEstimator> pipeline(&*estimator,
+                                                     pipeline_options);
 
-  // Periodic checkpoints happen between record slices — the recorder owns
+  // Periodic checkpoints happen between record slices — the pipeline owns
   // the estimator while a slice runs, so the slice size bounds how stale a
   // checkpoint can get.
   constexpr size_t kSliceItems = size_t{1} << 16;
   const bool sliced = store != nullptr && options.checkpoint_interval_s > 0;
   auto last_checkpoint = std::chrono::steady_clock::now();
-  smb::RecorderRunStats stats;
+  smb::ShardPipelineStats stats;
   size_t offset = 0;
   while (offset < keys.size()) {
     const size_t len =
         sliced ? std::min(kSliceItems, keys.size() - offset)
                : keys.size() - offset;
-    const smb::RecorderRunStats slice = recorder.RecordItems(
+    stats += pipeline.Record(
         std::span<const uint64_t>(keys.data() + offset, len));
-    stats.ring_full_stalls += slice.ring_full_stalls;
-    stats.ring_full_retries += slice.ring_full_retries;
-    stats.items_dropped += slice.items_dropped;
-    stats.degrade_events += slice.degrade_events;
-    stats.items_recorded += slice.items_recorded;
     offset += len;
     if (sliced) {
       const auto now = std::chrono::steady_clock::now();

@@ -24,9 +24,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "numeric_flags.h"
 #include "stream/trace_gen.h"
 
 namespace {
@@ -54,18 +54,26 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) PrintUsageAndExit(argv[0]);
       return argv[++i];
     };
+    // Numeric values parse strictly (numeric_flags.h).
+    auto next_number = [&](auto* out) {
+      const char* text = next_value();
+      if (!smb::tools::ParseNumberFlag(text, out)) {
+        std::fprintf(stderr, "bad %s '%s'\n", arg.c_str(), text);
+        PrintUsageAndExit(argv[0]);
+      }
+    };
     if (arg == "--flows") {
-      config.num_flows = std::strtoul(next_value(), nullptr, 10);
+      next_number(&config.num_flows);
     } else if (arg == "--max-cardinality") {
-      config.max_cardinality = std::strtoull(next_value(), nullptr, 10);
+      next_number(&config.max_cardinality);
     } else if (arg == "--min-cardinality") {
-      config.min_cardinality = std::strtoull(next_value(), nullptr, 10);
+      next_number(&config.min_cardinality);
     } else if (arg == "--zipf") {
-      config.cardinality_exponent = std::strtod(next_value(), nullptr);
+      next_number(&config.cardinality_exponent);
     } else if (arg == "--dup") {
-      config.dup_factor = std::strtod(next_value(), nullptr);
+      next_number(&config.dup_factor);
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(next_value(), nullptr, 10);
+      next_number(&config.seed);
     } else if (arg == "--no-shuffle") {
       config.shuffle = false;
     } else if (arg == "--truth") {

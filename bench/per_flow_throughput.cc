@@ -11,9 +11,9 @@
 //                          every flow pays a full-stride slot from its
 //                          first packet (the pre-eviction engine)
 //   * arena_evict        — arena batch path under a memory budget with
-//                          CLOCK eviction; evicted flows spill their
-//                          estimate so accuracy-after-eviction is
-//                          measurable against the trace's ground truth
+//                          CLOCK eviction into the cold tier; evicted
+//                          flows freeze and thaw, so every estimate must
+//                          still equal the unevicted engine's
 //   * parallel/P         — P producers + K flow-shard consumers through
 //                          the SPSC packet rings
 //
@@ -40,7 +40,6 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -227,16 +226,12 @@ int Run(const BenchScale& scale) {
   ArenaTuning evict_tuning;
   evict_tuning.memory_budget_bytes = budget;
   evict_tuning.eviction = ArenaEviction::kClock;
+  evict_tuning.cold_tier = true;
   ArenaSmbEngine evict_engine(*ArenaSmbEngine::ConfigForSpec(spec));
-  std::unordered_map<uint64_t, double> spilled;  // last spill estimate
   {
     auto arena_config = ArenaSmbEngine::ConfigForSpec(spec);
     arena_config->tuning = evict_tuning;
     evict_engine = ArenaSmbEngine(*arena_config);
-    evict_engine.SetSpillSink([&spilled](
-        const ArenaSmbEngine::SpilledFlow& flow) {
-      spilled[flow.flow] = flow.estimate;
-    });
     WallTimer timer;
     evict_engine.RecordBatch(trace.packets.data(), trace.packets.size());
     ModeResult result;
@@ -251,23 +246,17 @@ int Run(const BenchScale& scale) {
   const ArenaSmbEngine::ArenaStats evict_stats = evict_engine.Stats();
   const bool within_budget = evict_engine.LiveBytes() <= budget;
 
-  // Accuracy after eviction: each flow's recovered estimate is its live
-  // query if it survived, else the estimate it spilled when evicted
-  // (re-created flows overwrite with their latest spill). The
-  // no-eviction error from the nursery engine is the floor eviction is
-  // measured against.
-  const double rel_error_no_eviction = MeanRelativeError(
+  // Eviction into the cold tier loses nothing: a frozen flow answers
+  // from its frozen state and a returning one thaws it exactly, so every
+  // flow must report the unevicted engine's estimate.
+  size_t evict_mismatches = 0;
+  for (uint64_t flow = 0; flow < trace.num_flows(); ++flow) {
+    if (evict_engine.Query(flow) != nursery_engine.Query(flow)) {
+      ++evict_mismatches;
+    }
+  }
+  const double rel_error = MeanRelativeError(
       trace, [&](uint64_t flow) { return nursery_engine.Query(flow); });
-  size_t recovered_from_spill = 0;
-  const double rel_error_after_eviction =
-      MeanRelativeError(trace, [&](uint64_t flow) {
-        const double live = evict_engine.Query(flow);
-        if (live > 0.0) return live;
-        const auto it = spilled.find(flow);
-        if (it == spilled.end()) return 0.0;
-        ++recovered_from_spill;
-        return it->second;
-      });
 
   std::vector<size_t> producer_counts;
   if (!huge) {
@@ -371,12 +360,14 @@ int Run(const BenchScale& scale) {
   json.Uint(evict_stats.recorded_flows);
   json.Key("evicted_flows");
   json.Uint(evict_stats.evicted_flows);
-  json.Key("flows_recovered_from_spill");
-  json.Uint(recovered_from_spill);
-  json.Key("mean_rel_error_no_eviction");
-  json.Double(rel_error_no_eviction, 4);
-  json.Key("mean_rel_error_after_eviction");
-  json.Double(rel_error_after_eviction, 4);
+  json.Key("cold_flows");
+  json.Uint(evict_stats.cold_flows);
+  json.Key("thawed_flows");
+  json.Uint(evict_stats.thawed_flows);
+  json.Key("estimate_mismatches");
+  json.Uint(evict_mismatches);
+  json.Key("mean_rel_error");
+  json.Double(rel_error, 4);
   json.EndObject();
   json.Key("environment");
   WriteEnvironmentJson(&json);
@@ -392,6 +383,13 @@ int Run(const BenchScale& scale) {
                  "FAIL: %zu flows with mismatched estimates across "
                  "engines\n",
                  mismatches);
+    return 1;
+  }
+  if (evict_mismatches != 0) {
+    std::fprintf(stderr,
+                 "FAIL: %zu flows estimate differently after eviction into "
+                 "the cold tier\n",
+                 evict_mismatches);
     return 1;
   }
   if (!within_budget) {

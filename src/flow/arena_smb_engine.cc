@@ -8,7 +8,6 @@
 #include "common/le_bytes.h"
 #include "common/macros.h"
 #include "core/smb_merge.h"
-#include "fault/failpoints.h"
 #include "core/smb_params.h"
 #include "hash/batch_hash.h"
 #include "hash/geometric.h"
@@ -457,30 +456,11 @@ void ArenaSmbEngine::EvictRow(uint32_t row) {
   SMB_DCHECK(ref != kDeadRef);
   const uint64_t flow = flow_keys_[row];
   if (cold_ != nullptr) {
-    // Freeze instead of spill: the state stays queryable and revivable
-    // in-process, so nothing is lost and the spill sink (a loss
-    // recorder) is not involved.
+    // Freeze: the state stays queryable and revivable in-process, so
+    // nothing is lost. Without the cold tier the state is dropped.
     const uint32_t meta = meta_[row];
     cold_->Freeze(flow, meta >> kRoundShift, meta & kFillMask,
                   MaterializedWords(row, &inspect_scratch_));
-  } else if (spill_sink_) {
-    // Injected spill loss: the sink write "fails" and the evicted state is
-    // dropped, but eviction itself must complete without disturbing any
-    // live row (pinned by the spill-fault test).
-    const auto spill_fail = SMB_FAILPOINT("arena.spill.error");
-    if (spill_fail.fired) {
-      ++spill_dropped_flows_;
-    } else {
-      SpilledFlow spilled;
-      spilled.flow = flow;
-      const uint32_t meta = meta_[row];
-      spilled.round = meta >> kRoundShift;
-      spilled.ones_in_round = meta & kFillMask;
-      spilled.estimate = EstimateSlot(row);
-      spilled.words = MaterializedWords(row, &inspect_scratch_);
-      spill_sink_(spilled);
-      ++spilled_flows_;
-    }
   }
   const bool erased = table_.Erase(flow, FlowTable::BucketHash(flow));
   SMB_DCHECK(erased);
@@ -744,8 +724,6 @@ ArenaSmbEngine::ArenaStats ArenaSmbEngine::Stats() const {
   stats.recorded_flows = recorded_flows_;
   stats.evicted_flows = evicted_flows_;
   stats.promoted_flows = promoted_flows_;
-  stats.spilled_flows = spilled_flows_;
-  stats.spill_dropped_flows = spill_dropped_flows_;
   stats.live_bytes = LiveBytes();
   stats.budget_bytes = config_.tuning.memory_budget_bytes;
   stats.main_slots_high_water = arena_.high_water_slots();

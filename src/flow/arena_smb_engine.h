@@ -43,9 +43,9 @@
 // row metadata plus a per-row reference byte (refreshed by every lookup,
 // including gate-rejected traffic), or 2Q, which drains the nursery
 // first (newborn singletons are the cheapest state to re-learn). An
-// evicted flow's final state is offered to an optional spill sink before
-// its table entry is tombstoned and its slab slot is free-listed for
-// reuse, so accuracy-after-eviction is measurable. The budget governs
+// evicted flow's table entry is tombstoned and its slab slot is
+// free-listed for reuse; its state is dropped, or frozen when the cold
+// tier (ArenaTuning::cold_tier) is on. The budget governs
 // LiveBytes() — bytes of *live* rows — because slab chunks are never
 // unmapped; mapped bytes plateau at the high-water mark while the free
 // lists recycle slots beneath it.
@@ -97,14 +97,12 @@ struct ArenaTuning {
   // main-slab slot.
   size_t nursery_capacity = 16;
   // Frozen cold tier (DESIGN.md §17): with this on, an evicted flow's
-  // state is SMBZ1-frozen in-process instead of being spilled or lost.
+  // state is SMBZ1-frozen in-process instead of being lost.
   // A returning flow thaws its exact state back before the gate runs
   // (recorded bits match a never-evicted oracle), queries for frozen
   // flows answer from the compressed header, and snapshots include
-  // them. While the cold tier is on, the spill sink is NOT offered
-  // evicted flows — nothing is being lost. Cold bytes live outside
-  // LiveBytes() (they are what the budget reclaims INTO); track them
-  // via ArenaStats::cold_encoded_bytes.
+  // them. Cold bytes live outside LiveBytes() (they are what the budget
+  // reclaims INTO); track them via ArenaStats::cold_encoded_bytes.
   bool cold_tier = false;
   // Page placement for both slabs (see SlabAllocOptions).
   bool try_hugepages = false;
@@ -211,8 +209,6 @@ class ArenaSmbEngine {
     size_t recorded_flows = 0;  // flows ever created
     size_t evicted_flows = 0;   // flows reclaimed by the budget
     size_t promoted_flows = 0;  // nursery -> main graduations
-    size_t spilled_flows = 0;   // evicted states delivered to the sink
-    size_t spill_dropped_flows = 0;  // sink deliveries lost to faults
     size_t live_bytes = 0;      // LiveBytes()
     size_t budget_bytes = 0;    // configured ceiling (0 = unlimited)
     size_t main_slots_high_water = 0;
@@ -230,19 +226,6 @@ class ArenaSmbEngine {
     SlabAllocStats nursery_alloc;
   };
   ArenaStats Stats() const;
-
-  // Eviction spill: the flow's final state, offered to the sink before
-  // the row is reclaimed. `words` is the materialized bitmap (nursery
-  // rows included) and is valid only for the duration of the callback.
-  struct SpilledFlow {
-    uint64_t flow = 0;
-    uint32_t round = 0;
-    uint32_t ones_in_round = 0;
-    double estimate = 0.0;
-    std::span<const uint64_t> words;
-  };
-  using SpillSink = std::function<void(const SpilledFlow&)>;
-  void SetSpillSink(SpillSink sink) { spill_sink_ = std::move(sink); }
 
   // Merging ----------------------------------------------------------------
   // Two engines can merge when they share the full recording geometry:
@@ -439,11 +422,8 @@ class ArenaSmbEngine {
   size_t recorded_flows_ = 0;
   size_t evicted_flows_ = 0;
   size_t promoted_flows_ = 0;
-  size_t spilled_flows_ = 0;
-  size_t spill_dropped_flows_ = 0;
   size_t thawed_flows_ = 0;
   size_t clock_hand_ = 0;
-  SpillSink spill_sink_;
   // Present only when tuning.cold_tier; unique_ptr keeps the engine
   // movable.
   std::unique_ptr<ColdSketchTier> cold_;

@@ -1,9 +1,8 @@
 // ColdSketchTier — SMBZ1-compressed storage for evicted flows
 // (DESIGN.md §17).
 //
-// Eviction used to be terminal: a flow reclaimed by the memory budget
-// either vanished or was handed to an external spill sink, and a later
-// packet restarted it from scratch. The cold tier keeps the evicted
+// Without this tier eviction is terminal: a flow reclaimed by the memory
+// budget vanishes, and a later packet restarts it from scratch. The cold tier keeps the evicted
 // state in-process instead, one SMBZ1 slot record per flow (mode byte,
 // varint (r, v), compressed payload — codec/smbz1.h), so:
 //

@@ -125,8 +125,4 @@ ArenaSmbEngine::ArenaStats ShardedFlowMonitor::Stats() const {
   return total;
 }
 
-void ShardedFlowMonitor::SetSpillSink(ArenaSmbEngine::SpillSink sink) {
-  for (auto& shard : shards_) shard.SetSpillSink(sink);
-}
-
 }  // namespace smb

@@ -83,11 +83,6 @@ class ShardedFlowMonitor {
   // Aggregate of every shard's lifetime/occupancy counters.
   ArenaSmbEngine::ArenaStats Stats() const;
 
-  // Installs the sink on every shard. The sink may be called from the
-  // shard pipeline's consumer threads (one shard per thread), so it must
-  // be safe for concurrent invocation across different flows.
-  void SetSpillSink(ArenaSmbEngine::SpillSink sink);
-
  private:
   std::vector<ArenaSmbEngine> shards_;
   std::vector<int> shard_nodes_;

@@ -1,7 +1,7 @@
 // Memory-governance suite for the arena engine (DESIGN.md §15): the
 // nursery tier's promotion invariant, budgeted CLOCK/2Q eviction, the
-// recorded/evicted/live accounting identity, spill-sink delivery, and
-// the survivor bit-identity contract — a flow the budget never touched
+// recorded/evicted/live accounting identity, and the survivor
+// bit-identity contract — a flow the budget never touched
 // must report exactly the estimate a never-evicted engine reports, on
 // every SIMD kernel, through the sharded and parallel paths, and across
 // an FLW1 snapshot/restore taken mid-eviction.
@@ -10,12 +10,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <random>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
-#include "common/bit_util.h"
 #include "flow/arena_smb_engine.h"
 #include "flow/sharded_flow_monitor.h"
 #include "parallel/shard_pipeline.h"
@@ -66,6 +65,63 @@ std::vector<Packet> SkewedTrace(size_t num_flows, size_t packets,
   }
   return out;
 }
+
+// Finds evicted flows from the outside. Eviction runs only at batch-block
+// boundaries, so recording one block at a time and then diffing the
+// live flow set against every flow recorded so far catches each
+// eviction, including flows that a later packet re-creates.
+class EvictionWatch {
+ public:
+  template <typename Engine>
+  void Record(Engine* engine, std::span<const Packet> packets) {
+    for (size_t i = 0; i < packets.size(); i += kBatchBlock) {
+      const auto block =
+          packets.subspan(i, std::min(kBatchBlock, packets.size() - i));
+      engine->RecordBatch(block.data(), block.size());
+      for (const Packet& packet : block) seen_.insert(packet.flow);
+      std::unordered_set<uint64_t> live;
+      engine->ForEachFlow([&](uint64_t flow, double) { live.insert(flow); });
+      for (uint64_t flow : seen_) {
+        if (live.count(flow) == 0) evicted_.insert(flow);
+      }
+    }
+  }
+  bool Evicted(uint64_t flow) const { return evicted_.count(flow) != 0; }
+  size_t num_evicted() const { return evicted_.size(); }
+
+ private:
+  std::unordered_set<uint64_t> seen_;
+  std::unordered_set<uint64_t> evicted_;
+};
+
+// A ShardPipeline sink that records each shard through its own
+// EvictionWatch. Every shard has one consumer thread, so the per-shard
+// watches need no lock.
+class WatchedShards {
+ public:
+  explicit WatchedShards(ShardedFlowMonitor* monitor)
+      : monitor_(monitor), watches_(monitor->num_shards()) {}
+
+  using Item = Packet;
+  size_t num_shards() const { return monitor_->num_shards(); }
+  size_t ShardOf(const Packet& packet) const {
+    return monitor_->ShardOf(packet);
+  }
+  int NumaNodeOfShard(size_t k) const { return monitor_->NumaNodeOfShard(k); }
+  int GateRank(size_t k, const Packet& packet) const {
+    return monitor_->GateRank(k, packet);
+  }
+  void RecordShardRun(size_t k, std::span<const Packet> run) {
+    watches_[k].Record(monitor_->shard(k), run);
+  }
+  bool Evicted(uint64_t flow) const {
+    return watches_[monitor_->ShardOf(flow)].Evicted(flow);
+  }
+
+ private:
+  ShardedFlowMonitor* monitor_;
+  std::vector<EvictionWatch> watches_;
+};
 
 // ---------------------------------------------------------------------
 // Nursery tier
@@ -232,32 +288,6 @@ TEST(ArenaEvictionTest, TwoQueuePolicyPrefersNurseryFlows) {
   ASSERT_LE(engine.LiveBytes(), tuning.memory_budget_bytes);
 }
 
-TEST(ArenaEvictionTest, SpillSinkReceivesEvictedState) {
-  ArenaTuning tuning;
-  tuning.memory_budget_bytes = 64 * 1024;
-  tuning.eviction = ArenaEviction::kClock;
-  ArenaSmbEngine engine(TunedConfig(SmbSpec(), tuning));
-
-  size_t spills = 0;
-  engine.SetSpillSink([&](const ArenaSmbEngine::SpilledFlow& spilled) {
-    ++spills;
-    EXPECT_GT(spilled.estimate, 0.0);
-    EXPECT_FALSE(spilled.words.empty());
-    // The spilled words are the materialized bitmap: fill implies bits.
-    if (spilled.ones_in_round > 0 && spilled.round == 0) {
-      uint64_t ones = 0;
-      for (uint64_t word : spilled.words) {
-        ones += static_cast<uint64_t>(Popcount64(word));
-      }
-      EXPECT_GE(ones, spilled.ones_in_round);
-    }
-  });
-  const auto trace = SkewedTrace(2000, 40000, 7);
-  engine.RecordBatch(trace.data(), trace.size());
-  EXPECT_EQ(spills, engine.Stats().evicted_flows);
-  EXPECT_GT(spills, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Survivor bit-identity: eviction must never disturb surviving flows
 // ---------------------------------------------------------------------
@@ -279,17 +309,15 @@ TEST(ArenaEvictionTest, SurvivorsMatchUnevictedOracleOnEveryKernel) {
     tuning.memory_budget_bytes = budget;
     tuning.eviction = ArenaEviction::kClock;
     ArenaSmbEngine engine(TunedConfig(spec, tuning));
-    std::unordered_set<uint64_t> ever_evicted;
-    engine.SetSpillSink([&](const ArenaSmbEngine::SpilledFlow& spilled) {
-      ever_evicted.insert(spilled.flow);
-    });
-    engine.RecordBatch(trace.data(), trace.size());
+    EvictionWatch watch;
+    watch.Record(&engine, trace);
 
-    ASSERT_GT(engine.Stats().evicted_flows, 0u)
+    ASSERT_GT(watch.num_evicted(), 0u) << BatchKernelKindName(kind);
+    ASSERT_LE(watch.num_evicted(), engine.Stats().evicted_flows)
         << BatchKernelKindName(kind);
     size_t untouched_survivors = 0;
     engine.ForEachFlow([&](uint64_t flow, double estimate) {
-      if (ever_evicted.count(flow) != 0) return;  // partial re-creation
+      if (watch.Evicted(flow)) return;  // partial re-creation
       ++untouched_survivors;
       ASSERT_EQ(estimate, oracle.Query(flow))
           << BatchKernelKindName(kind) << " flow " << flow;
@@ -308,17 +336,17 @@ TEST(ArenaEvictionTest, ShardedSurvivorsMatchUnevictedOracle) {
   tuning.memory_budget_bytes = oracle.LiveBytes() / 2;
   tuning.eviction = ArenaEviction::kClock;
   ShardedFlowMonitor sharded(TunedConfig(spec, tuning), /*num_shards=*/3);
-  std::unordered_set<uint64_t> ever_evicted;
-  sharded.SetSpillSink([&](const ArenaSmbEngine::SpilledFlow& spilled) {
-    ever_evicted.insert(spilled.flow);
-  });
-  sharded.RecordBatch(trace.data(), trace.size());
+  // One batch block per call hands each shard at most one block, so the
+  // watch sees every shard's block boundaries.
+  EvictionWatch watch;
+  watch.Record(&sharded, trace);
 
-  ASSERT_GT(sharded.Stats().evicted_flows, 0u);
+  ASSERT_GT(watch.num_evicted(), 0u);
+  ASSERT_LE(watch.num_evicted(), sharded.Stats().evicted_flows);
   size_t untouched_survivors = 0;
   for (size_t k = 0; k < sharded.num_shards(); ++k) {
     sharded.shard(k)->ForEachFlow([&](uint64_t flow, double estimate) {
-      if (ever_evicted.count(flow) != 0) return;
+      if (watch.Evicted(flow)) return;
       ++untouched_survivors;
       ASSERT_EQ(estimate, oracle.Query(flow)) << "flow " << flow;
     });
@@ -336,15 +364,10 @@ TEST(ArenaEvictionTest, ParallelSurvivorsMatchUnevictedOracle) {
   tuning.memory_budget_bytes = oracle.LiveBytes() / 2;
   tuning.eviction = ArenaEviction::kClock;
   ShardedFlowMonitor sharded(TunedConfig(spec, tuning), /*num_shards=*/2);
-  std::mutex mu;  // spills arrive from concurrent consumer threads
-  std::unordered_set<uint64_t> ever_evicted;
-  sharded.SetSpillSink([&](const ArenaSmbEngine::SpilledFlow& spilled) {
-    std::lock_guard<std::mutex> lock(mu);
-    ever_evicted.insert(spilled.flow);
-  });
+  WatchedShards watched(&sharded);
   ShardPipelineOptions options;
   options.num_producers = 2;
-  ShardPipeline<ShardedFlowMonitor> pipeline(&sharded, options);
+  ShardPipeline<WatchedShards> pipeline(&watched, options);
   const ShardPipelineStats stats = pipeline.Record(trace);
   EXPECT_EQ(stats.items_recorded, trace.size());
 
@@ -352,7 +375,7 @@ TEST(ArenaEvictionTest, ParallelSurvivorsMatchUnevictedOracle) {
   size_t untouched_survivors = 0;
   for (size_t k = 0; k < sharded.num_shards(); ++k) {
     sharded.shard(k)->ForEachFlow([&](uint64_t flow, double estimate) {
-      if (ever_evicted.count(flow) != 0) return;
+      if (watched.Evicted(flow)) return;
       ++untouched_survivors;
       ASSERT_EQ(estimate, oracle.Query(flow)) << "flow " << flow;
     });
@@ -396,27 +419,22 @@ TEST(ArenaEvictionTest, SnapshotRestoreMidEvictionKeepsSurvivorIdentity) {
   tuning.memory_budget_bytes = oracle.LiveBytes() / 2;
   tuning.eviction = ArenaEviction::kClock;
   ArenaSmbEngine first(TunedConfig(spec, tuning));
-  std::unordered_set<uint64_t> ever_evicted;
-  first.SetSpillSink([&](const ArenaSmbEngine::SpilledFlow& spilled) {
-    ever_evicted.insert(spilled.flow);
-  });
-  first.RecordBatch(trace.data(), half);
-  ASSERT_GT(first.Stats().evicted_flows, 0u);  // snapshot lands mid-eviction
+  EvictionWatch watch;
+  watch.Record(&first, std::span<const Packet>(trace.data(), half));
+  ASSERT_GT(watch.num_evicted(), 0u);  // snapshot lands mid-eviction
 
   // Freeze, restore with the same budget, and finish the stream in the
   // restored engine — evictions continue there.
   const std::vector<uint8_t> bytes = first.Serialize();
   auto restored = ArenaSmbEngine::Deserialize(bytes, tuning);
   ASSERT_TRUE(restored.has_value());
-  restored->SetSpillSink([&](const ArenaSmbEngine::SpilledFlow& spilled) {
-    ever_evicted.insert(spilled.flow);
-  });
-  restored->RecordBatch(trace.data() + half, trace.size() - half);
+  watch.Record(&*restored,
+               std::span<const Packet>(trace).subspan(half));
   ASSERT_LE(restored->LiveBytes(), tuning.memory_budget_bytes);
 
   size_t untouched_survivors = 0;
   restored->ForEachFlow([&](uint64_t flow, double estimate) {
-    if (ever_evicted.count(flow) != 0) return;
+    if (watch.Evicted(flow)) return;
     ++untouched_survivors;
     ASSERT_EQ(estimate, oracle.Query(flow)) << "flow " << flow;
   });

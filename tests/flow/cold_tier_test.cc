@@ -249,8 +249,6 @@ TEST(ArenaColdTierTest, StatsExposeColdFootprint) {
   EXPECT_GT(stats.cold_encoded_bytes, 0u);
   EXPECT_GT(stats.cold_raw_bytes, stats.cold_encoded_bytes)
       << "frozen records should be smaller than raw slots";
-  EXPECT_EQ(stats.spilled_flows, 0u)
-      << "spill sink must not be offered flows while the cold tier is on";
 }
 
 }  // namespace

@@ -33,6 +33,7 @@
 #include <string>
 
 #include "common/table_printer.h"
+#include "numeric_flags.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/snapshot_parser.h"
 
@@ -229,10 +230,12 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::string(argv[1]) == "--delta") {
     double seconds = 0.0;
     if (argc == 6 && std::string(argv[4]) == "--seconds") {
-      char* end = nullptr;
-      seconds = std::strtod(argv[5], &end);
-      if (end == argv[5] || *end != '\0' || !(seconds > 0.0)) {
-        std::fprintf(stderr, "--seconds wants a positive number, got %s\n",
+      if (!smb::tools::ParseSecondsFlag(argv[5], &seconds)) {
+        std::fprintf(stderr,
+                     "--seconds wants a positive number of seconds, at most "
+                     "%llu; got %s\n",
+                     static_cast<unsigned long long>(
+                         smb::tools::kMaxFlagSeconds),
                      argv[5]);
         return 2;
       }

@@ -1,8 +1,9 @@
-// Strict numeric flag parsing shared by the smbcard and trace_gen tools.
-// Each parser consumes the whole text or fails: it rejects empty input, a
-// leading sign or space, trailing junk and overflow, so a typo becomes a
-// usage error instead of a silent zero (strtoul's behaviour on "abc") or
-// a wrapped huge value (strtoul's behaviour on "-1").
+// Strict numeric flag parsing shared by the smbcard, smbtop,
+// metrics_inspect and trace_gen tools. Each parser consumes the whole
+// text or fails: it rejects empty input, a leading sign or space,
+// trailing junk and overflow, so a typo becomes a usage error instead of
+// a silent zero (strtoul's behaviour on "abc") or a wrapped huge value
+// (strtoul's behaviour on "-1").
 
 #ifndef SMBCARD_TOOLS_NUMERIC_FLAGS_H_
 #define SMBCARD_TOOLS_NUMERIC_FLAGS_H_
@@ -11,11 +12,17 @@
 #include <cerrno>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <type_traits>
 
 namespace smb::tools {
+
+// Ceiling for every flag given in seconds: one year. A larger value is a
+// typo, and the cap keeps seconds * 1000 and steady_clock::now() plus the
+// interval far from overflow.
+inline constexpr uint64_t kMaxFlagSeconds = 365ull * 24 * 3600;
 
 // Decimal digits only, within T's range.
 template <typename T>
@@ -44,6 +51,18 @@ inline bool ParseNumberFlag(const char* text, double* out) {
   char* end = nullptr;
   const double value = std::strtod(text, &end);
   if (errno != 0 || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+// A positive number of seconds, fraction allowed, at most
+// kMaxFlagSeconds.
+inline bool ParseSecondsFlag(const char* text, double* out) {
+  double value = 0.0;
+  if (!ParseNumberFlag(text, &value) || !(value > 0.0) ||
+      value > static_cast<double>(kMaxFlagSeconds)) {
+    return false;
+  }
   *out = value;
   return true;
 }

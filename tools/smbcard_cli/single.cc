@@ -1,0 +1,125 @@
+// The one-stream modes: single (one estimator of any kind, optionally
+// checkpointed), snapshot (one SMB saved to or loaded from a file) and
+// all (every algorithm side by side).
+
+#include "common/table_printer.h"
+#include "core/self_morphing_bitmap.h"
+#include "smbcard_cli/runners.h"
+#include "trace/health_probe.h"
+
+namespace smb::cli {
+
+int RunSingle(const CliOptions& options) {
+  const auto kind = EstimatorKindFromName(options.algo);
+  if (!kind.has_value()) {
+    std::fprintf(stderr, "unknown algorithm '%s'\n", options.algo.c_str());
+    return 2;
+  }
+  EstimatorSpec spec;
+  spec.kind = *kind;
+  spec.memory_bits = options.memory_bits;
+  spec.design_cardinality = options.design_cardinality;
+  spec.hash_seed = options.seed;
+  auto estimator = CreateEstimator(spec);
+
+  Checkpointer checkpoints;
+  const bool opened = checkpoints.Open(
+      options, *kind, [&](const std::vector<uint8_t>& payload) {
+        auto resumed = DeserializeEstimator(*kind, payload);
+        if (resumed == nullptr) return false;
+        estimator = std::move(resumed);
+        return true;
+      });
+  if (!opened) return 2;
+
+  // The interval check piggybacks on the feed loop: look at the clock
+  // every 4096 lines so checkpointing costs nothing on the line path.
+  uint64_t lines_since_check = 0;
+  FeedAllInputs(options, [&](const std::string& s) {
+    estimator->AddBytes(s);
+    if (checkpoints.periodic() && (++lines_since_check & 0xFFF) == 0 &&
+        checkpoints.Due()) {
+      checkpoints.Write(SerializeEstimator(*estimator));
+    }
+  });
+
+  const bool checkpoint_ok =
+      !checkpoints.enabled() ||
+      checkpoints.Write(SerializeEstimator(*estimator));
+  if (const auto* as_smb =
+          dynamic_cast<const SelfMorphingBitmap*>(estimator.get())) {
+    health::PublishHealth(health::ProbeSmb(*as_smb));
+  }
+  std::printf("%.0f\n", estimator->Estimate());
+  return checkpoint_ok ? 0 : 1;
+}
+
+int RunSnapshot(const CliOptions& options) {
+  if (options.algo != "SMB") {
+    std::fprintf(stderr, "--save/--load support SMB only\n");
+    return 2;
+  }
+  std::optional<SelfMorphingBitmap> estimator;
+  if (!options.load_path.empty()) {
+    std::ifstream file(options.load_path, std::ios::binary);
+    if (!file) {
+      std::fprintf(stderr, "cannot open %s\n", options.load_path.c_str());
+      return 1;
+    }
+    const std::vector<uint8_t> bytes(
+        (std::istreambuf_iterator<char>(file)),
+        std::istreambuf_iterator<char>());
+    estimator = SelfMorphingBitmap::Deserialize(bytes);
+    if (!estimator.has_value()) {
+      std::fprintf(stderr, "%s is not a valid SMB snapshot\n",
+                   options.load_path.c_str());
+      return 1;
+    }
+  } else {
+    estimator = SelfMorphingBitmap::WithOptimalThreshold(
+        options.memory_bits, options.design_cardinality, options.seed);
+  }
+  FeedAllInputs(options,
+                [&](const std::string& s) { estimator->AddBytes(s); });
+  health::PublishHealth(health::ProbeSmb(*estimator));
+  std::printf("%.0f\n", estimator->Estimate());
+  if (!options.save_path.empty()) {
+    const auto bytes = estimator->Serialize();
+    std::ofstream file(options.save_path, std::ios::binary);
+    if (!file) {
+      std::fprintf(stderr, "cannot write %s\n", options.save_path.c_str());
+      return 1;
+    }
+    file.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  }
+  return 0;
+}
+
+int RunAll(const CliOptions& options) {
+  std::vector<std::unique_ptr<CardinalityEstimator>> estimators;
+  for (EstimatorKind kind : AllEstimatorKinds()) {
+    EstimatorSpec spec;
+    spec.kind = kind;
+    spec.memory_bits = options.memory_bits;
+    spec.design_cardinality = options.design_cardinality;
+    spec.hash_seed = options.seed;
+    estimators.push_back(CreateEstimator(spec));
+  }
+  const uint64_t lines = FeedAllInputs(options, [&](const std::string& s) {
+    for (auto& estimator : estimators) estimator->AddBytes(s);
+  });
+  TablePrinter table("distinct-item estimates over " +
+                     std::to_string(lines) + " input lines");
+  table.SetHeader({"algorithm", "estimate", "memory bits"});
+  for (const auto& estimator : estimators) {
+    table.AddRow({std::string(estimator->Name()),
+                  TablePrinter::Fmt(estimator->Estimate(), 0),
+                  TablePrinter::FmtInt(
+                      static_cast<long long>(estimator->MemoryBits()))});
+  }
+  table.Print();
+  return 0;
+}
+
+}  // namespace smb::cli

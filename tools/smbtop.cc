@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/table_printer.h"
+#include "numeric_flags.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/snapshot_parser.h"
 
@@ -288,10 +289,12 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--interval" && i + 1 < argc) {
-      char* end = nullptr;
-      interval_seconds = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || !(interval_seconds > 0.0)) {
-        std::fprintf(stderr, "--interval wants a positive number\n");
+      if (!smb::tools::ParseSecondsFlag(argv[++i], &interval_seconds)) {
+        std::fprintf(stderr,
+                     "--interval wants a positive number of seconds, at "
+                     "most %llu\n",
+                     static_cast<unsigned long long>(
+                         smb::tools::kMaxFlagSeconds));
         return 2;
       }
     } else if (arg == "--once") {

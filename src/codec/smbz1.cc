@@ -4,10 +4,10 @@
 #include <bit>
 #include <cstring>
 
+#include "codec/flw1_layout.h"
 #include "common/bit_util.h"
 #include "common/le_bytes.h"
 #include "common/macros.h"
-#include "hash/murmur3.h"
 #include "io/crc32c.h"
 
 namespace smb::codec {
@@ -18,19 +18,6 @@ constexpr char kMagic[5] = {'S', 'M', 'B', 'Z', '1'};
 constexpr uint8_t kVersion = 1;
 constexpr size_t kHeaderBytes = 5 + 1 + 2 + 5 * 8;
 constexpr size_t kCrcBytes = 4;
-
-// FLW1 framing, mirrored from the engine's snapshot format so the codec
-// can validate and rebuild images without linking the flow layer.
-constexpr char kFlw1Magic[4] = {'F', 'L', 'W', '1'};
-constexpr uint64_t kFlw1ChecksumSeed = 0x464C5731u;  // "FLW1"
-constexpr size_t kFlw1HeaderBytes = 4 + 5 * 8;
-constexpr size_t kFlw1ChecksumBytes = 8;
-
-// FLW1 meta packing (ArenaSmbEngine): round in the top 6 bits, fill in
-// the low 26.
-constexpr uint32_t kRoundShift = 26;
-constexpr uint32_t kFillMask = (1u << kRoundShift) - 1;
-constexpr uint32_t kMaxRound = 63;
 
 // Guards DecompressToFlw1Image against absurd headers before any
 // allocation happens. Far above every supported geometry (the engine
@@ -293,8 +280,8 @@ bool DecodeSlot(std::span<const uint8_t> in, size_t* pos, uint64_t num_bits,
   if (invert && mode != SlotMode::kSparse) return false;
   uint64_t round = 0;
   uint64_t ones = 0;
-  if (!ReadVarint(in, pos, &round) || round > kMaxRound) return false;
-  if (!ReadVarint(in, pos, &ones) || ones > kFillMask) return false;
+  if (!ReadVarint(in, pos, &round) || round > flw1::kMaxRound) return false;
+  if (!ReadVarint(in, pos, &ones) || ones > flw1::kFillMask) return false;
   slot->round = static_cast<uint32_t>(round);
   slot->ones = static_cast<uint32_t>(ones);
   slot->mode = mode;
@@ -368,14 +355,14 @@ bool IsSmbz1Image(std::span<const uint8_t> bytes) {
 }
 
 std::optional<std::vector<uint8_t>> CompressFlw1Image(
-    std::span<const uint8_t> flw1, CodecStats* stats) {
-  if (flw1.size() < kFlw1HeaderBytes + kFlw1ChecksumBytes) {
+    std::span<const uint8_t> image, CodecStats* stats) {
+  if (image.size() < flw1::kHeaderBytes + flw1::kChecksumBytes) {
     return std::nullopt;
   }
-  if (std::memcmp(flw1.data(), kFlw1Magic, sizeof(kFlw1Magic)) != 0) {
+  if (std::memcmp(image.data(), flw1::kMagic, sizeof(flw1::kMagic)) != 0) {
     return std::nullopt;
   }
-  const uint8_t* header = flw1.data() + sizeof(kFlw1Magic);
+  const uint8_t* header = image.data() + sizeof(flw1::kMagic);
   const uint64_t num_bits = LoadU64(header);
   const uint64_t threshold = LoadU64(header + 8);
   const uint64_t base_seed = LoadU64(header + 16);
@@ -386,16 +373,13 @@ std::optional<std::vector<uint8_t>> CompressFlw1Image(
   // Exact size by division: a multiplied-out num_flows can wrap size_t.
   const size_t record_bytes = (2 + static_cast<size_t>(words_per_slot)) * 8;
   const size_t body_bytes =
-      flw1.size() - kFlw1HeaderBytes - kFlw1ChecksumBytes;
+      image.size() - flw1::kHeaderBytes - flw1::kChecksumBytes;
   if (body_bytes % record_bytes != 0 ||
       num_flows != body_bytes / record_bytes) {
     return std::nullopt;
   }
-  const uint64_t checksum =
-      Murmur3_128(flw1.data(), flw1.size() - kFlw1ChecksumBytes,
-                  kFlw1ChecksumSeed)
-          .lo;
-  if (checksum != LoadU64(flw1.data() + flw1.size() - kFlw1ChecksumBytes)) {
+  if (flw1::Checksum(image.data(), image.size() - flw1::kChecksumBytes) !=
+      LoadU64(image.data() + image.size() - flw1::kChecksumBytes)) {
     return std::nullopt;
   }
 
@@ -411,7 +395,7 @@ std::optional<std::vector<uint8_t>> CompressFlw1Image(
     AppendU64(&out, field);
   }
   std::vector<uint64_t> words(static_cast<size_t>(words_per_slot));
-  const uint8_t* record = flw1.data() + kFlw1HeaderBytes;
+  const uint8_t* record = image.data() + flw1::kHeaderBytes;
   for (uint64_t f = 0; f < num_flows; ++f, record += record_bytes) {
     const uint64_t meta = LoadU64(record + 8);
     if (meta > 0xFFFFFFFFull) return std::nullopt;
@@ -419,14 +403,14 @@ std::optional<std::vector<uint8_t>> CompressFlw1Image(
     std::memcpy(words.data(), record + 16, words.size() * 8);
     AppendU64(&out, LoadU64(record));
     SlotState state;
-    state.round = static_cast<uint32_t>(meta) >> kRoundShift;
-    state.ones = static_cast<uint32_t>(meta) & kFillMask;
+    state.round = static_cast<uint32_t>(meta) >> flw1::kRoundShift;
+    state.ones = static_cast<uint32_t>(meta) & flw1::kFillMask;
     state.words = words;
     EncodeSlot(num_bits, state, &out, stats);
   }
   AppendU32(&out, io::Crc32c(out.data(), out.size()));
   if (stats != nullptr) {
-    stats->raw_bytes += flw1.size();
+    stats->raw_bytes += image.size();
     stats->encoded_bytes += out.size();
   }
   return out;
@@ -456,11 +440,11 @@ std::optional<std::vector<uint8_t>> DecompressToFlw1Image(
   if (num_flows > payload_bytes / 11) return std::nullopt;
 
   std::vector<uint8_t> out;
-  out.reserve(kFlw1HeaderBytes +
+  out.reserve(flw1::kHeaderBytes +
               static_cast<size_t>(num_flows) *
                   (2 + static_cast<size_t>(words_per_slot)) * 8 +
-              kFlw1ChecksumBytes);
-  out.insert(out.end(), kFlw1Magic, kFlw1Magic + sizeof(kFlw1Magic));
+              flw1::kChecksumBytes);
+  out.insert(out.end(), flw1::kMagic, flw1::kMagic + sizeof(flw1::kMagic));
   for (const uint64_t field :
        {num_bits, threshold, base_seed, num_flows, words_per_slot}) {
     AppendU64(&out, field);
@@ -477,13 +461,14 @@ std::optional<std::vector<uint8_t>> DecompressToFlw1Image(
       return std::nullopt;
     }
     AppendU64(&out, key);
-    AppendU64(&out, (static_cast<uint64_t>(slot.round) << kRoundShift) |
-                        slot.ones);
+    AppendU64(&out,
+              (static_cast<uint64_t>(slot.round) << flw1::kRoundShift) |
+                  slot.ones);
     AppendU64s(&out, words);
   }
   // Trailing garbage between the last record and the CRC is a defect.
   if (pos != body.size()) return std::nullopt;
-  AppendU64(&out, Murmur3_128(out.data(), out.size(), kFlw1ChecksumSeed).lo);
+  AppendU64(&out, flw1::Checksum(out.data(), out.size()));
   return out;
 }
 

@@ -417,14 +417,6 @@ std::optional<SelfMorphingBitmap> SelfMorphingBitmap::Deserialize(
   // silently be ignored otherwise (a truncated-then-padded snapshot could
   // pass).
   if (bytes.size() != pos + word_count * 8 + 8) return std::nullopt;
-  const size_t max_round = SmbMaxRound(num_bits, threshold);
-  if (round > max_round) return std::nullopt;
-  // v counts bits newly set in the current round. A non-final round morphs
-  // the moment v reaches T, so any stored v must be below T; the final
-  // round cannot morph but v can never exceed the logical bitmap size.
-  const uint64_t logical_bits = num_bits - round * threshold;
-  if (round < max_round && ones >= threshold) return std::nullopt;
-  if (ones > logical_bits) return std::nullopt;
 
   std::vector<uint64_t> words(word_count);
   if (!ReadU64s(bytes, &pos, words)) return std::nullopt;
@@ -434,19 +426,13 @@ std::optional<SelfMorphingBitmap> SelfMorphingBitmap::Deserialize(
     return std::nullopt;
   }
 
-  // Stray set bits above num_bits would break the BitVector invariant that
-  // the unused tail of the last word is zero (and corrupt CountOnes).
-  const size_t tail_bits = num_bits % 64;
-  if (tail_bits != 0 && (words.back() >> tail_bits) != 0) return std::nullopt;
-
-  // Cross-check the header against the bitmap: every completed round set
-  // exactly T fresh bits and the current round has set `ones` more, so a
-  // reachable snapshot satisfies popcount(words) == round * T + ones. A
-  // corrupted round/ones header would otherwise silently shift Estimate()
-  // by whole S-table entries.
-  uint64_t popcount = 0;
-  for (uint64_t w : words) popcount += static_cast<uint64_t>(Popcount64(w));
-  if (popcount != round * threshold + ones) return std::nullopt;
+  // The header must agree with the bitmap. Stray bits above num_bits
+  // would break the BitVector invariant that the unused tail of the last
+  // word is zero, and a corrupted (round, ones) would silently shift
+  // Estimate() by whole S-table entries.
+  if (!SmbStateReachable(num_bits, threshold, round, ones, words)) {
+    return std::nullopt;
+  }
 
   Config config;
   config.num_bits = num_bits;
@@ -465,20 +451,9 @@ SelfMorphingBitmap SelfMorphingBitmap::FromState(const Config& config,
                                                  size_t round,
                                                  size_t ones_in_round) {
   SelfMorphingBitmap out(config);  // validates (num_bits, threshold)
-  SMB_CHECK_MSG(words.size() == (config.num_bits + 63) / 64,
-                "FromState word count does not match num_bits");
-  SMB_CHECK_MSG(round <= out.max_round_, "FromState round beyond max_round");
-  SMB_CHECK_MSG(round == out.max_round_ || ones_in_round < config.threshold,
-                "FromState fill must stay below T before the final round");
-  SMB_CHECK_MSG(ones_in_round <= config.num_bits - round * config.threshold,
-                "FromState fill exceeds the logical bitmap");
-  const size_t tail_bits = config.num_bits % 64;
-  SMB_CHECK_MSG(tail_bits == 0 || (words.back() >> tail_bits) == 0,
-                "FromState has set bits above num_bits");
-  uint64_t popcount = 0;
-  for (uint64_t w : words) popcount += static_cast<uint64_t>(Popcount64(w));
-  SMB_CHECK_MSG(popcount == round * config.threshold + ones_in_round,
-                "FromState popcount inconsistent with (round, fill)");
+  SMB_CHECK_MSG(SmbStateReachable(config.num_bits, config.threshold, round,
+                                  ones_in_round, words),
+                "FromState (round, fill, bitmap) is not a reachable state");
   out.bits_.set_words(std::move(words));
   out.round_ = round;
   out.ones_in_round_ = ones_in_round;

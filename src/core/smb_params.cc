@@ -6,6 +6,7 @@
 #include <mutex>
 #include <tuple>
 
+#include "common/bit_util.h"
 #include "common/macros.h"
 #include "core/smb_theory.h"
 
@@ -21,6 +22,23 @@ size_t SmbMaxRound(size_t m, size_t threshold) {
   //    can ever pass Step 1 of a round with r > 63 — deeper rounds would
   //    be dead weight.
   return std::min<size_t>((m - 2) / threshold, 63);
+}
+
+bool SmbStateReachable(size_t m, size_t threshold, uint64_t round,
+                       uint64_t ones, std::span<const uint64_t> words) {
+  const size_t max_round = SmbMaxRound(m, threshold);
+  if (round > max_round) return false;
+  if (round < max_round && ones >= threshold) return false;
+  if (ones > m - round * threshold) return false;
+  if (words.size() != m / 64 + (m % 64 != 0)) return false;
+  const size_t tail_bits = m % 64;
+  if (tail_bits != 0 && (words.back() >> tail_bits) != 0) return false;
+  // Sparse bitmaps are the common case on recovery paths: skip zero words.
+  uint64_t popcount = 0;
+  for (const uint64_t w : words) {
+    if (w != 0) popcount += static_cast<uint64_t>(Popcount64(w));
+  }
+  return popcount == round * threshold + ones;
 }
 
 std::vector<double> BuildSTable(size_t m, size_t threshold) {

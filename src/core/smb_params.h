@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace smb {
@@ -15,6 +16,15 @@ namespace smb {
 // non-empty logical bitmap, r_max = floor((m - 1) / T). Round r uses the
 // logical bitmap of m_r = m - r*T bits.
 size_t SmbMaxRound(size_t m, size_t threshold);
+
+// True when round r, fill v and the bitmap `words` form a state an m-bit
+// SMB with threshold T can reach by recording: r <= r_max; v < T before
+// the final round (a round morphs the moment v reaches T); v <= m - r*T;
+// `words` spans exactly ceil(m / 64) words with no bit set at or above m;
+// and popcount(words) == r*T + v (every completed round set exactly T
+// fresh bits). Every reader of serialized SMB state checks it.
+bool SmbStateReachable(size_t m, size_t threshold, uint64_t round,
+                       uint64_t ones, std::span<const uint64_t> words);
 
 // Builds the S table of paper Eq. (9):
 //   S[0] = 0,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "codec/flw1_layout.h"
 #include "common/bit_util.h"
 #include "common/le_bytes.h"
 #include "common/macros.h"
@@ -16,6 +17,10 @@
 #include "trace/span_tracer.h"
 
 namespace smb {
+
+// Packed (r, v) metadata, as FLW1 stores it.
+using flw1::kFillMask;
+using flw1::kRoundShift;
 
 #if SMB_TELEMETRY_ENABLED
 namespace {
@@ -111,7 +116,6 @@ size_t EffectiveNurseryCapacity(size_t capacity, size_t words_per_slot) {
 SlabAllocOptions AllocOptionsFor(const ArenaTuning& tuning) {
   SlabAllocOptions options;
   options.try_hugepages = tuning.try_hugepages;
-  options.numa_node = tuning.numa_node;
   return options;
 }
 
@@ -121,7 +125,7 @@ bool ArenaSmbEngine::Supports(size_t num_bits, size_t threshold) {
   if (num_bits < 8 || threshold < 1 || threshold > num_bits) return false;
   // Packed (r, v) metadata: 6 bits of round, 26 bits of fill.
   if (num_bits >= (size_t{1} << kRoundShift)) return false;
-  return SmbMaxRound(num_bits, threshold) <= 63;
+  return SmbMaxRound(num_bits, threshold) <= flw1::kMaxRound;
 }
 
 std::optional<ArenaSmbEngine::Config> ArenaSmbEngine::ConfigForSpec(
@@ -772,31 +776,18 @@ std::optional<ArenaSmbEngine::FlowState> ArenaSmbEngine::Inspect(
 
 namespace {
 
-// Snapshot layout (little-endian):
-//   magic "FLW1" (4 bytes)
-//   u64 num_bits, threshold, base_seed, num_flows, words_per_slot
-//   per flow (row order): u64 flow key, u64 packed meta,
-//                         words_per_slot x u64 bitmap words
-//   u64 checksum (Murmur3_64 of every preceding byte).
-// Seed offsets are not stored — they are a pure function of
-// (base_seed, flow key) and are rebuilt on load. Nursery rows are
-// materialized on write, so the format is residency-agnostic.
-constexpr char kMagic[4] = {'F', 'L', 'W', '1'};
-constexpr uint64_t kChecksumSeed = 0x464C5731u;  // "FLW1"
-constexpr size_t kHeaderBytes = sizeof(kMagic) + 5 * 8;
-constexpr size_t kChecksumBytes = 8;
-
-uint64_t SnapshotChecksum(const uint8_t* data, size_t len) {
-  return Murmur3_128(data, len, kChecksumSeed).lo;
-}
+// Snapshot image: the FLW1 layout (codec/flw1_layout.h), one record per
+// flow in row order. Seed offsets are not stored — they are a pure
+// function of (base_seed, flow key) and are rebuilt on load. Nursery rows
+// are materialized on write, so the format is residency-agnostic.
 
 // Reserves the whole image up front so every record is appended with
 // bulk copies and no reallocation.
 std::vector<uint8_t> BeginSnapshot(const ArenaSmbEngine::Config& config,
                                    size_t num_flows, size_t words_per_slot) {
-  std::vector<uint8_t> out(std::begin(kMagic), std::end(kMagic));
-  out.reserve(kHeaderBytes + num_flows * (2 + words_per_slot) * 8 +
-              kChecksumBytes);
+  std::vector<uint8_t> out(std::begin(flw1::kMagic), std::end(flw1::kMagic));
+  out.reserve(flw1::kHeaderBytes + num_flows * (2 + words_per_slot) * 8 +
+              flw1::kChecksumBytes);
   for (const uint64_t field :
        {uint64_t{config.num_bits}, uint64_t{config.threshold},
         config.base_seed, uint64_t{num_flows}, uint64_t{words_per_slot}}) {
@@ -813,29 +804,10 @@ void AppendRecord(std::vector<uint8_t>* out, uint64_t flow, uint64_t meta,
 }
 
 void SealSnapshot(std::vector<uint8_t>* out) {
-  AppendU64(out, SnapshotChecksum(out->data(), out->size()));
+  AppendU64(out, flw1::Checksum(out->data(), out->size()));
 }
 
 }  // namespace
-
-bool ArenaSmbEngine::ReachableState(uint32_t round, uint32_t ones,
-                                    std::span<const uint64_t> words) const {
-  if (words.size() != words_per_slot_) return false;
-  // A non-final round morphs the moment v reaches T; v never exceeds
-  // the logical bitmap.
-  if (round > max_round_) return false;
-  if (round < max_round_ && ones >= config_.threshold) return false;
-  if (ones > config_.num_bits - round * config_.threshold) return false;
-  // Stray bits above num_bits, or a popcount inconsistent with the
-  // claimed (r, v), mean a corrupted record.
-  const size_t tail_bits = config_.num_bits % 64;
-  if (tail_bits != 0 && (words.back() >> tail_bits) != 0) return false;
-  uint64_t popcount = 0;
-  for (const uint64_t w : words) {
-    if (w != 0) popcount += static_cast<uint64_t>(Popcount64(w));
-  }
-  return popcount == round * config_.threshold + ones;
-}
 
 std::vector<uint8_t> ArenaSmbEngine::Serialize() const {
   const size_t cold_flows = cold_ != nullptr ? cold_->NumFlows() : 0;
@@ -862,11 +834,11 @@ std::vector<uint8_t> ArenaSmbEngine::Serialize() const {
 
 std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
     const std::vector<uint8_t>& bytes, const ArenaTuning& tuning) {
-  if (bytes.size() < kHeaderBytes + kChecksumBytes ||
-      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
+  if (bytes.size() < flw1::kHeaderBytes + flw1::kChecksumBytes ||
+      std::memcmp(bytes.data(), flw1::kMagic, sizeof(flw1::kMagic)) != 0) {
     return std::nullopt;
   }
-  const uint8_t* header = bytes.data() + sizeof(kMagic);
+  const uint8_t* header = bytes.data() + sizeof(flw1::kMagic);
   const uint64_t num_bits = LoadU64(header);
   const uint64_t threshold = LoadU64(header + 8);
   const uint64_t base_seed = LoadU64(header + 16);
@@ -877,13 +849,14 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
   // Exact size, by division so a huge num_flows cannot wrap the check:
   // truncation and trailing garbage after the checksum must not pass.
   const size_t record_bytes = (2 + words_per_slot) * 8;
-  const size_t body_bytes = bytes.size() - kHeaderBytes - kChecksumBytes;
+  const size_t body_bytes =
+      bytes.size() - flw1::kHeaderBytes - flw1::kChecksumBytes;
   if (body_bytes % record_bytes != 0 ||
       num_flows != body_bytes / record_bytes) {
     return std::nullopt;
   }
-  if (SnapshotChecksum(bytes.data(), bytes.size() - kChecksumBytes) !=
-      LoadU64(bytes.data() + bytes.size() - kChecksumBytes)) {
+  if (flw1::Checksum(bytes.data(), bytes.size() - flw1::kChecksumBytes) !=
+      LoadU64(bytes.data() + bytes.size() - flw1::kChecksumBytes)) {
     return std::nullopt;
   }
 
@@ -894,7 +867,7 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
   config.tuning = tuning;
   ArenaSmbEngine engine(config);
   std::vector<uint64_t> words(words_per_slot);
-  const uint8_t* record = bytes.data() + kHeaderBytes;
+  const uint8_t* record = bytes.data() + flw1::kHeaderBytes;
   for (uint64_t f = 0; f < num_flows; ++f, record += record_bytes) {
     const uint64_t key = LoadU64(record);
     const uint64_t meta_u64 = LoadU64(record + 8);
@@ -903,7 +876,9 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
     const uint32_t round = meta >> kRoundShift;
     const uint32_t ones = meta & kFillMask;
     std::memcpy(words.data(), record + 16, words.size() * 8);
-    if (!engine.ReachableState(round, ones, words)) return std::nullopt;
+    if (!SmbStateReachable(num_bits, threshold, round, ones, words)) {
+      return std::nullopt;
+    }
     bool created = false;
     const uint32_t row =
         engine.FindOrCreateRow(key, FlowTable::BucketHash(key), &created);
@@ -970,7 +945,10 @@ bool ArenaSmbEngine::UpsertFlowState(uint64_t flow, uint32_t round,
                                      std::span<const uint64_t> words) {
   // Same reachability rules Deserialize() applies per record; a replica
   // must never hold state its own recording path could not have reached.
-  if (!ReachableState(round, ones, words)) return false;
+  if (!SmbStateReachable(config_.num_bits, config_.threshold, round, ones,
+                         words)) {
+    return false;
+  }
   const uint32_t row = FindOrCreateRow(flow, FlowTable::BucketHash(flow));
   PromoteRow(row);  // replicated state lives on the main slab
   uint64_t* dst = arena_.SlotWords(slab_ref_[row]);

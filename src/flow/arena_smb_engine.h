@@ -106,12 +106,6 @@ struct ArenaTuning {
   bool cold_tier = false;
   // Page placement for both slabs (see SlabAllocOptions).
   bool try_hugepages = false;
-  int numa_node = -1;
-  // ShardedFlowMonitor-level knob (ignored by a single engine): spread
-  // shards round-robin across online NUMA nodes — each shard's slabs are
-  // bound to its node and the shard pipeline pins that shard's
-  // consumer thread to the node's CPUs. No-op on single-node machines.
-  bool numa_shards = false;
 };
 
 class ArenaSmbEngine {
@@ -313,8 +307,6 @@ class ArenaSmbEngine {
       const std::vector<uint8_t>& bytes, const ArenaTuning& tuning = {});
 
  private:
-  static constexpr uint32_t kRoundShift = 26;
-  static constexpr uint32_t kFillMask = (uint32_t{1} << kRoundShift) - 1;
   // slab_ref_ encoding: top bit = nursery tier, low 31 bits = slot index
   // within the tier; all-ones = row reclaimed (on the row free list).
   static constexpr uint32_t kNurseryFlag = 0x80000000u;
@@ -383,11 +375,6 @@ class ArenaSmbEngine {
   void MergeFlowState(uint64_t flow, std::span<uint64_t> dst_words,
                       uint32_t* dst_meta, std::span<const uint64_t> src_words,
                       uint32_t src_meta, std::span<uint64_t> replay) const;
-  // Deserialize()'s and UpsertFlowState()'s reachability rules: round
-  // bound, morph gate, fill bound, no bits above num_bits, and popcount
-  // equal to round * T + ones.
-  bool ReachableState(uint32_t round, uint32_t ones,
-                      std::span<const uint64_t> words) const;
 
   // The estimate as a pure function of the packed morph metadata — the
   // whole reason frozen flows can be queried without decoding their

@@ -4,7 +4,6 @@
 
 #include "common/bit_util.h"
 #include "common/macros.h"
-#include "parallel/numa_topology.h"
 #include "hash/batch_hash.h"
 #include "hash/murmur3.h"
 
@@ -20,23 +19,16 @@ constexpr uint64_t kShardSalt = 0x8AD93F10B2C66E45ULL;
 ShardedFlowMonitor::ShardedFlowMonitor(const ArenaSmbEngine::Config& config,
                                        size_t num_shards) {
   SMB_CHECK_MSG(num_shards >= 1, "need at least one shard");
-  const NumaTopology& topology = DetectNumaTopology();
-  const bool spread_nodes =
-      config.tuning.numa_shards && topology.multi_node();
   // Even budget split; the first (total % shards) shards carry the
   // remainder byte each so shard budgets sum to the monitor budget.
   const size_t total_budget = config.tuning.memory_budget_bytes;
   shards_.reserve(num_shards);
-  shard_nodes_.reserve(num_shards);
   for (size_t k = 0; k < num_shards; ++k) {
     ArenaSmbEngine::Config shard_config = config;
     if (total_budget > 0) {
       shard_config.tuning.memory_budget_bytes =
           total_budget / num_shards + (k < total_budget % num_shards ? 1 : 0);
     }
-    const int node = spread_nodes ? topology.NodeForShard(k) : -1;
-    if (node >= 0) shard_config.tuning.numa_node = node;
-    shard_nodes_.push_back(node);
     shards_.emplace_back(shard_config);
   }
 }
@@ -102,7 +94,6 @@ ArenaSmbEngine::ArenaStats ShardedFlowMonitor::Stats() const {
     into->mapped_bytes += s.mapped_bytes;
     into->hugetlb_bytes += s.hugetlb_bytes;
     into->thp_advised_bytes += s.thp_advised_bytes;
-    into->numa_bound_bytes += s.numa_bound_bytes;
   };
   for (const auto& shard : shards_) {
     const ArenaSmbEngine::ArenaStats s = shard.Stats();

@@ -29,10 +29,7 @@ class ShardedFlowMonitor {
  public:
   // `config.tuning` is interpreted monitor-wide and translated per shard:
   // a memory budget is split evenly across shards (each shard evicts
-  // against its slice), and with tuning.numa_shards set, shards are
-  // assigned round-robin to the online NUMA nodes — every shard's slabs
-  // bind to its node and NumaNodeOfShard exposes the assignment for
-  // consumer-thread pinning.
+  // against its slice).
   ShardedFlowMonitor(const ArenaSmbEngine::Config& config,
                      size_t num_shards);
 
@@ -43,10 +40,6 @@ class ShardedFlowMonitor {
 
   size_t num_shards() const { return shards_.size(); }
   size_t ShardOf(uint64_t flow) const;
-
-  // The NUMA node shard k's slabs are bound to; -1 when NUMA placement
-  // is off or the machine has a single node.
-  int NumaNodeOfShard(size_t k) const { return shard_nodes_[k]; }
 
   // Direct shard access; each shard must be touched by at most one
   // thread at a time.
@@ -85,7 +78,6 @@ class ShardedFlowMonitor {
 
  private:
   std::vector<ArenaSmbEngine> shards_;
-  std::vector<int> shard_nodes_;
 };
 
 }  // namespace smb

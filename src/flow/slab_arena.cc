@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/bit_util.h"
-#include "parallel/numa_topology.h"
 
 #ifdef __linux__
 #include <sys/mman.h>
@@ -92,10 +91,6 @@ void* SlabAlloc::Map(size_t bytes) {
       }
 #endif
     }
-  }
-  if (options_.numa_node >= 0 &&
-      BindMemoryToNode(chunk.base, chunk.bytes, options_.numa_node)) {
-    stats_.numa_bound_bytes += chunk.bytes;
   }
 #else
   const size_t page_bytes = RoundUp(bytes, kPageBytes);

@@ -21,9 +21,6 @@
 //     normal mapping with madvise(MADV_HUGEPAGE) (transparent
 //     hugepages); on kernels without either, a plain mapping. Stats
 //     record which tier each byte landed in.
-//   * numa_node >= 0: each chunk is mbind(MPOL_PREFERRED)-bound to the
-//     node via parallel/numa_topology.h, with silent fallback when the
-//     syscall is unavailable.
 //
 // Accounting: ResidentBytes() reports mapped bytes (the address-space
 // the arena holds; an upper bound on RSS since untouched pages of a
@@ -49,19 +46,16 @@ struct SlabAllocOptions {
   // Request MAP_HUGETLB chunks, falling back to madvise(MADV_HUGEPAGE),
   // falling back to plain pages.
   bool try_hugepages = false;
-  // Preferred NUMA node for every chunk; -1 leaves the kernel default.
-  int numa_node = -1;
 };
 
 struct SlabAllocStats {
   size_t mapped_bytes = 0;       // total address space mapped
   size_t hugetlb_bytes = 0;      // backed by explicit MAP_HUGETLB pages
   size_t thp_advised_bytes = 0;  // madvise(MADV_HUGEPAGE) accepted
-  size_t numa_bound_bytes = 0;   // mbind to the preferred node succeeded
 };
 
 // Chunked page allocator: maps private anonymous chunks with the
-// hugepage/NUMA fallback chain above and owns them until destruction.
+// hugepage fallback chain above and owns them until destruction.
 // Individual chunks are never unmapped early — the arena's free list
 // recycles slots instead, so addresses handed out stay valid.
 class SlabAlloc {

@@ -22,7 +22,6 @@
 //   size_t num_shards() const;
 //   size_t ShardOf(const Item&) const;
 //   void RecordShardRun(size_t k, std::span<const Item> run);
-//   int NumaNodeOfShard(size_t k) const;       // -1: leave unpinned
 //   int GateRank(size_t k, const Item&) const; // shard k's gate rank
 //
 // Each shard is touched by exactly one consumer thread, so the sink needs
@@ -43,7 +42,6 @@
 
 #include "common/macros.h"
 #include "hash/batch_hash.h"
-#include "parallel/numa_topology.h"
 #include "parallel/overload_policy.h"
 #include "parallel/spsc_ring.h"
 #include "telemetry/metrics.h"
@@ -211,11 +209,6 @@ ShardPipelineStats ShardPipeline<Sink>::Record(std::span<const Item> items) {
   };
 
   auto consumer_main = [&](size_t k) {
-    // NUMA-aware runs: the consumer mutating shard k runs on the node
-    // shard k's memory is bound to. Best-effort — pinning failures leave
-    // the default affinity.
-    const int node = sink_->NumaNodeOfShard(k);
-    if (node >= 0) PinCurrentThreadToNode(node);
     std::vector<Item> chunk(kDrainChunk);
     // Drain producers in index order. Producer p's ring is finished once
     // its done flag was up BEFORE a pop that came back empty.

@@ -97,8 +97,6 @@ class ShardedEstimator {
   void RecordShardRun(size_t k, std::span<const uint64_t> run) {
     shards_[k]->AddBatch(run);
   }
-  // Shard estimators are plain heap objects: no NUMA placement.
-  int NumaNodeOfShard(size_t) const { return -1; }
   // The geometric rank shard k's sampling gate computes for `item`:
   // GeometricRank(ItemHash128(item, ShardSeed(k)).hi).
   int GateRank(size_t k, uint64_t item) const;

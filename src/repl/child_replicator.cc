@@ -3,8 +3,10 @@
 #include <poll.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "codec/smbz1.h"
+#include "common/macros.h"
 #include "fault/failpoints.h"
 #include "telemetry/metrics_registry.h"
 
@@ -27,6 +29,7 @@ ChildReplicator::ChildReplicator(const ArenaSmbEngine* engine,
       options_(options),
       spool_(options.spool),
       jitter_(options.jitter_seed ^ options.child_id) {
+  SMB_CHECK(options.codec_mask == kCodecSmbz1);
   // A restarted child must never reuse a sequence number the parent may
   // already hold: resume past everything the spool has seen.
   next_seq_ = spool_.NextSeqFloor();
@@ -47,19 +50,17 @@ ChildReplicator::ChildReplicator(const ArenaSmbEngine* engine,
 ChildReplicator::CutStatus ChildReplicator::CutDelta(std::string* error) {
   if (dirty_.empty()) return CutStatus::kEmpty;
   const std::vector<uint64_t> flows = SortedFlows(dirty_);
-  std::vector<uint8_t> payload = engine_->SerializeFlows(flows);
-  const size_t raw_bytes = payload.size();
-  if ((options_.codec_mask & kCodecSmbz1) != 0) {
-    // Spool compressed: the spool shrinks with the wire, and a delta is
-    // compressed once per cut, not once per (re)transmission.
-    if (std::optional<std::vector<uint8_t>> packed =
-            codec::CompressFlw1Image(payload);
-        packed.has_value()) {
-      payload = std::move(*packed);
-    }
+  const std::vector<uint8_t> raw = engine_->SerializeFlows(flows);
+  // Spool compressed: the spool shrinks with the wire, and a delta is
+  // compressed once per cut, not once per (re)transmission.
+  const std::optional<std::vector<uint8_t>> payload =
+      codec::CompressFlw1Image(raw);
+  if (!payload.has_value()) {
+    *error = "SMBZ1 compression of a delta failed";
+    return CutStatus::kError;
   }
   const DeltaSpool::AppendStatus status =
-      spool_.Append(next_seq_, payload, error);
+      spool_.Append(next_seq_, *payload, error);
   switch (status) {
     case DeltaSpool::AppendStatus::kOk:
       break;
@@ -81,14 +82,14 @@ ChildReplicator::CutStatus ChildReplicator::CutDelta(std::string* error) {
   const uint64_t seq = next_seq_++;
   dirty_.clear();
   ++stats_.deltas_cut;
-  stats_.delta_raw_bytes += raw_bytes;
-  stats_.delta_stored_bytes += payload.size();
+  stats_.delta_raw_bytes += raw.size();
+  stats_.delta_stored_bytes += payload->size();
   {
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.GetCounter("repl_child_delta_raw_bytes_total")
-        ->Add(raw_bytes);
+        ->Add(raw.size());
     registry.GetCounter("repl_child_delta_bytes_total")
-        ->Add(payload.size());
+        ->Add(payload->size());
     if (stats_.delta_stored_bytes > 0) {
       registry.GetGauge("repl_wire_compression_ratio_milli")
           ->Set(static_cast<int64_t>(stats_.delta_raw_bytes * 1000 /
@@ -105,7 +106,6 @@ void ChildReplicator::EnterBackoff(uint64_t now_ms) {
   outbox_.clear();
   send_queue_.clear();
   close_after_flush_ = false;
-  negotiated_mask_ = 0;
   state_ = State::kBackoff;
   backoff_ms_ = backoff_ms_ == 0
                     ? options_.backoff_initial_ms
@@ -146,11 +146,8 @@ void ChildReplicator::OnConnected(uint64_t now_ms) {
   hello.child_id = options_.child_id;
   hello.seq = next_seq_;
   const auto& config = engine_->config();
-  HelloPayload payload;
-  payload.fingerprint = {config.num_bits, config.threshold,
-                         config.base_seed};
-  payload.codec_mask = options_.codec_mask;
-  hello.payload = EncodeHello(payload);
+  hello.payload = EncodeFingerprint(
+      {config.num_bits, config.threshold, config.base_seed});
   QueueFrame(hello);
   PumpSend(now_ms);
 }
@@ -169,26 +166,6 @@ void ChildReplicator::QueueDeltaFrame(uint64_t seq, uint64_t now_ms) {
     // the accounting keeps the loss visible via the spool recovery drop
     // counter. Extremely cold path (requires on-disk corruption mid-run).
     return;
-  }
-  // The spool may hold a different framing than this session
-  // negotiated: compressed segments from a codec-on run against a
-  // parent that only takes raw, or raw segments from a codec-off run
-  // against a parent that accepted SMBZ1. Transcode at the send
-  // boundary so the wire always matches the negotiation.
-  const bool compressed = codec::IsSmbz1Image(payload);
-  const bool peer_takes_smbz1 = (negotiated_mask_ & kCodecSmbz1) != 0;
-  if (compressed && !peer_takes_smbz1) {
-    std::optional<std::vector<uint8_t>> raw =
-        codec::DecompressToFlw1Image(payload);
-    if (!raw.has_value()) return;  // spool rot; same policy as above
-    payload = std::move(*raw);
-  } else if (!compressed && peer_takes_smbz1 &&
-             (options_.codec_mask & kCodecSmbz1) != 0) {
-    if (std::optional<std::vector<uint8_t>> packed =
-            codec::CompressFlw1Image(payload);
-        packed.has_value()) {
-      payload = std::move(*packed);
-    }
   }
   Frame frame;
   frame.type = FrameType::kDelta;
@@ -294,15 +271,6 @@ void ChildReplicator::HandleIncoming(uint64_t now_ms) {
     switch (frame.type) {
       case FrameType::kHelloAck:
         if (state_ == State::kAwaitHelloAck) {
-          uint64_t accepted = 0;
-          if (!DecodeCodecMask(frame.payload, &accepted)) {
-            // A malformed hello-ack payload means a confused peer.
-            EnterBackoff(now_ms);
-            return;
-          }
-          // Only bits we offered count; a parent cannot talk us into a
-          // codec we never advertised.
-          negotiated_mask_ = accepted & options_.codec_mask;
           HandleAck(frame.seq);
           // The parent may know a higher floor than the spool does
           // (e.g. the spool directory was lost): never step back into

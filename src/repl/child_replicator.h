@@ -3,9 +3,9 @@
 //
 // The child records through its own ArenaSmbEngine as usual and tells
 // the replicator which flows changed (NoteRecorded). CutDelta() then
-// snapshots the dirty set into one FLW1 delta (SerializeFlows), assigns
-// it the next sequence number, and spools it to disk BEFORE it is ever
-// offered to the socket — the spool is the retransmit buffer, so a
+// snapshots the dirty set into one FLW1 image (SerializeFlows),
+// compresses it to SMBZ1, assigns it the next sequence number, and
+// spools it to disk BEFORE it is ever offered to the socket — the spool is the retransmit buffer, so a
 // parent outage degrades to local buffering and a child restart resumes
 // from disk.
 //
@@ -88,15 +88,11 @@ class ChildReplicator {
     uint64_t heartbeat_interval_ms = 200;
     // Seed for backoff jitter (deterministic in tests).
     uint64_t jitter_seed = 0x5eed;
-    // Codec capability bits (wire_format.h) this child may use for
-    // delta payloads and its spool. 0 (the default) keeps the legacy
-    // raw-FLW1 behavior AND the legacy 24-byte hello, so a child with
-    // the codec off interoperates with pre-codec parents. With
-    // kCodecSmbz1 set, cut deltas are spooled compressed; on the wire
-    // they are sent compressed only when the parent negotiated the
-    // codec back, and are transparently decompressed for a parent that
-    // did not (e.g. after a restart with a downgraded peer).
-    uint64_t codec_mask = 0;
+    // Delta payload encoding. Deltas are always SMBZ1 (wire_format.h),
+    // so kCodecSmbz1 is the only accepted value and construction fails
+    // on any other. The field remains so callers that set it explicitly
+    // keep compiling.
+    uint64_t codec_mask = kCodecSmbz1;
   };
 
   enum class State : uint8_t {
@@ -111,7 +107,7 @@ class ChildReplicator {
     kEmpty,      // no dirty flows, nothing to cut
     kShed,       // budget refused; delta dropped (kDropNew)
     kDeferred,   // budget refused; dirty set retained (kRetry)
-    kError,      // spool IO failure
+    kError,      // spool IO failure or compression failure
   };
 
   struct Stats {
@@ -128,8 +124,7 @@ class ChildReplicator {
     size_t spooled_deltas = 0;
     size_t spooled_bytes = 0;
     // Codec accounting over every cut delta: FLW1 bytes before the
-    // codec vs bytes actually spooled (equal when the codec is off or
-    // a payload stayed raw).
+    // codec vs SMBZ1 bytes actually spooled.
     uint64_t delta_raw_bytes = 0;
     uint64_t delta_stored_bytes = 0;
   };
@@ -161,9 +156,6 @@ class ChildReplicator {
   bool connected() const { return state_ == State::kStreaming; }
   uint64_t acked_seq() const { return spool_.TrimmedHighWater(); }
   uint64_t next_seq() const { return next_seq_; }
-  // Codec bits the current session's parent accepted; 0 outside
-  // kStreaming or against a pre-codec parent.
-  uint64_t negotiated_codec_mask() const { return negotiated_mask_; }
   size_t dirty_flows() const { return dirty_.size(); }
   // True when every cut delta has been delivered and acked.
   bool Drained() const {
@@ -204,7 +196,6 @@ class ChildReplicator {
   uint64_t delay_until_ms_ = 0;  // repl.frame.delay hold
   uint64_t last_send_ms_ = 0;
   uint64_t highest_sent_seq_ = 0;
-  uint64_t negotiated_mask_ = 0;  // per-session; reset on disconnect
   Xoshiro256 jitter_;
 
   Stats stats_;

@@ -16,7 +16,7 @@ namespace {
 // Parent checkpoint payload (inside the CheckpointStore's CRC framing):
 //   magic "SMBRPAR1" (8 bytes) | u64 num_children
 //   per child: u64 child_id | u64 high_water | u64 snapshot_len
-//              | snapshot bytes (ArenaSmbEngine FLW1 image)
+//              | snapshot bytes (replica FLW1 image, SMBZ1-compressed)
 constexpr char kParentMagic[8] = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
 
 // The recording geometry two engines must share to merge.
@@ -84,19 +84,14 @@ void ReplicationSink::RecoverFromCheckpoint() {
         snap_len > payload.size() - pos) {
       return;  // torn inner layout: keep the clean-start state
     }
-    std::vector<uint8_t> snapshot(
-        payload.begin() + static_cast<long>(pos),
-        payload.begin() + static_cast<long>(pos + snap_len));
+    const std::span<const uint8_t> snapshot(payload.data() + pos, snap_len);
     pos += snap_len;
-    // Snapshots are stored either raw (pre-codec checkpoints, or
-    // compress_checkpoints off) or SMBZ1-framed; sniff the magic so a
-    // restart straddling a config flip recovers both.
-    if (codec::IsSmbz1Image(snapshot)) {
-      auto raw = codec::DecompressToFlw1Image(snapshot);
-      if (!raw.has_value()) return;
-      snapshot = std::move(*raw);
-    }
-    auto replica = ArenaSmbEngine::Deserialize(snapshot);
+    // Replicas are stored SMBZ1 only. Anything else (a raw FLW1 image
+    // included) is not a checkpoint this sink wrote: start clean, the
+    // same as for a geometry mismatch below.
+    const auto raw = codec::DecompressToFlw1Image(snapshot);
+    if (!raw.has_value()) return;
+    auto replica = ArenaSmbEngine::Deserialize(*raw);
     // A replica recorded under another geometry could never merge with
     // this sink's config or its children's deltas: start clean instead.
     if (!replica.has_value() ||
@@ -133,20 +128,20 @@ bool ReplicationSink::MaybeCheckpoint() {
   uint64_t snapshot_raw_bytes = 0;
   uint64_t snapshot_stored_bytes = 0;
   for (const auto& [child_id, child] : children_) {
-    std::vector<uint8_t> snapshot = child.replica->Serialize();
-    snapshot_raw_bytes += snapshot.size();
-    if (options_.compress_checkpoints) {
-      // A failed compress (never expected for our own Serialize output)
-      // falls back to the raw snapshot — durability beats density.
-      if (auto packed = codec::CompressFlw1Image(snapshot)) {
-        snapshot = std::move(*packed);
-      }
+    const std::vector<uint8_t> raw = child.replica->Serialize();
+    const auto snapshot = codec::CompressFlw1Image(raw);
+    if (!snapshot.has_value()) {
+      // Never expected for our own Serialize output; hold acks back
+      // rather than persist a replica in any other encoding.
+      ++stats_.checkpoint_failures;
+      return false;
     }
-    snapshot_stored_bytes += snapshot.size();
+    snapshot_raw_bytes += raw.size();
+    snapshot_stored_bytes += snapshot->size();
     AppendU64(&payload, child_id);
     AppendU64(&payload, child.sequencer->high_water());
-    AppendU64(&payload, snapshot.size());
-    payload.insert(payload.end(), snapshot.begin(), snapshot.end());
+    AppendU64(&payload, snapshot->size());
+    payload.insert(payload.end(), snapshot->begin(), snapshot->end());
   }
   const io::CheckpointStore::WriteResult result =
       checkpoints_->Write(payload);
@@ -175,24 +170,12 @@ bool ReplicationSink::MaybeCheckpoint() {
 
 bool ReplicationSink::ApplyDeltaPayload(
     ChildState& child, const std::vector<uint8_t>& payload) {
-  // Delta payloads are content-sniffed rather than gated on the
-  // negotiated mask: the mask governs what a child is ALLOWED to send,
-  // but a payload that fails its CRC or decodes inconsistently is
-  // rejected below either way, so sniffing adds no trust.
-  const std::vector<uint8_t>* raw = &payload;
-  std::vector<uint8_t> decompressed;
-  if (codec::IsSmbz1Image(payload)) {
-    auto expanded = codec::DecompressToFlw1Image(payload);
-    if (!expanded.has_value()) return false;
-    decompressed = std::move(*expanded);
-    raw = &decompressed;
-    ++stats_.compressed_deltas;
-    telemetry::MetricsRegistry::Global()
-        .GetCounter("repl_parent_compressed_deltas_total")
-        ->Add();
-  }
-  // Full FLW1 validation (checksum, reachability, popcount identity)
+  // Deltas travel SMBZ1 only: a payload that does not decompress (a raw
+  // FLW1 image included) is rejected. The FLW1 image it decodes to then
+  // clears full validation (checksum, reachability, popcount identity)
   // before any replica row is touched.
+  const auto raw = codec::DecompressToFlw1Image(payload);
+  if (!raw.has_value()) return false;
   auto delta = ArenaSmbEngine::Deserialize(*raw);
   if (!delta.has_value()) return false;
   if (!child.replica->CanMergeWith(*delta)) return false;
@@ -237,8 +220,7 @@ void ReplicationSink::ApplyReady(ChildState& child) {
 }
 
 void ReplicationSink::SendAck(size_t conn_index, uint64_t child_id,
-                              uint64_t high_water, FrameType type,
-                              std::vector<uint8_t> payload) {
+                              uint64_t high_water, FrameType type) {
   // Injected ack loss: the child's cumulative-ack + heartbeat-ack repair
   // path has to absorb it.
   const auto drop = SMB_FAILPOINT("repl.ack.drop");
@@ -250,7 +232,6 @@ void ReplicationSink::SendAck(size_t conn_index, uint64_t child_id,
   ack.type = type;
   ack.child_id = child_id;
   ack.seq = high_water;
-  ack.payload = std::move(payload);
   const std::vector<uint8_t> bytes = EncodeFrame(ack);
   Conn& conn = conns_[conn_index];
   conn.outbox.insert(conn.outbox.end(), bytes.begin(), bytes.end());
@@ -290,12 +271,9 @@ void ReplicationSink::HandleFrame(size_t conn_index, Frame frame,
   ++stats_.frames_received;
   Conn& conn = conns_[conn_index];
   if (frame.type == FrameType::kHello) {
-    HelloPayload hello;
-    // DecodeHello accepts both the legacy 24-byte fingerprint-only hello
-    // (codec_mask decodes as 0) and the extended form carrying the
-    // child's codec capability bits.
-    if (!DecodeHello(frame.payload, &hello) ||
-        hello.fingerprint != FingerprintOf(options_.engine_config)) {
+    GeometryFingerprint fingerprint;
+    if (!DecodeFingerprint(frame.payload, &fingerprint) ||
+        fingerprint != FingerprintOf(options_.engine_config)) {
       ++stats_.rejected_hellos;
       DropConn(conn_index);
       return;
@@ -311,16 +289,8 @@ void ReplicationSink::HandleFrame(size_t conn_index, Frame frame,
     child.last_seen_ms = now_ms;
     conn.bound = true;
     conn.bound_child = frame.child_id;
-    // Reply with the accepted codec bits — but only to a child that sent
-    // the extended hello. A legacy child gets the legacy empty-payload
-    // hello-ack it expects (it would not read a mask anyway, and keeping
-    // the ack byte-identical pins the old wire contract).
-    std::vector<uint8_t> ack_payload;
-    if (hello.codec_mask != 0) {
-      ack_payload = EncodeCodecMask(hello.codec_mask & options_.codec_mask);
-    }
     SendAck(conn_index, frame.child_id, child.persisted_high_water,
-            FrameType::kHelloAck, std::move(ack_payload));
+            FrameType::kHelloAck);
     return;
   }
   // Everything else requires a bound session whose child id matches.

@@ -12,8 +12,9 @@
 //
 // Robustness contract:
 //   * every frame clears two CRC layers (wire framing) and every delta
-//     payload additionally clears the full FLW1 validation rules before
-//     any replica is touched — a torn/corrupt/implausible delivery
+//     payload must be an SMBZ1 image that decodes to an FLW1 image
+//     clearing the full FLW1 validation rules before any replica is
+//     touched — a torn/corrupt/implausible delivery
 //     recycles the connection without poisoning merged state;
 //   * per-child strict in-order apply over a DeltaSequencer: duplicates
 //     are dropped and re-acked, small reorderings are buffered, large
@@ -64,15 +65,6 @@ class ReplicationSink {
     size_t reorder_window = 64;
     // A child with no frame for this long is reported not-alive.
     uint64_t child_timeout_ms = 2000;
-    // Codec capability bits (wire_format.h) this parent accepts from
-    // children. Accepting costs nothing when no child uses it (delta
-    // payloads are content-sniffed), so SMBZ1 is on by default; clear
-    // the bit to force every negotiation down to raw FLW1.
-    uint64_t codec_mask = kCodecSmbz1;
-    // Store per-child replica snapshots SMBZ1-compressed inside the
-    // parent checkpoint. Recovery accepts both framings either way, so
-    // flipping this never strands an existing checkpoint.
-    bool compress_checkpoints = true;
   };
 
   struct ChildInfo {
@@ -94,7 +86,7 @@ class ReplicationSink {
     uint64_t deltas_applied = 0;
     uint64_t dup_dropped = 0;
     uint64_t rejected_frames = 0;    // decoder-poisoning deliveries
-    uint64_t rejected_payloads = 0;  // framed fine, FLW1-invalid
+    uint64_t rejected_payloads = 0;  // framed fine, not valid SMBZ1/FLW1
     uint64_t rejected_hellos = 0;    // geometry mismatch
     uint64_t acks_sent = 0;
     uint64_t acks_dropped = 0;       // repl.ack.drop
@@ -102,9 +94,6 @@ class ReplicationSink {
     uint64_t conns_dropped = 0;
     uint64_t checkpoints_written = 0;
     uint64_t checkpoint_failures = 0;
-    // Delta payloads that arrived SMBZ1-compressed (and decompressed
-    // cleanly); rejected_payloads counts the ones that did not.
-    uint64_t compressed_deltas = 0;
   };
 
   explicit ReplicationSink(const Options& options);
@@ -171,7 +160,7 @@ class ReplicationSink {
   bool ApplyDeltaPayload(ChildState& child,
                          const std::vector<uint8_t>& payload);
   void SendAck(size_t conn_index, uint64_t child_id, uint64_t high_water,
-               FrameType type, std::vector<uint8_t> payload = {});
+               FrameType type);
   void DropConn(size_t conn_index);
   void FlushConn(size_t conn_index);
   // Persists every replica + high-water; on success advances the

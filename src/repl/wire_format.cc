@@ -34,39 +34,6 @@ bool DecodeFingerprint(std::span<const uint8_t> payload,
   return true;
 }
 
-std::vector<uint8_t> EncodeHello(const HelloPayload& hello) {
-  std::vector<uint8_t> out = EncodeFingerprint(hello.fingerprint);
-  if (hello.codec_mask != 0) AppendU64(&out, hello.codec_mask);
-  return out;
-}
-
-bool DecodeHello(std::span<const uint8_t> payload, HelloPayload* hello) {
-  if (payload.size() != 24 && payload.size() != 32) return false;
-  if (!DecodeFingerprint(payload.first(24), &hello->fingerprint)) {
-    return false;
-  }
-  hello->codec_mask =
-      payload.size() == 32 ? LoadU64(payload.data() + 24) : 0;
-  return true;
-}
-
-std::vector<uint8_t> EncodeCodecMask(uint64_t mask) {
-  std::vector<uint8_t> out;
-  out.reserve(8);
-  AppendU64(&out, mask);
-  return out;
-}
-
-bool DecodeCodecMask(std::span<const uint8_t> payload, uint64_t* mask) {
-  if (payload.empty()) {
-    *mask = 0;  // legacy parent: no codec payload means raw only
-    return true;
-  }
-  if (payload.size() != 8) return false;
-  *mask = LoadU64(payload.data());
-  return true;
-}
-
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   std::vector<uint8_t> out;
   out.reserve(kWireHeaderBytes + frame.payload.size() +

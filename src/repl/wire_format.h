@@ -21,12 +21,14 @@
 //   kHello      child -> parent, opens a session. payload = geometry
 //               fingerprint (num_bits, threshold, base_seed as 3 u64);
 //               seq = the child's next unassigned sequence number.
-//   kHelloAck   parent -> child. seq = the parent's PERSISTED high-water
-//               for this child (acks never outrun the checkpoint, so a
-//               parent kill + restart loses no acked delta).
-//   kDelta      child -> parent. payload = FLW1 snapshot of the delta's
-//               dirty flows (ArenaSmbEngine::SerializeFlows); seq = the
-//               delta's sequence number, consecutive per child.
+//   kHelloAck   parent -> child, empty payload. seq = the parent's
+//               PERSISTED high-water for this child (acks never outrun
+//               the checkpoint, so a parent kill + restart loses no
+//               acked delta).
+//   kDelta      child -> parent. payload = SMBZ1 image of the FLW1
+//               snapshot of the delta's dirty flows
+//               (ArenaSmbEngine::SerializeFlows); seq = the delta's
+//               sequence number, consecutive per child.
 //   kAck        parent -> child. seq = persisted high-water; cumulative,
 //               so a lost ack is repaired by the next one.
 //   kHeartbeat  child -> parent, idle keepalive. seq = newest assigned
@@ -52,7 +54,7 @@ inline constexpr uint8_t kWireVersion = 1;
 // payload_len 4 (= 32) + header_crc 4.
 inline constexpr size_t kWireHeaderBytes = 36;
 inline constexpr size_t kWirePayloadCrcBytes = 4;
-// A delta payload is one FLW1 image; anything claiming more than this is
+// A delta payload is one SMBZ1 image; anything claiming more than this is
 // a corrupt header, not a frame worth buffering.
 inline constexpr uint32_t kWireMaxPayloadBytes = 1u << 28;
 
@@ -86,40 +88,12 @@ std::vector<uint8_t> EncodeFingerprint(const GeometryFingerprint& fp);
 bool DecodeFingerprint(std::span<const uint8_t> payload,
                        GeometryFingerprint* fp);
 
-// Codec capability bits negotiated at session open (DESIGN.md §17).
-// A child advertises the codecs it can *send* in kHello; the parent
-// answers with the intersection it accepts in kHelloAck. Delta payloads
-// may then use any accepted codec; mask 0 means raw FLW1 only.
+// The delta payload encoding (DESIGN.md §17). SMBZ1 is the only form in
+// which per-flow state crosses the wire: every kDelta payload is an
+// SMBZ1 image of FLW1 records, and a parent rejects anything else. The
+// constant survives only as the value of ChildReplicator::Options::
+// codec_mask, which callers may still set but not to anything else.
 inline constexpr uint64_t kCodecSmbz1 = uint64_t{1} << 0;
-
-// kHello payload = geometry fingerprint, optionally followed by the
-// codec capability mask. Encoding rules keep old and new peers
-// interoperable in both directions:
-//
-//   * codec_mask == 0 encodes as the legacy 24-byte fingerprint —
-//     byte-identical to what pre-codec children sent, so an old parent
-//     accepts a new child that has the codec turned off.
-//   * codec_mask != 0 encodes as 32 bytes (fingerprint + u64 mask). An
-//     old parent rejects the unknown length and drops the session —
-//     which is why ChildReplicator only advertises when configured to.
-//
-// A new parent decodes both lengths; absence of the mask means 0.
-struct HelloPayload {
-  GeometryFingerprint fingerprint;
-  uint64_t codec_mask = 0;
-
-  bool operator==(const HelloPayload&) const = default;
-};
-
-std::vector<uint8_t> EncodeHello(const HelloPayload& hello);
-bool DecodeHello(std::span<const uint8_t> payload, HelloPayload* hello);
-
-// kHelloAck payload: the parent's accepted codec mask as one u64. The
-// parent sends it only in reply to an extended hello; legacy children
-// get the legacy empty payload (they ignore payloads on acks anyway).
-// An empty payload decodes as mask 0 — the old-parent case.
-std::vector<uint8_t> EncodeCodecMask(uint64_t mask);
-bool DecodeCodecMask(std::span<const uint8_t> payload, uint64_t* mask);
 
 // The complete wire image of one frame (header + payload + payload CRC).
 std::vector<uint8_t> EncodeFrame(const Frame& frame);

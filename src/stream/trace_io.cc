@@ -1,6 +1,8 @@
 #include "stream/trace_io.h"
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -94,15 +96,13 @@ std::optional<Trace> ReadTraceFile(const std::string& path) {
   return trace;
 }
 
-namespace {
-
-// Parses one u64 field (decimal or 0x-hex), trimming whitespace.
-bool ParseU64Field(const std::string& field, uint64_t* out) {
-  size_t begin = field.find_first_not_of(" \t\r");
-  if (begin == std::string::npos) return false;
-  size_t end = field.find_last_not_of(" \t\r");
-  const std::string token = field.substr(begin, end - begin + 1);
-  if (token.empty()) return false;
+bool ParseCsvField(std::string_view field, uint64_t* out) {
+  const size_t begin = field.find_first_not_of(" \t\r");
+  if (begin == std::string_view::npos) return false;
+  const size_t end = field.find_last_not_of(" \t\r");
+  const std::string token(field.substr(begin, end - begin + 1));
+  // strtoull would take a sign (and negate "-1" into 2^64 - 1).
+  if (token[0] < '0' || token[0] > '9') return false;
   errno = 0;
   char* parse_end = nullptr;
   const int base =
@@ -118,8 +118,6 @@ bool ParseU64Field(const std::string& field, uint64_t* out) {
   *out = v;
   return true;
 }
-
-}  // namespace
 
 std::optional<Trace> ParseCsvTrace(const std::string& csv_text,
                                    size_t* error_line) {
@@ -140,8 +138,10 @@ std::optional<Trace> ParseCsvTrace(const std::string& csv_text,
     uint64_t flow_key = 0;
     uint64_t element = 0;
     if (comma == std::string::npos ||
-        !ParseU64Field(line.substr(0, comma), &flow_key) ||
-        !ParseU64Field(line.substr(comma + 1), &element)) {
+        !ParseCsvField(std::string_view(line).substr(0, comma),
+                       &flow_key) ||
+        !ParseCsvField(std::string_view(line).substr(comma + 1),
+                       &element)) {
       if (error_line != nullptr) *error_line = line_number;
       return std::nullopt;
     }

@@ -11,8 +11,10 @@
 #ifndef SMBCARD_STREAM_TRACE_IO_H_
 #define SMBCARD_STREAM_TRACE_IO_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "stream/trace_gen.h"
 
@@ -24,6 +26,12 @@ bool WriteTraceFile(const Trace& trace, const std::string& path);
 // Reads a trace written by WriteTraceFile. nullopt on malformed input or
 // I/O failure.
 std::optional<Trace> ReadTraceFile(const std::string& path);
+
+// Parses one CSV field as a u64: decimal, or hex after a 0x prefix, with
+// surrounding spaces, tabs and CRs trimmed. An empty field, a sign,
+// trailing junk or an out-of-range value is rejected. Every reader of
+// `flow,element` lines (ParseCsvTrace, smbcard --per-flow) uses it.
+bool ParseCsvField(std::string_view field, uint64_t* out);
 
 // Parses `flow,element` CSV text into a Trace. Lines starting with '#'
 // and blank lines are skipped; whitespace around fields is tolerated.

@@ -215,7 +215,6 @@ TEST(Smbz1GoldenTest, ParentCheckpointBytesArePinned) {
   sink_options.engine_config = CliGeometry();
   sink_options.checkpoint_dir = (dir / "ckpt").string();
   sink_options.checkpoint_sync = false;
-  sink_options.compress_checkpoints = true;
   {
     repl::ReplicationSink sink(sink_options);
     std::string error;

@@ -107,7 +107,6 @@ class WatchedShards {
   size_t ShardOf(const Packet& packet) const {
     return monitor_->ShardOf(packet);
   }
-  int NumaNodeOfShard(size_t k) const { return monitor_->NumaNodeOfShard(k); }
   int GateRank(size_t k, const Packet& packet) const {
     return monitor_->GateRank(k, packet);
   }

@@ -1,7 +1,7 @@
 // SlabAlloc/SlabArena unit tests: chunked growth with stable slot
 // pointers, zero-filled allocation, free-list recycling, the
 // live-vs-resident accounting split the memory budget depends on, the
-// hugepage fallback chain, and the NUMA topology helpers.
+// and the hugepage fallback chain.
 
 #include "flow/slab_arena.h"
 
@@ -9,8 +9,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "parallel/numa_topology.h"
 
 namespace smb {
 namespace {
@@ -97,44 +95,6 @@ TEST(SlabAllocTest, HugepageRequestFallsBackGracefully) {
   EXPECT_GE(stats.mapped_bytes, size_t{1} << 20);
   EXPECT_LE(stats.hugetlb_bytes + stats.thp_advised_bytes,
             stats.mapped_bytes);
-}
-
-TEST(SlabAllocTest, NumaBindRequestIsSafeOnAnyTopology) {
-  // Node 0 exists everywhere Linux runs; on single-node boxes mbind is
-  // either a no-op success or a clean failure — never a crash, and the
-  // mapping stays usable.
-  SlabAllocOptions options;
-  options.numa_node = 0;
-  SlabAlloc alloc(options);
-  auto* words = static_cast<uint64_t*>(alloc.Map(1 << 16));
-  ASSERT_NE(words, nullptr);
-  words[1] = 9;
-  EXPECT_EQ(words[1], 9u);
-  EXPECT_LE(alloc.stats().numa_bound_bytes, alloc.stats().mapped_bytes);
-}
-
-TEST(NumaTopologyTest, DetectReportsAtLeastOneNode) {
-  const NumaTopology& topology = DetectNumaTopology();
-  ASSERT_GE(topology.nodes.size(), 1u);
-  // Round-robin shard assignment cycles through the node list.
-  const int first = topology.NodeForShard(0);
-  EXPECT_EQ(topology.NodeForShard(topology.nodes.size()), first);
-}
-
-TEST(NumaTopologyTest, ParseCpuListHandlesRangesAndSingles) {
-  EXPECT_EQ(ParseCpuList("0-3"), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(ParseCpuList("0,2,4"), (std::vector<int>{0, 2, 4}));
-  EXPECT_EQ(ParseCpuList("0-1,8-9"), (std::vector<int>{0, 1, 8, 9}));
-  EXPECT_EQ(ParseCpuList("5"), (std::vector<int>{5}));
-  EXPECT_TRUE(ParseCpuList("").empty());
-}
-
-TEST(NumaTopologyTest, PinToCurrentNodeSucceedsOrFailsCleanly) {
-  // Pinning to a real node should normally succeed; pinning to a bogus
-  // node must fail without side effects.
-  const NumaTopology& topology = DetectNumaTopology();
-  PinCurrentThreadToNode(topology.nodes.front());  // no crash
-  EXPECT_FALSE(PinCurrentThreadToNode(4096));
 }
 
 }  // namespace

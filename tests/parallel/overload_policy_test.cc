@@ -362,7 +362,6 @@ class StallingFlowSink {
   size_t ShardOf(const Packet& packet) const {
     return monitor_->ShardOf(packet);
   }
-  int NumaNodeOfShard(size_t) const { return -1; }
   int GateRank(size_t k, const Packet& packet) const {
     return monitor_->GateRank(k, packet);
   }

@@ -1,6 +1,6 @@
 // DeltaSpool: append/read round trips, budget refusal without sequence
 // consumption, monotonic trim + marker persistence, restart recovery,
-// and corrupt-file quarantine.
+// corrupt-file quarantine, and reclaimed-bytes accounting.
 
 #include "repl/delta_spool.h"
 
@@ -184,6 +184,86 @@ TEST_F(DeltaSpoolTest, UnlimitedBudgetNeverRefuses) {
               DeltaSpool::AppendStatus::kOk);
   }
   EXPECT_EQ(spool.PendingCount(), 32u);
+}
+
+// --------------------------------------------------------------------------
+// Spool reclaim accounting.
+
+class DeltaSpoolReclaimTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fs::path(::testing::TempDir()) /
+           ("spool_reclaim_" + std::string(::testing::UnitTest::GetInstance()
+                                               ->current_test_info()
+                                               ->name()));
+    fs::remove_all(dir_);
+  }
+  void TearDown() override { fs::remove_all(dir_); }
+
+  DeltaSpool::Options SpoolOptions() {
+    DeltaSpool::Options options;
+    options.directory = dir_.string();
+    options.sync = false;
+    return options;
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(DeltaSpoolReclaimTest, TrimThroughCountsReclaimedBytes) {
+  DeltaSpool spool(SpoolOptions());
+  std::string error;
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    const std::vector<uint8_t> payload(100 * seq, static_cast<uint8_t>(seq));
+    ASSERT_EQ(spool.Append(seq, payload, &error), DeltaSpool::AppendStatus::kOk)
+        << error;
+  }
+  const size_t total = spool.PendingBytes();
+  EXPECT_EQ(spool.ReclaimedBytes(), 0u);
+
+  spool.TrimThrough(2);
+  EXPECT_EQ(spool.ReclaimedBytes(), total - spool.PendingBytes());
+  const uint64_t after_two = spool.ReclaimedBytes();
+
+  spool.TrimThrough(1);  // monotonic: lower water marks change nothing
+  EXPECT_EQ(spool.ReclaimedBytes(), after_two);
+
+  spool.TrimThrough(3);
+  EXPECT_EQ(spool.ReclaimedBytes(), total);
+  EXPECT_EQ(spool.PendingBytes(), 0u);
+  EXPECT_EQ(spool.PendingCount(), 0u);
+}
+
+TEST_F(DeltaSpoolReclaimTest, RecoverSweepsStaleAckedFiles) {
+  const fs::path stash = dir_.string() + ".stash";
+  uint64_t stale_size = 0;
+  {
+    DeltaSpool spool(SpoolOptions());
+    std::string error;
+    const std::vector<uint8_t> payload(200, 0xAB);
+    ASSERT_EQ(spool.Append(1, payload, &error),
+              DeltaSpool::AppendStatus::kOk);
+    // Stash the spooled file, then ack it away.
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      fs::create_directories(stash);
+      fs::copy_file(entry.path(), stash / entry.path().filename());
+      stale_size = static_cast<uint64_t>(fs::file_size(entry.path()));
+    }
+    ASSERT_GT(stale_size, 0u);
+    spool.TrimThrough(1);
+    EXPECT_EQ(spool.ReclaimedBytes(), stale_size);
+    // Resurrect the acked file: this is the crash shape where unlink
+    // didn't land but the trim marker did.
+    for (const auto& entry : fs::directory_iterator(stash)) {
+      fs::copy_file(entry.path(), dir_ / entry.path().filename());
+    }
+  }
+  // A fresh spool's Recover() sweeps the stale file and accounts for it.
+  DeltaSpool reborn(SpoolOptions());
+  EXPECT_EQ(reborn.PendingCount(), 0u);
+  EXPECT_EQ(reborn.ReclaimedBytes(), stale_size);
+  EXPECT_EQ(reborn.TrimmedHighWater(), 1u);
+  fs::remove_all(stash);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// SMBZ1 over the replication path (DESIGN.md §17): hello/hello-ack
-// codec negotiation in both back-compat directions, compressed delta
-// convergence to the oracle merge, transcoding at the send boundary
-// when peer and spool framings disagree, compressed parent checkpoints
-// across restarts, and the spool's reclaim accounting.
+// SMBZ1 over the replication path (DESIGN.md §17): compressed delta
+// convergence to the oracle merge, compressed parent checkpoints across
+// restarts, and the parent refusing per-flow state in any other encoding
+// (a raw FLW1 delta on the wire, a raw FLW1 replica in its checkpoint).
 
 #include <gtest/gtest.h>
 
@@ -14,69 +13,19 @@
 #include <vector>
 
 #include "codec/smbz1.h"
+#include "common/le_bytes.h"
 #include "common/random.h"
 #include "flow/arena_smb_engine.h"
+#include "io/checkpoint_store.h"
 #include "repl/child_replicator.h"
-#include "repl/delta_spool.h"
 #include "repl/replication_sink.h"
+#include "repl/uds_socket.h"
 #include "repl/wire_format.h"
 
 namespace smb::repl {
 namespace {
 
 namespace fs = std::filesystem;
-
-// --------------------------------------------------------------------------
-// Wire-level negotiation payloads.
-
-TEST(WireFormatCodecTest, MaskZeroHelloIsTheLegacyFingerprint) {
-  const GeometryFingerprint fp{256, 32, 0x5EED};
-  const HelloPayload hello{fp, 0};
-  // Byte-identical to what pre-codec children send, so an old parent
-  // accepts a codec-off child.
-  EXPECT_EQ(EncodeHello(hello), EncodeFingerprint(fp));
-  EXPECT_EQ(EncodeHello(hello).size(), 24u);
-
-  HelloPayload decoded;
-  ASSERT_TRUE(DecodeHello(EncodeFingerprint(fp), &decoded));
-  EXPECT_EQ(decoded.fingerprint, fp);
-  EXPECT_EQ(decoded.codec_mask, 0u);
-}
-
-TEST(WireFormatCodecTest, ExtendedHelloRoundTrips) {
-  const HelloPayload hello{{2048, 256, 0xABCD}, kCodecSmbz1};
-  const std::vector<uint8_t> payload = EncodeHello(hello);
-  EXPECT_EQ(payload.size(), 32u);
-  HelloPayload decoded;
-  ASSERT_TRUE(DecodeHello(payload, &decoded));
-  EXPECT_EQ(decoded, hello);
-}
-
-TEST(WireFormatCodecTest, DecodeHelloRejectsOtherLengths) {
-  const std::vector<uint8_t> good =
-      EncodeHello({{256, 32, 1}, kCodecSmbz1});
-  HelloPayload decoded;
-  for (const size_t len : {0u, 23u, 25u, 31u, 33u}) {
-    std::vector<uint8_t> bad = good;
-    bad.resize(len, 0);
-    EXPECT_FALSE(DecodeHello(bad, &decoded)) << "length " << len;
-  }
-}
-
-TEST(WireFormatCodecTest, CodecMaskPayloadRoundTrips) {
-  uint64_t mask = 99;
-  ASSERT_TRUE(DecodeCodecMask({}, &mask));
-  EXPECT_EQ(mask, 0u) << "empty ack payload means a pre-codec parent";
-
-  const std::vector<uint8_t> payload = EncodeCodecMask(kCodecSmbz1);
-  EXPECT_EQ(payload.size(), 8u);
-  ASSERT_TRUE(DecodeCodecMask(payload, &mask));
-  EXPECT_EQ(mask, kCodecSmbz1);
-
-  std::vector<uint8_t> bad = payload;
-  bad.resize(7);
-  EXPECT_FALSE(DecodeCodecMask(bad, &mask));
-}
 
 // --------------------------------------------------------------------------
 // End-to-end over real sockets, lockstep fake clock (the harness mirrors
@@ -134,7 +83,7 @@ class ReplicationCodecTest : public ::testing::Test {
     return options;
   }
 
-  Child MakeChild(uint64_t id, uint64_t codec_mask) {
+  Child MakeChild(uint64_t id) {
     Child child;
     child.id = id;
     child.engine = std::make_unique<ArenaSmbEngine>(SmallConfig());
@@ -146,7 +95,6 @@ class ReplicationCodecTest : public ::testing::Test {
     options.backoff_initial_ms = 5;
     options.backoff_max_ms = 40;
     options.heartbeat_interval_ms = 20;
-    options.codec_mask = codec_mask;
     child.replicator =
         std::make_unique<ChildReplicator>(child.engine.get(), options);
     return child;
@@ -219,100 +167,17 @@ TEST_F(ReplicationCodecTest, CodecChildrenConvergeWithCompressedDeltas) {
 
   std::vector<Child> children;
   for (uint64_t id = 1; id <= 3; ++id) {
-    children.push_back(MakeChild(id, kCodecSmbz1));
+    children.push_back(MakeChild(id));
   }
   RunSparseLoad(&sink, children, 4, 0xC0DE);
 
   EXPECT_EQ(Fingerprint(sink.MergedEngine()), OracleFingerprint(children));
-  EXPECT_GT(sink.stats().compressed_deltas, 0u);
   EXPECT_EQ(sink.stats().rejected_payloads, 0u);
   for (const Child& child : children) {
-    EXPECT_EQ(child.replicator->negotiated_codec_mask(), kCodecSmbz1);
     const auto stats = child.replicator->stats();
     EXPECT_GT(stats.delta_raw_bytes, stats.delta_stored_bytes)
         << "sparse deltas should spool compressed";
   }
-}
-
-TEST_F(ReplicationCodecTest, LegacyChildInteroperatesWithCodecParent) {
-  ReplicationSink sink(SinkOptions());
-  std::string error;
-  ASSERT_TRUE(sink.Listen(&error)) << error;
-
-  std::vector<Child> children;
-  children.push_back(MakeChild(1, /*codec_mask=*/0));
-  RunSparseLoad(&sink, children, 3, 0x1E6A);
-
-  EXPECT_EQ(Fingerprint(sink.MergedEngine()), OracleFingerprint(children));
-  // Nothing on this session may use the codec: legacy 24-byte hello,
-  // raw deltas, bytes spooled exactly as serialized.
-  EXPECT_EQ(children[0].replicator->negotiated_codec_mask(), 0u);
-  EXPECT_EQ(sink.stats().compressed_deltas, 0u);
-  const auto stats = children[0].replicator->stats();
-  EXPECT_EQ(stats.delta_raw_bytes, stats.delta_stored_bytes);
-}
-
-TEST_F(ReplicationCodecTest, CodecChildTranscodesForRawOnlyParent) {
-  ReplicationSink::Options sink_options = SinkOptions();
-  sink_options.codec_mask = 0;  // parent refuses every codec
-  ReplicationSink sink(sink_options);
-  std::string error;
-  ASSERT_TRUE(sink.Listen(&error)) << error;
-
-  std::vector<Child> children;
-  children.push_back(MakeChild(1, kCodecSmbz1));
-  RunSparseLoad(&sink, children, 3, 0x7A21);
-
-  // The child spools compressed but must decompress at the send
-  // boundary for this parent — state still converges, and the parent
-  // never sees an SMBZ1 payload.
-  EXPECT_EQ(Fingerprint(sink.MergedEngine()), OracleFingerprint(children));
-  EXPECT_EQ(children[0].replicator->negotiated_codec_mask(), 0u);
-  EXPECT_EQ(sink.stats().compressed_deltas, 0u);
-  EXPECT_EQ(sink.stats().rejected_payloads, 0u);
-  const auto stats = children[0].replicator->stats();
-  EXPECT_GT(stats.delta_raw_bytes, stats.delta_stored_bytes)
-      << "the spool side stays compressed regardless of the peer";
-}
-
-TEST_F(ReplicationCodecTest, ChildRestartUpgradesCodecOverRawSpool) {
-  // Phase 1: a codec-off child cuts deltas with no parent around — the
-  // spool holds raw FLW1 payloads.
-  std::vector<Child> children;
-  children.push_back(MakeChild(1, /*codec_mask=*/0));
-  std::string error;
-  Xoshiro256 rng(0x11AD);
-  for (size_t burst = 0; burst < 3; ++burst) {
-    RecordBurst(children[0], 1 + burst, 1 + rng.NextBounded(6), rng);
-    ASSERT_EQ(children[0].replicator->CutDelta(&error),
-              ChildReplicator::CutStatus::kCut);
-  }
-  for (int i = 0; i < 5; ++i) Step(nullptr, children);
-
-  // Phase 2: the child restarts with the codec enabled, over the same
-  // spool and engine.
-  Child reborn;
-  reborn.id = 1;
-  reborn.engine = std::move(children[0].engine);
-  {
-    ChildReplicator::Options options = children[0].replicator->options();
-    options.codec_mask = kCodecSmbz1;
-    children[0].replicator.reset();
-    reborn.replicator =
-        std::make_unique<ChildReplicator>(reborn.engine.get(), options);
-  }
-  children.clear();
-  children.push_back(std::move(reborn));
-  ASSERT_EQ(children[0].replicator->stats().spooled_deltas, 3u);
-
-  // The raw spooled deltas are transcoded at the send boundary for the
-  // codec-negotiated session.
-  ReplicationSink sink(SinkOptions());
-  ASSERT_TRUE(sink.Listen(&error)) << error;
-  DrainAll(&sink, children);
-  EXPECT_EQ(Fingerprint(sink.MergedEngine()), OracleFingerprint(children));
-  EXPECT_EQ(children[0].replicator->negotiated_codec_mask(), kCodecSmbz1);
-  EXPECT_GT(sink.stats().compressed_deltas, 0u);
 }
 
 TEST_F(ReplicationCodecTest, CompressedCheckpointSurvivesRestart) {
@@ -322,108 +187,126 @@ TEST_F(ReplicationCodecTest, CompressedCheckpointSurvivesRestart) {
 
   std::vector<Child> children;
   for (uint64_t id = 1; id <= 2; ++id) {
-    children.push_back(MakeChild(id, kCodecSmbz1));
+    children.push_back(MakeChild(id));
   }
   RunSparseLoad(sink.get(), children, 2, 0xCDEF);
   ASSERT_GT(sink->stats().checkpoints_written, 0u);
   const FlowFingerprint acked = Fingerprint(sink->MergedEngine());
 
-  // Kill and restart: the compressed per-child snapshots recover.
+  // Kill and restart: the compressed per-child snapshots recover, and
+  // the children keep streaming into the recovered replicas.
   sink.reset();
   sink = std::make_unique<ReplicationSink>(SinkOptions(/*durable=*/true));
-  EXPECT_EQ(Fingerprint(sink->MergedEngine()), acked);
-
-  // Restart once more with compression off — recovery sniffs per
-  // snapshot, so a config flip never strands a checkpoint — and keep
-  // streaming.
-  sink.reset();
-  ReplicationSink::Options raw_options = SinkOptions(/*durable=*/true);
-  raw_options.compress_checkpoints = false;
-  sink = std::make_unique<ReplicationSink>(raw_options);
   EXPECT_EQ(Fingerprint(sink->MergedEngine()), acked);
   ASSERT_TRUE(sink->Listen(&error)) << error;
   RunSparseLoad(sink.get(), children, 2, 0xFEED);
   EXPECT_EQ(Fingerprint(sink->MergedEngine()), OracleFingerprint(children));
 }
 
-// --------------------------------------------------------------------------
-// Spool reclaim accounting.
-
-class DeltaSpoolReclaimTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("spool_reclaim_" + std::string(::testing::UnitTest::GetInstance()
-                                               ->current_test_info()
-                                               ->name()));
-    fs::remove_all(dir_);
+// The child's codec setting has one legal value; 0 (the raw-FLW1 child
+// of older builds) or an unknown bit fails construction.
+TEST_F(ReplicationCodecTest, ChildRefusesAnyCodecButSmbz1) {
+  ArenaSmbEngine engine(SmallConfig());
+  ChildReplicator::Options options;
+  options.socket_path = SocketPath();
+  options.spool.directory = (dir_ / "spool").string();
+  options.spool.sync = false;
+  for (const uint64_t mask : {uint64_t{0}, kCodecSmbz1 << 1}) {
+    options.codec_mask = mask;
+    EXPECT_DEATH(ChildReplicator(&engine, options), "codec_mask")
+        << "mask " << mask;
   }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  DeltaSpool::Options SpoolOptions() {
-    DeltaSpool::Options options;
-    options.directory = dir_.string();
-    options.sync = false;
-    return options;
-  }
-
-  fs::path dir_;
-};
-
-TEST_F(DeltaSpoolReclaimTest, TrimThroughCountsReclaimedBytes) {
-  DeltaSpool spool(SpoolOptions());
-  std::string error;
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
-    const std::vector<uint8_t> payload(100 * seq, static_cast<uint8_t>(seq));
-    ASSERT_EQ(spool.Append(seq, payload, &error), DeltaSpool::AppendStatus::kOk)
-        << error;
-  }
-  const size_t total = spool.PendingBytes();
-  EXPECT_EQ(spool.ReclaimedBytes(), 0u);
-
-  spool.TrimThrough(2);
-  EXPECT_EQ(spool.ReclaimedBytes(), total - spool.PendingBytes());
-  const uint64_t after_two = spool.ReclaimedBytes();
-
-  spool.TrimThrough(1);  // monotonic: lower water marks change nothing
-  EXPECT_EQ(spool.ReclaimedBytes(), after_two);
-
-  spool.TrimThrough(3);
-  EXPECT_EQ(spool.ReclaimedBytes(), total);
-  EXPECT_EQ(spool.PendingBytes(), 0u);
-  EXPECT_EQ(spool.PendingCount(), 0u);
 }
 
-TEST_F(DeltaSpoolReclaimTest, RecoverSweepsStaleAckedFiles) {
-  const fs::path stash = dir_.string() + ".stash";
-  uint64_t stale_size = 0;
-  {
-    DeltaSpool spool(SpoolOptions());
-    std::string error;
-    const std::vector<uint8_t> payload(200, 0xAB);
-    ASSERT_EQ(spool.Append(1, payload, &error),
-              DeltaSpool::AppendStatus::kOk);
-    // Stash the spooled file, then ack it away.
-    for (const auto& entry : fs::directory_iterator(dir_)) {
-      fs::create_directories(stash);
-      fs::copy_file(entry.path(), stash / entry.path().filename());
-      stale_size = static_cast<uint64_t>(fs::file_size(entry.path()));
-    }
-    ASSERT_GT(stale_size, 0u);
-    spool.TrimThrough(1);
-    EXPECT_EQ(spool.ReclaimedBytes(), stale_size);
-    // Resurrect the acked file: this is the crash shape where unlink
-    // didn't land but the trim marker did.
-    for (const auto& entry : fs::directory_iterator(stash)) {
-      fs::copy_file(entry.path(), dir_ / entry.path().filename());
-    }
-  }
-  // A fresh spool's Recover() sweeps the stale file and accounts for it.
-  DeltaSpool reborn(SpoolOptions());
-  EXPECT_EQ(reborn.PendingCount(), 0u);
-  EXPECT_EQ(reborn.ReclaimedBytes(), stale_size);
-  EXPECT_EQ(reborn.TrimmedHighWater(), 1u);
-  fs::remove_all(stash);
+// A delta is SMBZ1 or nothing: the same flow states as a raw FLW1
+// image, framed and CRC-checked like any delta, are a rejected payload
+// and leave the replica as the last SMBZ1 delta left it. The frames come
+// from a hand-driven connection, because ChildReplicator only sends
+// SMBZ1.
+TEST_F(ReplicationCodecTest, RawFlw1DeltaIsARejectedPayload) {
+  ReplicationSink sink(SinkOptions());
+  std::string error;
+  ASSERT_TRUE(sink.Listen(&error)) << error;
+  UdsFd conn;
+  ASSERT_EQ(StartConnect(SocketPath(), &conn, &error),
+            ConnectStart::kConnected)
+      << error;
+  const auto send = [&](FrameType type, uint64_t seq,
+                        std::vector<uint8_t> payload) {
+    Frame frame;
+    frame.type = type;
+    frame.child_id = 1;
+    frame.seq = seq;
+    frame.payload = std::move(payload);
+    const std::vector<uint8_t> bytes = EncodeFrame(frame);
+    size_t taken = 0;
+    ASSERT_EQ(SendSome(conn.fd(), bytes, &taken, &error), IoStatus::kOk)
+        << error;
+    ASSERT_EQ(taken, bytes.size());
+  };
+  const auto poll_until = [&](const auto& done) {
+    for (int i = 0; i < 100 && !done(); ++i) sink.PollOnce(now_ms_, 10);
+  };
+
+  const ArenaSmbEngine::Config config = SmallConfig();
+  send(FrameType::kHello, 1,
+       EncodeFingerprint(
+           {config.num_bits, config.threshold, config.base_seed}));
+  ArenaSmbEngine child(config);
+  for (uint64_t e = 0; e < 40; ++e) child.Record(1 + e % 4, e);
+  const auto smbz1 = codec::CompressFlw1Image(child.Serialize());
+  ASSERT_TRUE(smbz1.has_value());
+  send(FrameType::kDelta, 1, *smbz1);
+  poll_until([&] { return sink.stats().deltas_applied == 1; });
+  ASSERT_EQ(sink.stats().deltas_applied, 1u);
+  const FlowFingerprint applied = Fingerprint(sink.MergedEngine());
+  EXPECT_EQ(applied, Fingerprint(child));
+
+  for (uint64_t e = 40; e < 80; ++e) child.Record(1 + e % 4, e);
+  send(FrameType::kDelta, 2, child.Serialize());
+  poll_until([&] { return sink.stats().rejected_payloads == 1; });
+  EXPECT_EQ(sink.stats().rejected_payloads, 1u);
+  EXPECT_EQ(sink.stats().deltas_applied, 1u);
+  EXPECT_EQ(Fingerprint(sink.MergedEngine()), applied);
+  const auto infos = sink.Children(now_ms_);
+  ASSERT_EQ(infos.size(), 1u);
+  EXPECT_EQ(infos[0].applied_seq, 1u);
+  EXPECT_EQ(infos[0].rejected, 1u);
+}
+
+// The sink stores replicas SMBZ1 only, so a checkpoint holding a raw FLW1
+// replica is not one it wrote: it recovers as a clean start, as for a
+// geometry mismatch. The same replica stored SMBZ1 recovers.
+TEST_F(ReplicationCodecTest, RawFlw1CheckpointRecoversAsCleanStart) {
+  ArenaSmbEngine replica(SmallConfig());
+  for (uint64_t e = 0; e < 500; ++e) replica.Record(e % 5, e);
+  const auto options_over = [&](const std::string& name,
+                                const std::vector<uint8_t>& snapshot) {
+    ReplicationSink::Options options = SinkOptions(/*durable=*/true);
+    options.checkpoint_dir = (dir_ / name).string();
+    io::CheckpointStore::Options store_options;
+    store_options.directory = options.checkpoint_dir;
+    store_options.sync = false;
+    io::CheckpointStore store(store_options);
+    std::vector<uint8_t> payload = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
+    AppendU64(&payload, 1);  // num_children
+    AppendU64(&payload, 7);  // child_id
+    AppendU64(&payload, 3);  // high_water
+    AppendU64(&payload, snapshot.size());
+    payload.insert(payload.end(), snapshot.begin(), snapshot.end());
+    EXPECT_TRUE(store.Write(payload).ok);
+    return options;
+  };
+
+  const auto smbz1 = codec::CompressFlw1Image(replica.Serialize());
+  ASSERT_TRUE(smbz1.has_value());
+  const ReplicationSink recovered(options_over("smbz1", *smbz1));
+  ASSERT_EQ(recovered.NumChildren(), 1u);
+  EXPECT_EQ(Fingerprint(recovered.MergedEngine()), Fingerprint(replica));
+
+  const ReplicationSink clean(options_over("raw", replica.Serialize()));
+  EXPECT_EQ(clean.NumChildren(), 0u);
+  EXPECT_EQ(clean.MergedEngine().NumFlows(), 0u);
 }
 
 }  // namespace

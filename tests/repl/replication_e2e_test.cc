@@ -19,6 +19,7 @@
 #include <tuple>
 #include <vector>
 
+#include "codec/smbz1.h"
 #include "common/le_bytes.h"
 #include "common/random.h"
 #include "flow/arena_smb_engine.h"
@@ -521,7 +522,8 @@ TEST_F(ReplicationE2eTest, RecoveryStartsCleanOnGeometryMismatch) {
   {
     ArenaSmbEngine replica(SmallConfig());
     for (uint64_t e = 0; e < 500; ++e) replica.Record(e % 5, e);
-    const std::vector<uint8_t> snapshot = replica.Serialize();
+    const std::vector<uint8_t> snapshot =
+        *codec::CompressFlw1Image(replica.Serialize());
     io::CheckpointStore::Options store_options;
     store_options.directory = options.checkpoint_dir;
     store_options.sync = false;

@@ -124,6 +124,11 @@ TEST(CsvTraceTest, ReportsErrorLine) {
   EXPECT_EQ(error_line, 2u);
   EXPECT_FALSE(ParseCsvTrace("1 2\n", &error_line).has_value());  // no comma
   EXPECT_EQ(error_line, 1u);
+  // A sign is malformed: strtoull would wrap "-1" to 2^64 - 1.
+  EXPECT_FALSE(ParseCsvTrace("1,2\n-1,5\n", &error_line).has_value());
+  EXPECT_EQ(error_line, 2u);
+  EXPECT_FALSE(ParseCsvTrace("+1,5\n", &error_line).has_value());
+  EXPECT_EQ(error_line, 1u);
 }
 
 TEST(CsvTraceTest, EmptyInputIsEmptyTrace) {

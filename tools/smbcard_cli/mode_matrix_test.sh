@@ -70,7 +70,7 @@ case $section in
     usage_error --eviction off
     usage_error --eviction off --listen "$sock"
     usage_error --hugepages
-    usage_error --numa --threads 2
+    usage_error --hugepages --threads 2
     usage_error --expect-children 2
     usage_error --listen-timeout 5 --per-flow
     usage_error --replicate-to "$sock" --child-id 1 --spool-dir "$tmp/sp"
@@ -117,7 +117,7 @@ case $section in
     usage_error --listen "$sock" --expect-children 0
     usage_error $child --delta-every 0
     usage_error --save ''
-    usage_error --codec zstd
+    usage_error $child --spool-budget 1M --shed-policy shrug
     usage_error --per-flow --eviction lru --memory-budget 1M
     ;;
   all_state_flags)
@@ -166,7 +166,7 @@ case $section in
     exits 0 "$tmp/items" --threads 2 --shards 4 --memory 20000 \
       --overload-policy drop
     exits 0 "$tmp/items" --checkpoint-dir "$tmp/ck1" \
-      --checkpoint-interval 5 --codec off
+      --checkpoint-interval 5
     exits 0 "$tmp/items" --algo HLL++ --checkpoint-dir "$tmp/ck2"
     exits 0 "$tmp/items" --threads 2 --memory 20000 \
       --checkpoint-dir "$tmp/ck3" --checkpoint-interval 1
@@ -175,14 +175,14 @@ case $section in
     exits 0 "$tmp/pairs" --per-flow --top 3
     exits 0 "$tmp/pairs" --per-flow --algo HLL --top 2
     exits 0 "$tmp/pairs" --per-flow --memory-budget 64K --eviction 2q \
-      --hugepages --numa
+      --hugepages
     exits 0 "$tmp/pairs" --per-flow --eviction off
     # A child with no parent spools everything and exits 3.
     exits 3 "$tmp/pairs" $child --spool-budget 1M --shed-policy drop \
-      --delta-every 100 --drain-timeout 0 --eviction off --top 2 --codec off
+      --delta-every 100 --drain-timeout 0 --eviction off --top 2
     # A parent whose children never come times out with exit 1.
     exits 1 "$tmp/items" --listen "$sock" --expect-children 2 \
-      --listen-timeout 1 --top 3 --checkpoint-dir "$tmp/pck" --codec off
+      --listen-timeout 1 --top 3 --checkpoint-dir "$tmp/pck"
     ;;
   *)
     echo "unknown section '$section'"

@@ -64,7 +64,6 @@ constexpr Choice kOverloadPolicies[] = {
     {"drop", static_cast<int>(OverloadPolicy::kDropWithCount)},
     {"degrade", static_cast<int>(OverloadPolicy::kDegradeToSample)},
 };
-constexpr Choice kCodecs[] = {{"smbz1", 1}, {"off", 0}};
 constexpr Choice kEvictions[] = {
     {"off", static_cast<int>(ArenaEviction::kOff)},
     {"clock", static_cast<int>(ArenaEviction::kClock)},
@@ -143,10 +142,6 @@ const Flag kFlags[] = {
      .target = &CliOptions::checkpoint_interval_s, .arg = "SECONDS",
      .needs = "--checkpoint-dir",
      .help = "also checkpoint every SECONDS while recording"},
-    {.name = "--codec", .kind = Kind::kEnum, .modes = kAnyMode,
-     .target = &CliOptions::codec_smbz1, .choices = kCodecs,
-     .help = "SMBZ1 compression of checkpoints and replication deltas\n"
-             "(default smbz1, DESIGN.md §17); either setting reads both"},
     {.name = "--metrics-out", .kind = Kind::kString, .modes = kAnyMode,
      .target = &CliOptions::metrics_out, .arg = "FILE",
      .help = "write a telemetry snapshot to FILE when done: JSON for\n"
@@ -179,10 +174,6 @@ const Flag kFlags[] = {
     {.name = "--hugepages", .kind = Kind::kSwitch,
      .modes = kPerFlow | kChild, .target = &CliOptions::hugepages,
      .help = "SMB arena only: back flow slabs with hugepages when offered"},
-    {.name = "--numa", .kind = Kind::kSwitch, .modes = kPerFlow | kChild,
-     .target = &CliOptions::numa,
-     .help = "SMB arena only: NUMA-aware slab placement (no-op on one "
-             "node)"},
     {.name = "--listen", .kind = Kind::kString, .modes = kParent,
      .target = &CliOptions::listen_path, .arg = "SOCK",
      .help = "SMB only: accept children on Unix socket SOCK, merge their\n"
@@ -331,13 +322,10 @@ bool StoreValue(const Flag& flag, const char* text, CliOptions* options) {
             return true;
           } else if constexpr (std::is_same_v<T, uint64_t>) {
             return ParseUnsigned(flag.kind, text, &field);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            field = true;  // a switch
+            return true;
           } else {
-            if constexpr (std::is_same_v<T, bool>) {
-              if (flag.kind == Kind::kSwitch) {
-                field = true;
-                return true;
-              }
-            }
             for (const Choice& choice : flag.choices) {
               if (std::strcmp(text, choice.name) == 0) {
                 field = static_cast<T>(choice.value);

@@ -40,7 +40,6 @@ struct CliOptions {
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   std::string checkpoint_dir;
   uint64_t checkpoint_interval_s = 0;  // 0 = final checkpoint only
-  bool codec_smbz1 = true;
   std::string metrics_out;
   uint64_t metrics_interval_s = 0;  // 0 = final snapshot only
   std::string flight_recorder_out;
@@ -49,7 +48,6 @@ struct CliOptions {
   uint64_t memory_budget_bytes = 0;  // 0 = unlimited
   ArenaEviction eviction = ArenaEviction::kClock;
   bool hugepages = false;
-  bool numa = false;
   // Parent mode.
   std::string listen_path;
   uint64_t expect_children = 1;

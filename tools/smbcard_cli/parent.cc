@@ -34,10 +34,6 @@ int RunParent(const CliOptions& options) {
   sink_options.socket_path = options.listen_path;
   sink_options.engine_config = *config;
   sink_options.checkpoint_dir = options.checkpoint_dir;
-  if (!options.codec_smbz1) {
-    sink_options.codec_mask = 0;
-    sink_options.compress_checkpoints = false;
-  }
   repl::ReplicationSink sink(sink_options);
   std::string error;
   if (!sink.Listen(&error)) {

@@ -1,32 +1,20 @@
 // Per-flow mode (--per-flow) and child mode (--per-flow --replicate-to):
 // one estimator per flow over `flow,element` input lines, top spreads
 // printed as `flow<TAB>estimate`. The line grammar is stream/trace_io.h's
-// CSV import, parsed here so the *original* flow keys survive to the
-// output (the trace importer densifies them).
+// CSV import, and its fields go through the same ParseCsvField; the lines
+// are split here so the *original* flow keys survive to the output (the
+// trace importer densifies them).
 
-#include <cerrno>
+#include <string_view>
 #include <thread>
 
 #include "repl/child_replicator.h"
 #include "sketch/per_flow_monitor.h"
 #include "smbcard_cli/runners.h"
+#include "stream/trace_io.h"
 #include "trace/health_probe.h"
 
 namespace smb::cli {
-namespace {
-
-bool ParseU64Field(const std::string& text, uint64_t* out) {
-  const size_t first = text.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return false;
-  errno = 0;
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str() + first, &end, 0);
-  if (errno != 0 || end == text.c_str() + first) return false;
-  while (*end == ' ' || *end == '\t' || *end == '\r') ++end;
-  return *end == '\0';
-}
-
-}  // namespace
 
 int RunPerFlow(const CliOptions& options) {
   const auto kind = EstimatorKindFromName(options.algo);
@@ -43,14 +31,12 @@ int RunPerFlow(const CliOptions& options) {
   tuning.memory_budget_bytes = options.memory_budget_bytes;
   tuning.eviction = options.eviction;
   tuning.try_hugepages = options.hugepages;
-  tuning.numa_shards = options.numa;
   PerFlowMonitor monitor(spec, PerFlowMonitor::Engine::kAuto, tuning);
-  if ((options.memory_budget_bytes > 0 || options.hugepages ||
-       options.numa) &&
+  if ((options.memory_budget_bytes > 0 || options.hugepages) &&
       monitor.engine() != PerFlowMonitor::Engine::kArena) {
     std::fprintf(stderr,
-                 "--memory-budget/--hugepages/--numa need the arena engine "
-                 "(an SMB spec with packed-metadata geometry)\n");
+                 "--memory-budget/--hugepages need the arena engine (an "
+                 "SMB spec with packed-metadata geometry)\n");
     return 2;
   }
 
@@ -71,7 +57,6 @@ int RunPerFlow(const CliOptions& options) {
     repl_options.spool.budget_bytes = options.spool_budget_bytes;
     repl_options.spool.sync = true;
     repl_options.shed_policy = options.shed_policy;
-    repl_options.codec_mask = options.codec_smbz1 ? repl::kCodecSmbz1 : 0;
     replicator.emplace(monitor.arena_engine(), repl_options);
   }
   bool repl_io_error = false;
@@ -111,8 +96,9 @@ int RunPerFlow(const CliOptions& options) {
     uint64_t flow = 0;
     uint64_t element = 0;
     if (comma == std::string::npos ||
-        !ParseU64Field(line.substr(0, comma), &flow) ||
-        !ParseU64Field(line.substr(comma + 1), &element)) {
+        !ParseCsvField(std::string_view(line).substr(0, comma), &flow) ||
+        !ParseCsvField(std::string_view(line).substr(comma + 1),
+                       &element)) {
       parse_failed = true;
       failed_line = line_number;
       return;

@@ -42,20 +42,19 @@ bool Checkpointer::Open(
   }
   io::CheckpointStore::Options store_options;
   store_options.directory = options.checkpoint_dir;
-  if (options.codec_smbz1) {
-    // Non-FLW1 payloads fall through encode to raw storage, so the codec
-    // is safe for every estimator.
-    io::CheckpointStore::ContentCodec codec;
-    codec.name = "SMBZ1";
-    codec.encode = [](std::span<const uint8_t> payload) {
-      return codec::CompressFlw1Image(payload);
-    };
-    codec.recognize = codec::IsSmbz1Image;
-    codec.decode = [](std::span<const uint8_t> stored) {
-      return codec::DecompressToFlw1Image(stored);
-    };
-    store_options.codec = std::move(codec);
-  }
+  // Checkpoints are stored SMBZ1. Payloads that are not FLW1 images
+  // (SMB2, SHD1) fall through encode to raw storage, so the codec is safe
+  // for every estimator.
+  io::CheckpointStore::ContentCodec codec;
+  codec.name = "SMBZ1";
+  codec.encode = [](std::span<const uint8_t> payload) {
+    return codec::CompressFlw1Image(payload);
+  };
+  codec.recognize = codec::IsSmbz1Image;
+  codec.decode = [](std::span<const uint8_t> stored) {
+    return codec::DecompressToFlw1Image(stored);
+  };
+  store_options.codec = std::move(codec);
   store_ = std::make_unique<io::CheckpointStore>(store_options);
   interval_ = std::chrono::seconds(options.checkpoint_interval_s);
   last_ = std::chrono::steady_clock::now();

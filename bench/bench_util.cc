@@ -11,7 +11,6 @@
 #include "hash/batch_hash.h"
 #include "hash/murmur3.h"
 #include "simd/simd_dispatch.h"
-#include "telemetry/metrics.h"
 
 namespace smb::bench {
 
@@ -168,8 +167,6 @@ void WriteEnvironmentJson(JsonWriter* json) {
   json->Uint(std::thread::hardware_concurrency());
   json->Key("batch_dispatch");
   json->String(BatchDispatchTargetName());
-  json->Key("telemetry_enabled");
-  json->Bool(telemetry::kEnabled);
   // Provenance: when and from what this artifact was produced, so a
   // BENCH_*.json pulled out of CI months later still identifies its
   // source revision and build configuration.
@@ -185,8 +182,6 @@ void WriteEnvironmentJson(JsonWriter* json) {
   json->String(SMB_BUILD_GIT_SHA);
   json->Key("build_type");
   json->String(SMB_BUILD_TYPE);
-  json->Key("build_options");
-  json->String(SMB_BUILD_OPTIONS);
   json->EndObject();
 }
 

@@ -46,9 +46,7 @@ struct BenchScale {
   double assert_encode_mbps = 0.0;
   double assert_encode_crc_ratio = 0.0;
   // --trace-out=PATH captures the span tracer across the measured runs
-  // and writes Chrome trace-event JSON to PATH. In SMB_TRACING=OFF builds
-  // the file is still written (a valid zero-event trace), so scripts need
-  // no build-mode branches.
+  // and writes Chrome trace-event JSON to PATH.
   std::string trace_out;
   // Flow-bench trace shape overrides (per_flow_throughput): --flows=N
   // picks the distinct-flow count (0 keeps the scale default; counts
@@ -82,8 +80,8 @@ Throughput MeasureRecordingBatched(CardinalityEstimator* estimator,
 
 // Emits the fields that contextualize any perf number from this machine
 // as one JSON object: hardware_concurrency, the batch kernel the CPU
-// dispatcher resolved to, and whether telemetry was compiled in. Call it
-// after a Key("environment") so every BENCH_*.json carries the same blob.
+// dispatcher resolved to, and the build's provenance. Call it after a
+// Key("environment") so every BENCH_*.json carries the same blob.
 void WriteEnvironmentJson(JsonWriter* json);
 
 // Writes a finished JSON blob to `path` and prints where it went.

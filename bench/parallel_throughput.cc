@@ -169,7 +169,7 @@ void Run(const BenchScale& scale) {
   json.Uint(std::thread::hardware_concurrency());
   json.Key("speedup_best_parallel_vs_add");
   json.Double(baseline > 0 ? best_parallel / baseline : 0.0, 2);
-  // Telemetry accumulated over every mode above (empty in OFF builds).
+  // Telemetry accumulated over every mode above.
   json.Key("telemetry");
   telemetry::WriteJson(telemetry::MetricsRegistry::Global().Snapshot(),
                        &json);

@@ -177,7 +177,7 @@ int Run(const BenchScale& scale) {
       MonitorSpec(huge ? 2000 : config.max_cardinality);
 
   // Span capture across every measured mode (the resulting trace shows
-  // the real pipeline under bench load). No-op in SMB_TRACING=OFF builds.
+  // the real pipeline under bench load).
   if (!scale.trace_out.empty()) trace::StartCapture();
 
   std::vector<ModeResult> results;

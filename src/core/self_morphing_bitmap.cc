@@ -18,7 +18,6 @@
 
 namespace smb {
 
-#if SMB_TELEMETRY_ENABLED
 namespace {
 
 // Process-unique id (>= 1) tagging one instance's kMorph flight events.
@@ -51,7 +50,6 @@ SmbCounters& GlobalSmbCounters() {
 }
 
 }  // namespace
-#endif  // SMB_TELEMETRY_ENABLED
 
 SelfMorphingBitmap::SelfMorphingBitmap(const Config& config)
     : CardinalityEstimator(config.hash_seed),
@@ -63,9 +61,7 @@ SelfMorphingBitmap::SelfMorphingBitmap(const Config& config)
   SMB_CHECK_MSG(config.num_bits >= 8, "SMB needs at least 8 bits");
   SMB_CHECK_MSG(config.threshold >= 1 && config.threshold <= config.num_bits,
                 "threshold must be in [1, num_bits]");
-#if SMB_TELEMETRY_ENABLED
   telem_instance_id_ = NextInstanceId();
-#endif
 }
 
 SelfMorphingBitmap SelfMorphingBitmap::WithOptimalThreshold(
@@ -78,30 +74,22 @@ SelfMorphingBitmap SelfMorphingBitmap::WithOptimalThreshold(
 }
 
 void SelfMorphingBitmap::AddHash(Hash128 hash) {
-#if SMB_TELEMETRY_ENABLED
   ++telem_items_seen_;
-#endif
   // Step 1 (Algorithm 1): geometric sampling. Round r admits items with
   // G(d) >= r, i.e., probability 2^-r (Lemma 1). The common case for large
   // streams is rejection with no memory access at all.
   const int rank = GeometricRank(hash.hi);
   if (SMB_LIKELY(static_cast<size_t>(rank) < round_)) {
-#if SMB_TELEMETRY_ENABLED
     GlobalSmbCounters().gate_rejects->Add();
-#endif
     return;
   }
-#if SMB_TELEMETRY_ENABLED
   GlobalSmbCounters().gate_accepts->Add();
-#endif
 
   // Step 2: set the item's bit in the physical bitmap. Theorem 2: a
   // duplicate finds its bit already set (or fails Step 1) and is ignored.
   const size_t pos = FastRange64(hash.lo, bits_.size());
   if (!bits_.TestAndSet(pos)) {
-#if SMB_TELEMETRY_ENABLED
     GlobalSmbCounters().duplicate_bits->Add();
-#endif
     return;
   }
   ++ones_in_round_;
@@ -121,15 +109,10 @@ inline void SelfMorphingBitmap::MorphIfRoundFull() {
     // block-granular under AddBatch. Morphs fire at most max_round times
     // per sketch lifetime, so the flight ring's mutex is nowhere near the
     // per-item path.
-#if SMB_TELEMETRY_ENABLED
     trace::FlightRecorder::Global().Record(trace::FlightEventType::kMorph,
                                            telem_instance_id_, round_,
                                            telem_items_seen_);
     GlobalSmbCounters().morphs->Add();
-#else
-    trace::FlightRecorder::Global().Record(trace::FlightEventType::kMorph,
-                                           0, round_, 0);
-#endif
   }
 }
 
@@ -174,9 +157,7 @@ void SelfMorphingBitmap::AddBatch(std::span<const uint64_t> items) {
         bits_.PrefetchForWrite(surv_pos[j]);
       }
     }
-#if SMB_TELEMETRY_ENABLED
     telem_items_seen_ += n;
-#endif
     {
       TRACE_SPAN("core", "smb.apply");
       ApplySurvivors(n, survivors, surv_rank, surv_pos);
@@ -188,12 +169,10 @@ void SelfMorphingBitmap::AddBatch(std::span<const uint64_t> items) {
 void SelfMorphingBitmap::ApplySurvivors(size_t block_items, size_t survivors,
                                         const uint8_t* ranks,
                                         const size_t* positions) {
-#if SMB_TELEMETRY_ENABLED
   // Counter updates are batched per block so telemetry costs a handful of
   // relaxed fetch_adds per kBatchBlock items, not one per item.
   uint64_t accepts = 0;
   uint64_t duplicates = 0;
-#endif
   // Word-coalesced in-order apply: consecutive survivors landing in the
   // same 64-bit word share one load and one deferred store. Correctness:
   // while a word is cached, every read and write of it goes through the
@@ -213,9 +192,7 @@ void SelfMorphingBitmap::ApplySurvivors(size_t block_items, size_t survivors,
     // rejects survivors whose rank no longer clears it, exactly as the
     // item-at-a-time loop would at their turn.
     if (SMB_UNLIKELY(static_cast<size_t>(ranks[j]) < round_)) continue;
-#if SMB_TELEMETRY_ENABLED
     ++accepts;
-#endif
     const size_t idx = positions[j] >> 6;
     const uint64_t mask = uint64_t{1} << (positions[j] & 63);
     if (idx != cached_idx) {
@@ -224,9 +201,7 @@ void SelfMorphingBitmap::ApplySurvivors(size_t block_items, size_t survivors,
       cached_word = words[idx];
     }
     if (cached_word & mask) {
-#if SMB_TELEMETRY_ENABLED
       ++duplicates;
-#endif
       continue;
     }
     cached_word |= mask;
@@ -241,14 +216,10 @@ void SelfMorphingBitmap::ApplySurvivors(size_t block_items, size_t survivors,
     }
   }
   flush();
-#if SMB_TELEMETRY_ENABLED
   SmbCounters& counters = GlobalSmbCounters();
   if (accepts > 0) counters.gate_accepts->Add(accepts);
   if (accepts < block_items) counters.gate_rejects->Add(block_items - accepts);
   if (duplicates > 0) counters.duplicate_bits->Add(duplicates);
-#else
-  (void)block_items;
-#endif
 }
 
 void SelfMorphingBitmap::EstimateMany(
@@ -344,9 +315,7 @@ void SelfMorphingBitmap::Reset() {
   bits_.ClearAll();
   round_ = 0;
   ones_in_round_ = 0;
-#if SMB_TELEMETRY_ENABLED
   telem_items_seen_ = 0;
-#endif
 }
 
 double SelfMorphingBitmap::SamplingProbability() const {

@@ -25,7 +25,6 @@
 #include "bitvec/bit_vector.h"
 #include "core/cardinality_estimator.h"
 #include "hash/murmur3.h"
-#include "telemetry/telemetry_config.h"
 
 namespace smb {
 
@@ -101,13 +100,11 @@ class SelfMorphingBitmap final : public CardinalityEstimator {
   // The precomputed constants table S (paper Eq. 9), S[0..max_round()].
   const std::vector<double>& s_table() const { return s_table_; }
 
-#if SMB_TELEMETRY_ENABLED
-  // Telemetry introspection (SMB_TELEMETRY=ON builds only) -----------------
+  // Telemetry introspection --------------------------------------------------
   // Id tagging this instance's kMorph events in trace::FlightRecorder.
   uint64_t telemetry_instance_id() const { return telem_instance_id_; }
   // Items offered to this instance so far (accepted or gate-rejected).
   uint64_t telemetry_items_seen() const { return telem_items_seen_; }
-#endif
 
   // Merging ------------------------------------------------------------------
   // Two SMBs can merge when they share the full recording geometry: same
@@ -172,10 +169,8 @@ class SelfMorphingBitmap final : public CardinalityEstimator {
   BitVector bits_;
   std::vector<double> s_table_;
   double max_estimate_;
-#if SMB_TELEMETRY_ENABLED
   uint64_t telem_instance_id_ = 0;  // assigned in the constructor
   uint64_t telem_items_seen_ = 0;
-#endif
 };
 
 }  // namespace smb

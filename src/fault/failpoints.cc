@@ -1,7 +1,5 @@
 #include "fault/failpoints.h"
 
-#if SMB_FAILPOINTS_ENABLED
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -271,5 +269,3 @@ uint64_t FailpointRegistry::FireCount(std::string_view name) const {
 }
 
 }  // namespace smb::fault
-
-#endif  // SMB_FAILPOINTS_ENABLED

@@ -1,4 +1,4 @@
-// Failpoint fault-injection framework (SMB_FAILPOINTS CMake option).
+// Failpoint fault-injection framework.
 //
 // A failpoint is a named site in library code where tests can inject a
 // failure. Call sites evaluate one with
@@ -30,32 +30,23 @@
 // only on the seed and that point's own evaluation order — never on
 // thread interleaving across points — and CI repros are exact.
 //
-// Overhead policy: with SMB_FAILPOINTS=OFF (the default) SMB_FAILPOINT
-// expands to a value-initialized FailpointHit, every instrumented branch
-// folds away, failpoints.cc is not even compiled, and the binary contains
-// no failpoint symbol (CI pins this with an nm scan, mirroring the
-// telemetry golden-estimate guard).
+// Overhead policy: an unarmed evaluation is one mutex-guarded map miss.
+// Sites sit at checkpoint, spool and frame granularity, never on the
+// per-packet path, and nothing fires unless a test or the environment
+// arms it.
 
 #ifndef SMBCARD_FAULT_FAILPOINTS_H_
 #define SMBCARD_FAULT_FAILPOINTS_H_
 
 #include <cstdint>
-
-#include "fault/failpoint_config.h"
-
-#if SMB_FAILPOINTS_ENABLED
 #include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
 
 #include "common/random.h"
-#endif
 
 namespace smb::fault {
-
-// True when this build can inject faults (mirrors the CMake option).
-inline constexpr bool kEnabled = SMB_FAILPOINTS_ENABLED != 0;
 
 enum class FailpointAction : uint8_t {
   kOff = 0,
@@ -87,8 +78,6 @@ struct FailpointHit {
   FailpointAction action = FailpointAction::kOff;
   uint64_t arg = 0;
 };
-
-#if SMB_FAILPOINTS_ENABLED
 
 class FailpointRegistry {
  public:
@@ -145,14 +134,6 @@ class FailpointRegistry {
 // Evaluates the named failpoint (see file comment for the contract).
 #define SMB_FAILPOINT(name) \
   (::smb::fault::FailpointRegistry::Global().Evaluate(name))
-
-#else  // !SMB_FAILPOINTS_ENABLED
-
-// Constant miss: the branch on .fired folds away and nothing of the
-// framework survives in the binary.
-#define SMB_FAILPOINT(name) (::smb::fault::FailpointHit{})
-
-#endif  // SMB_FAILPOINTS_ENABLED
 
 }  // namespace smb::fault
 

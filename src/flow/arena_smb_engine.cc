@@ -22,7 +22,6 @@ namespace smb {
 using flw1::kFillMask;
 using flw1::kRoundShift;
 
-#if SMB_TELEMETRY_ENABLED
 namespace {
 
 // Process-wide per-flow engine instruments, registered once; hot paths
@@ -67,37 +66,29 @@ FlowInstruments& GlobalFlowInstruments() {
 
 }  // namespace
 
-// Republishes the residency gauges after a create/promote/evict event.
-#define SMB_FLOW_PUBLISH_RESIDENCY()                                        \
-  do {                                                                      \
-    FlowInstruments& ins = GlobalFlowInstruments();                         \
-    ins.live_flows->Set(static_cast<int64_t>(NumFlows()));                  \
-    ins.nursery_flows->Set(static_cast<int64_t>(live_nursery_));            \
-    ins.live_bytes->Set(static_cast<int64_t>(LiveBytes()));                 \
-    ins.slab_bytes->Set(static_cast<int64_t>(arena_.ResidentBytes() +      \
-                                             nursery_.ResidentBytes()));    \
-    const SlabAllocStats& ma = arena_.alloc_stats();                        \
-    const SlabAllocStats& na = nursery_.alloc_stats();                      \
-    ins.hugepage_bytes->Set(                                                \
-        static_cast<int64_t>(ma.hugetlb_bytes + ma.thp_advised_bytes +      \
-                             na.hugetlb_bytes + na.thp_advised_bytes));     \
-    ins.cold_flows->Set(                                                    \
-        cold_ ? static_cast<int64_t>(cold_->NumFlows()) : 0);               \
-    ins.cold_bytes->Set(                                                    \
-        cold_ ? static_cast<int64_t>(cold_->EncodedBytes()) : 0);           \
-    ins.cold_resident_bytes->Set(                                           \
-        cold_ ? static_cast<int64_t>(cold_->ResidentBytes()) : 0);          \
-    ins.cold_ratio_milli->Set(                                              \
-        cold_ && cold_->EncodedBytes() > 0                                  \
-            ? static_cast<int64_t>(cold_->RawBytes() * 1000 /               \
-                                   cold_->EncodedBytes())                   \
-            : 0);                                                           \
-  } while (0)
-#else
-#define SMB_FLOW_PUBLISH_RESIDENCY() \
-  do {                               \
-  } while (0)
-#endif  // SMB_TELEMETRY_ENABLED
+void ArenaSmbEngine::PublishResidency() const {
+  FlowInstruments& ins = GlobalFlowInstruments();
+  ins.live_flows->Set(static_cast<int64_t>(NumFlows()));
+  ins.nursery_flows->Set(static_cast<int64_t>(live_nursery_));
+  ins.live_bytes->Set(static_cast<int64_t>(LiveBytes()));
+  ins.slab_bytes->Set(static_cast<int64_t>(arena_.ResidentBytes() +
+                                           nursery_.ResidentBytes()));
+  const SlabAllocStats& ma = arena_.alloc_stats();
+  const SlabAllocStats& na = nursery_.alloc_stats();
+  ins.hugepage_bytes->Set(
+      static_cast<int64_t>(ma.hugetlb_bytes + ma.thp_advised_bytes +
+                           na.hugetlb_bytes + na.thp_advised_bytes));
+  ins.cold_flows->Set(cold_ ? static_cast<int64_t>(cold_->NumFlows()) : 0);
+  ins.cold_bytes->Set(cold_ ? static_cast<int64_t>(cold_->EncodedBytes())
+                            : 0);
+  ins.cold_resident_bytes->Set(
+      cold_ ? static_cast<int64_t>(cold_->ResidentBytes()) : 0);
+  ins.cold_ratio_milli->Set(
+      cold_ && cold_->EncodedBytes() > 0
+          ? static_cast<int64_t>(cold_->RawBytes() * 1000 /
+                                 cold_->EncodedBytes())
+          : 0);
+}
 
 namespace {
 
@@ -170,11 +161,7 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
                         : row_free_.back();
   const uint32_t row =
       table_.FindOrInsert(flow, bucket_hash, candidate, &inserted, &probe_len);
-#if SMB_TELEMETRY_ENABLED
   GlobalFlowInstruments().probe_len->Record(probe_len);
-#else
-  (void)probe_len;
-#endif
   if (inserted) {
     const uint64_t offset = FlowSeedOffset(flow);
     if (!row_free_.empty()) {
@@ -201,10 +188,8 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
       ++live_main_;
     }
     ++recorded_flows_;
-#if SMB_TELEMETRY_ENABLED
     GlobalFlowInstruments().flows_created->Add();
-    SMB_FLOW_PUBLISH_RESIDENCY();
-#endif
+    PublishResidency();
     // Thaw-before-gate: a returning frozen flow resumes from its exact
     // evicted state, so the bits it records from here on are identical
     // to a never-evicted engine's.
@@ -238,7 +223,7 @@ void ArenaSmbEngine::ThawRow(uint32_t row, uint64_t flow) {
   (void)ok;
   meta_[row] = (round << kRoundShift) | ones;
   ++thawed_flows_;
-  SMB_FLOW_PUBLISH_RESIDENCY();
+  PublishResidency();
 }
 
 void ArenaSmbEngine::PromoteRow(uint32_t row) {
@@ -260,10 +245,8 @@ void ArenaSmbEngine::PromoteRow(uint32_t row) {
   --live_nursery_;
   ++live_main_;
   ++promoted_flows_;
-#if SMB_TELEMETRY_ENABLED
   GlobalFlowInstruments().flows_promoted->Add();
-  SMB_FLOW_PUBLISH_RESIDENCY();
-#endif
+  PublishResidency();
 }
 
 void ArenaSmbEngine::NurseryApply(uint32_t row, uint32_t ref, uint32_t pos,
@@ -480,10 +463,8 @@ void ArenaSmbEngine::EvictRow(uint32_t row) {
   ref_bits_[row] = 0;
   row_free_.push_back(row);
   ++evicted_flows_;
-#if SMB_TELEMETRY_ENABLED
   GlobalFlowInstruments().flows_evicted->Add();
-  SMB_FLOW_PUBLISH_RESIDENCY();
-#endif
+  PublishResidency();
 }
 
 double ArenaSmbEngine::EstimateMeta(uint32_t round32, uint32_t ones32) const {

@@ -344,6 +344,10 @@ class ArenaSmbEngine {
   bool EvictOneRow();
   void EvictRow(uint32_t row);
 
+  // Republishes the residency gauges after a create/promote/thaw/evict
+  // event.
+  void PublishResidency() const;
+
   bool EvictionEnabled() const {
     return config_.tuning.memory_budget_bytes > 0 &&
            config_.tuning.eviction != ArenaEviction::kOff;

@@ -70,9 +70,7 @@ void RunLedger::Merge(const Tally& tally) {
 }
 
 void RunLedger::ApplyEnd(uint64_t begin_ns) const {
-  if constexpr (telemetry::kEnabled) {
-    apply_ns_->Record(telemetry::MonotonicNanos() - begin_ns);
-  }
+  apply_ns_->Record(trace::TraceNowNanos() - begin_ns);
 }
 
 ShardPipelineStats RunLedger::Finish(OverloadPolicy policy) const {

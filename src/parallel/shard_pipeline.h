@@ -60,9 +60,9 @@ struct ShardPipelineOptions {
   OverloadPolicy overload_policy = OverloadPolicy::kBlock;
 };
 
-// What one Record call did under ingest pressure. Counted unconditionally
-// (per-producer locals merged once per run, nothing on the hot path), so
-// callers can report drops even in SMB_TELEMETRY=OFF builds.
+// What one Record call did under ingest pressure. Counted per producer and
+// merged once per run (nothing on the hot path), so callers can report
+// drops without reading the metrics registry.
 struct ShardPipelineStats {
   // Items handed to shards (total minus items_dropped).
   uint64_t items_recorded = 0;
@@ -96,9 +96,7 @@ class RunLedger {
                     const OverloadCounters& delta, Tally* tally) const;
   void Merge(const Tally& tally);
   // Brackets one consumer apply for the drain latency histogram.
-  uint64_t ApplyBegin() const {
-    return telemetry::kEnabled ? telemetry::MonotonicNanos() : 0;
-  }
+  uint64_t ApplyBegin() const { return trace::TraceNowNanos(); }
   void ApplyEnd(uint64_t begin_ns) const;
   // Called once every thread has joined.
   ShardPipelineStats Finish(OverloadPolicy policy) const;

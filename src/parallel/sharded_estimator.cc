@@ -58,12 +58,9 @@ ShardedEstimator::ShardedEstimator(const Config& config)
     spec.hash_seed = ShardSeed(k);
     shards_.push_back(CreateEstimator(spec));
   }
-#if SMB_TELEMETRY_ENABLED
   telem_shard_items_.assign(config.num_shards, 0);
-#endif
 }
 
-#if SMB_TELEMETRY_ENABLED
 // Skew gauge: 1000 * (most loaded shard) / (mean shard load). 1000 means a
 // perfectly balanced partition; the element-hash routing should keep this
 // within a few percent of that for non-adversarial streams.
@@ -81,7 +78,6 @@ void ShardedEstimator::UpdateSkewGauge() const {
   gauge->Set(static_cast<int64_t>(
       max_items * 1000 * telem_shard_items_.size() / total));
 }
-#endif  // SMB_TELEMETRY_ENABLED
 
 uint64_t ShardedEstimator::ShardSeed(size_t index) const {
   return DeriveShardSeed(config_.shard_spec.hash_seed, index);
@@ -109,9 +105,7 @@ void ShardedEstimator::AddBatch(std::span<const uint64_t> items) {
   }
   for (uint64_t item : items) {
     const size_t routed = ShardOf(item);
-#if SMB_TELEMETRY_ENABLED
     ++telem_shard_items_[routed];
-#endif
     std::vector<uint64_t>& run = scratch_[routed];
     run.push_back(item);
     if (run.size() == kRunCapacity) {
@@ -126,17 +120,13 @@ void ShardedEstimator::AddBatch(std::span<const uint64_t> items) {
       scratch_[k].clear();
     }
   }
-#if SMB_TELEMETRY_ENABLED
   UpdateSkewGauge();
-#endif
 }
 
 double ShardedEstimator::Estimate() const {
-#if SMB_TELEMETRY_ENABLED
   // Queries are rare relative to records; refresh the skew gauge here so
   // the Add()/AddBytes() item paths stay store-free.
   UpdateSkewGauge();
-#endif
   double sum = 0.0;
   for (const auto& shard : shards_) sum += shard->Estimate();
   return sum;
@@ -150,9 +140,7 @@ size_t ShardedEstimator::MemoryBits() const {
 
 void ShardedEstimator::Reset() {
   for (auto& shard : shards_) shard->Reset();
-#if SMB_TELEMETRY_ENABLED
   telem_shard_items_.assign(shards_.size(), 0);
-#endif
 }
 
 std::optional<std::vector<uint8_t>> ShardedEstimator::Serialize() const {

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "estimators/estimator_factory.h"
-#include "telemetry/telemetry_config.h"
 
 namespace smb {
 
@@ -58,16 +57,12 @@ class ShardedEstimator {
   size_t ShardOfBytes(std::string_view item) const;
   void Add(uint64_t item) {
     const size_t shard = ShardOf(item);
-#if SMB_TELEMETRY_ENABLED
     ++telem_shard_items_[shard];
-#endif
     shards_[shard]->Add(item);
   }
   void AddBytes(std::string_view item) {
     const size_t shard = ShardOfBytes(item);
-#if SMB_TELEMETRY_ENABLED
     ++telem_shard_items_[shard];
-#endif
     shards_[shard]->AddBytes(item);
   }
   // Routes a block into per-shard runs, then records each run through the
@@ -127,10 +122,8 @@ class ShardedEstimator {
   bool MergeFrom(const ShardedEstimator& other);
 
  private:
-#if SMB_TELEMETRY_ENABLED
   // Publishes the shard-skew gauge from telem_shard_items_.
   void UpdateSkewGauge() const;
-#endif
 
   Config config_;
   uint64_t routing_key_;  // mixed shard_seed actually used by ShardOf
@@ -138,11 +131,9 @@ class ShardedEstimator {
   // Per-shard routing runs reused across AddBatch calls (the class is
   // single-threaded by contract, so a member scratch is safe).
   std::vector<std::vector<uint64_t>> scratch_;
-#if SMB_TELEMETRY_ENABLED
   // Items routed to each shard, feeding the sharded_shard_skew_permille
   // gauge (single-threaded by the class contract, so plain integers).
   std::vector<uint64_t> telem_shard_items_;
-#endif
 };
 
 }  // namespace smb

@@ -32,7 +32,7 @@
 // kDropNew budget policy. The kRetry policy never sheds — it refuses
 // the cut, keeps the dirty set, and counts a deferral instead.)
 //
-// Failpoints exercised here (SMB_FAILPOINTS=ON builds):
+// Failpoints exercised here:
 //   repl.conn.reset   streaming connection torn down mid-flight
 //   repl.send.short   frame truncated at `arg` bytes, then the
 //                     connection is closed (a torn frame on the wire)

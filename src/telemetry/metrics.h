@@ -2,31 +2,19 @@
 // LatencyHistogram with power-of-two bucket boundaries (no floating point
 // on the record path).
 //
-// Overhead policy: with SMB_TELEMETRY=ON (the CMake default) every update
-// is a single relaxed atomic RMW on a cache-line-padded slot; with
-// SMB_TELEMETRY=OFF the same class names compile to empty no-op types, so
-// instrumented call sites vanish entirely and estimator behaviour (and the
-// tier-1 numbers) are bit-identical to an uninstrumented build — the
-// overhead guard test pins this down with a golden estimate.
+// Overhead policy: every update is a single relaxed atomic RMW on a
+// cache-line-padded slot, and no instrument feeds back into an estimate —
+// the overhead guard test pins this down with a golden estimate.
 
 #ifndef SMBCARD_TELEMETRY_METRICS_H_
 #define SMBCARD_TELEMETRY_METRICS_H_
 
+#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
-#include "telemetry/telemetry_config.h"
-
-#if SMB_TELEMETRY_ENABLED
-#include <atomic>
-#endif
-
 namespace smb::telemetry {
-
-// True when this build collects telemetry (mirrors the CMake option).
-inline constexpr bool kEnabled = SMB_TELEMETRY_ENABLED != 0;
 
 inline constexpr size_t kCacheLineSize = 64;
 
@@ -54,16 +42,6 @@ inline constexpr uint64_t HistogramBucketUpperBound(size_t index) {
   if (index >= kNumHistogramBuckets - 1) return kHistogramUnbounded;
   return (uint64_t{1} << index) - 1;
 }
-
-// Steady-clock nanoseconds for event timestamps and latency measurement.
-inline uint64_t MonotonicNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-#if SMB_TELEMETRY_ENABLED
 
 // Monotonically increasing event count. Padded to a full cache line so
 // adjacent registry entries never false-share under the parallel recorder.
@@ -146,36 +124,6 @@ static_assert(sizeof(Gauge) == kCacheLineSize &&
 static_assert(alignof(LatencyHistogram) == kCacheLineSize &&
                   sizeof(LatencyHistogram) % kCacheLineSize == 0,
               "LatencyHistogram must be cache-line padded");
-
-#else  // !SMB_TELEMETRY_ENABLED
-
-// No-op shells with the identical API: instrumented call sites compile and
-// then fold to nothing. They intentionally carry no state at all.
-class Counter {
- public:
-  void Add(uint64_t = 1) noexcept {}
-  uint64_t Value() const noexcept { return 0; }
-  void Reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void Set(int64_t) noexcept {}
-  void Add(int64_t) noexcept {}
-  int64_t Value() const noexcept { return 0; }
-  void Reset() noexcept {}
-};
-
-class LatencyHistogram {
- public:
-  void Record(uint64_t) noexcept {}
-  uint64_t Count() const noexcept { return 0; }
-  uint64_t Sum() const noexcept { return 0; }
-  uint64_t BucketCount(size_t) const noexcept { return 0; }
-  void Reset() noexcept {}
-};
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace smb::telemetry
 

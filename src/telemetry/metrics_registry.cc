@@ -1,7 +1,5 @@
 #include "telemetry/metrics_registry.h"
 
-#if SMB_TELEMETRY_ENABLED
-
 #include "common/macros.h"
 
 namespace smb::telemetry {
@@ -101,5 +99,3 @@ void MetricsRegistry::ResetValues() {
 }
 
 }  // namespace smb::telemetry
-
-#endif  // SMB_TELEMETRY_ENABLED

@@ -5,28 +5,20 @@
 // function-local static or a per-run array) and then touch only their own
 // padded atomic. Snapshot() materializes every instrument's current value
 // into the sorted MetricsSnapshot the exporters consume.
-//
-// With SMB_TELEMETRY=OFF the registry collapses to a header-only shell
-// that hands out shared no-op instruments and empty snapshots.
 
 #ifndef SMBCARD_TELEMETRY_METRICS_REGISTRY_H_
 #define SMBCARD_TELEMETRY_METRICS_REGISTRY_H_
 
+#include <deque>
+#include <map>
+#include <mutex>
+#include <string>
 #include <string_view>
 
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
 
-#if SMB_TELEMETRY_ENABLED
-#include <deque>
-#include <map>
-#include <mutex>
-#include <string>
-#endif
-
 namespace smb::telemetry {
-
-#if SMB_TELEMETRY_ENABLED
 
 class MetricsRegistry {
  public:
@@ -73,38 +65,6 @@ class MetricsRegistry {
   std::deque<Entry> entries_;
   std::map<std::string, Entry*> index_;
 };
-
-#else  // !SMB_TELEMETRY_ENABLED
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& Global() {
-    static MetricsRegistry registry;
-    return registry;
-  }
-
-  MetricsRegistry() = default;
-  MetricsRegistry(const MetricsRegistry&) = delete;
-  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  Counter* GetCounter(std::string_view, const Labels& = {}) {
-    return &counter_;
-  }
-  Gauge* GetGauge(std::string_view, const Labels& = {}) { return &gauge_; }
-  LatencyHistogram* GetHistogram(std::string_view, const Labels& = {}) {
-    return &histogram_;
-  }
-  MetricsSnapshot Snapshot() const { return {}; }
-  void ResetValues() {}
-
- private:
-  // Shared no-op instruments: never read, never written.
-  Counter counter_;
-  Gauge gauge_;
-  LatencyHistogram histogram_;
-};
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace smb::telemetry
 

@@ -1,7 +1,5 @@
 // Point-in-time value types shared by the registry, the exporters, the
-// snapshot parsers, and the metrics_inspect tool. Compiled unconditionally:
-// a telemetry-OFF build still exports (empty) snapshots and can still
-// inspect snapshots captured by an ON build.
+// snapshot parsers, and the metrics_inspect tool.
 
 #ifndef SMBCARD_TELEMETRY_SNAPSHOT_H_
 #define SMBCARD_TELEMETRY_SNAPSHOT_H_

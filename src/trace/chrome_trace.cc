@@ -53,8 +53,6 @@ std::string FormatChromeTrace(const std::vector<ChromeTraceEvent>& events,
   return json.TakeString();
 }
 
-std::string EmptyChromeTrace() { return FormatChromeTrace({}, 0, 0); }
-
 bool ValidateChromeTrace(std::string_view text, std::string* error,
                          size_t* num_events) {
   const auto fail = [error](std::string message) {

@@ -1,10 +1,7 @@
 // Chrome trace-event JSON (the "JSON Array Format" with the object
 // wrapper) — the interchange format the span tracer exports and that
-// chrome://tracing / Perfetto load directly. This translation unit is
-// built unconditionally: SMB_TRACING=OFF builds still need to emit a
-// valid empty trace (so `--trace-out=` is not a build-mode landmine) and
-// the schema validator backs tools/trace_validate and the CI trace-smoke
-// step in both modes.
+// chrome://tracing / Perfetto load directly. The schema validator backs
+// tools/trace_validate and the trace-smoke test.
 //
 // Emitted shape:
 //   {
@@ -45,10 +42,6 @@ struct ChromeTraceEvent {
 std::string FormatChromeTrace(const std::vector<ChromeTraceEvent>& events,
                               uint64_t total_recorded,
                               uint64_t dropped_on_wrap);
-
-// A valid zero-event trace; what ExportChromeTrace() returns in
-// SMB_TRACING=OFF builds.
-std::string EmptyChromeTrace();
 
 // Schema check for documents this exporter claims to produce: root
 // object, `traceEvents` array, every event an object with non-empty

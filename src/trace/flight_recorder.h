@@ -1,11 +1,11 @@
 // Always-on black-box flight recorder (DESIGN.md §14). A small bounded
 // ring of high-level lifecycle events — morph transitions, overload
 // actions, checkpoint generations, failpoint fires, merge operations —
-// that is cheap enough to leave on in every build (unlike the span
-// tracer, which is compiled out by default): events fire at state-change
-// cadence, not packet cadence. The ring can be dumped on demand or from
-// an installed crash handler, giving the chaos suite and any production
-// crash a post-mortem artifact.
+// that is cheap enough to record unconditionally (unlike the span tracer,
+// which records only while a capture is running): events fire at
+// state-change cadence, not packet cadence. The ring can be dumped on
+// demand or from an installed crash handler, giving the chaos suite and
+// any production crash a post-mortem artifact.
 //
 // Dump file format ("SMBFR1"), little-endian throughout:
 //   [0..8)   magic "SMBFR1\0\0"

@@ -143,8 +143,6 @@ ShardedHealthReport ProbeSharded(const ShardedFlowMonitor& monitor,
 //   _round, _virtual_round_milli, _fill_permille,
 //   _expected_rel_error_ppm, _morph_cadence_items, _headroom_permille,
 //   _saturated, _near_saturation, _stuck_round  (flags as 0/1)
-// No-ops in SMB_TELEMETRY=OFF builds (the registry hands out no-op
-// gauges).
 void PublishHealth(const HealthReport& report,
                    std::string_view prefix = "smb");
 

@@ -1,5 +1,3 @@
-// Compiled only in SMB_TRACING=ON builds (see src/CMakeLists.txt).
-
 #include "trace/span_tracer.h"
 
 #include <algorithm>

@@ -1,11 +1,9 @@
-// Low-overhead span tracer behind the SMB_TRACING build option
-// (DESIGN.md §14). Hot pipeline stages are annotated with
-// TRACE_SPAN("cat", "name"); each span is one 32-byte event pushed into a
-// thread-local ring with no locks and no allocation on the record path —
-// a relaxed atomic load (the capture flag) is the only cost when capture
-// is idle, and in SMB_TRACING=OFF builds the macro expands to nothing at
-// all (the overhead-guard golden test pins bit-identity, and CI's nm
-// guard pins symbol absence, mirroring the failpoint discipline).
+// Low-overhead span tracer (DESIGN.md §14). Hot pipeline stages are
+// annotated with TRACE_SPAN("cat", "name"); each span is one 32-byte
+// event pushed into a thread-local ring with no locks and no allocation
+// on the record path — a relaxed atomic load (the capture flag) is the
+// only cost when capture is idle, and spans never feed back into an
+// estimate (the overhead-guard golden test pins bit-identity).
 //
 // Concurrency contract: Record-side calls (TRACE_SPAN / TRACE_INSTANT)
 // are thread-safe against each other. StartCapture / StopCapture /
@@ -23,6 +21,7 @@
 #ifndef SMBCARD_TRACE_SPAN_TRACER_H_
 #define SMBCARD_TRACE_SPAN_TRACER_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -31,11 +30,6 @@
 #include "common/macros.h"
 #include "trace/chrome_trace.h"
 #include "trace/trace_clock.h"
-#include "trace/trace_config.h"
-
-#if SMB_TRACING_ENABLED
-#include <atomic>
-#endif
 
 namespace smb::trace {
 
@@ -45,8 +39,6 @@ struct SpanStats {
   uint64_t dropped_on_wrap = 0;  // overwritten by ring wrap, not exported
   uint32_t threads = 0;          // thread rings registered
 };
-
-#if SMB_TRACING_ENABLED
 
 // Events retained per thread. A wrapped ring keeps the newest
 // kSpanRingCapacity spans — the tail of the run, which is what a
@@ -135,25 +127,6 @@ inline void RecordInstant(const char* category, const char* name) {
 // A zero-duration marker event.
 #define TRACE_INSTANT(category, name) \
   ::smb::trace::RecordInstant(category, name)
-
-#else  // !SMB_TRACING_ENABLED
-
-// Compiled-out shells: capture is permanently idle, the exporter returns
-// a valid empty trace (so --trace-out works in any build), and the
-// macros vanish. No tracer class exists in this mode — CI's nm guard
-// greps for ScopedSpan/CommitSpan mangles to prove nothing leaked.
-
-inline bool IsCapturing() { return false; }
-inline void StartCapture() {}
-inline void StopCapture() {}
-inline SpanStats CaptureStats() { return SpanStats{}; }
-inline std::vector<ChromeTraceEvent> CollectSpans() { return {}; }
-inline std::string ExportChromeTrace() { return EmptyChromeTrace(); }
-
-#define TRACE_SPAN(category, name) static_cast<void>(0)
-#define TRACE_INSTANT(category, name) static_cast<void>(0)
-
-#endif  // SMB_TRACING_ENABLED
 
 }  // namespace smb::trace
 

@@ -1,7 +1,5 @@
-// Steady-clock timestamps for the trace layer. Deliberately independent
-// of telemetry/metrics.h: the flight recorder is always-on while the
-// telemetry layer can be compiled out, so trace code must not borrow the
-// telemetry clock.
+// Steady-clock timestamps for span and flight-recorder events and for
+// the telemetry latency histograms.
 
 #ifndef SMBCARD_TRACE_TRACE_CLOCK_H_
 #define SMBCARD_TRACE_TRACE_CLOCK_H_

@@ -1,6 +1,6 @@
 // FailpointRegistry semantics: arming, firing, skip/limit/probability
 // modifiers, the env-string grammar, determinism under reseeding, and the
-// OFF-build contract that SMB_FAILPOINT is a constant miss.
+// contract that an unarmed point is a miss.
 
 #include <gtest/gtest.h>
 
@@ -14,18 +14,12 @@ namespace smb::fault {
 namespace {
 
 TEST(FailpointsBuildMode, MacroIsAlwaysSafeToCall) {
-  // Compiles and runs in both build modes; in OFF builds this is the whole
-  // framework surface and must cost a value-initialized struct, nothing
-  // else.
+  // A site whose point nobody armed reports a plain miss.
   const auto hit = SMB_FAILPOINT("test.nonexistent.point");
-  if (!kEnabled) {
-    EXPECT_FALSE(hit.fired);
-    EXPECT_EQ(hit.action, FailpointAction::kOff);
-    EXPECT_EQ(hit.arg, 0u);
-  }
+  EXPECT_FALSE(hit.fired);
+  EXPECT_EQ(hit.action, FailpointAction::kOff);
+  EXPECT_EQ(hit.arg, 0u);
 }
-
-#if SMB_FAILPOINTS_ENABLED
 
 class FailpointsTest : public ::testing::Test {
  protected:
@@ -193,8 +187,6 @@ TEST_F(FailpointsDeathTest, PanicAborts) {
       },
       "failpoint panic: test.panic");
 }
-
-#endif  // SMB_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace smb::fault

@@ -3,9 +3,6 @@
 // bar: recovery NEVER returns corrupted state — every recovered payload
 // is byte-identical to some successfully-written checkpoint, and the
 // estimator it restores lands within the estimator's error bound.
-//
-// Needs an SMB_FAILPOINTS=ON build; the suite skips (not passes) in OFF
-// builds so its absence from a CI leg is visible.
 
 #include <gtest/gtest.h>
 
@@ -21,14 +18,6 @@ namespace smb::io {
 namespace {
 
 namespace fs = std::filesystem;
-
-#if !SMB_FAILPOINTS_ENABLED
-
-TEST(CheckpointChaosTest, RequiresFailpointBuild) {
-  GTEST_SKIP() << "chaos suite needs an SMB_FAILPOINTS=ON build";
-}
-
-#else  // SMB_FAILPOINTS_ENABLED
 
 constexpr size_t kMemoryBits = 10000;
 constexpr uint64_t kDesignCardinality = 100000;
@@ -196,8 +185,6 @@ TEST(CheckpointChaosTest, FsyncFailureLeavesNoNewGeneration) {
   EXPECT_EQ(tmp_files, 0u);
   fs::remove_all(dir);
 }
-
-#endif  // SMB_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace smb::io

@@ -9,16 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "parallel/sharded_estimator.h"
 #include "parallel/spsc_ring.h"
 #include "telemetry/metrics_registry.h"
-
-#if SMB_TELEMETRY_ENABLED
-#include <string>
-#endif
 
 namespace smb {
 namespace {
@@ -189,8 +186,6 @@ TEST(ParallelRecorderTest, ShardedSmbStaysInsidePaperErrorEnvelope) {
   EXPECT_LT(sum_abs_rel_err / runs, 0.05);
 }
 
-#if SMB_TELEMETRY_ENABLED
-
 // Telemetry under real producer/consumer fleets (this file is the TSan
 // workload, so this also proves the instruments race-free in anger):
 // per-shard routing counters must account for every item exactly once.
@@ -232,8 +227,6 @@ TEST(ParallelRecorderTest, TelemetryAccountsForEveryRoutedItem) {
   // reads 1000, so anything at or above that is a sane value.
   EXPECT_GE(registry.GetGauge("sharded_shard_skew_permille")->Value(), 1000);
 }
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace smb

@@ -13,9 +13,6 @@
 // per-point PRNGs) followed by a quiesce phase (faults cleared, streams
 // drain) — convergence AFTER faults is the claim, not liveness DURING
 // them.
-//
-// Needs an SMB_FAILPOINTS=ON build; the suite skips (not passes) in OFF
-// builds so its absence from a CI leg is visible.
 
 #include <gtest/gtest.h>
 
@@ -36,14 +33,6 @@ namespace smb::repl {
 namespace {
 
 namespace fs = std::filesystem;
-
-#if !SMB_FAILPOINTS_ENABLED
-
-TEST(ReplicationChaosTest, RequiresFailpointBuild) {
-  GTEST_SKIP() << "chaos suite needs an SMB_FAILPOINTS=ON build";
-}
-
-#else  // SMB_FAILPOINTS_ENABLED
 
 constexpr size_t kChildren = 4;
 constexpr size_t kBursts = 4;  // deltas cut per child per cycle
@@ -360,8 +349,6 @@ TEST(ReplicationChaosTest, AcksHoldBackWhileCheckpointsFail) {
 
   fs::remove_all(dir);
 }
-
-#endif  // SMB_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace smb::repl

@@ -75,19 +75,17 @@ void ExpectMergedQueryMatchesMergedEngine(const ReplicationSink& sink) {
               std::bit_cast<uint64_t>(merged.Query(flow)))
         << "flow " << flow;
   }
-  if constexpr (telemetry::kEnabled) {
-    const telemetry::Counter* created =
-        telemetry::MetricsRegistry::Global().GetCounter(
-            "flow_flows_created_total");
-    const uint64_t before = created->Value();
-    for (size_t q = 0; q < 1000; ++q) {
-      (void)sink.MergedQuery(flows[q % flows.size()]);
-    }
-    EXPECT_EQ(created->Value(), before);
-    // The counter is live: a rebuild moves it by one row per flow.
-    const ArenaSmbEngine rebuilt = sink.MergedEngine();
-    EXPECT_EQ(created->Value(), before + rebuilt.NumFlows());
+  const telemetry::Counter* created =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "flow_flows_created_total");
+  const uint64_t before = created->Value();
+  for (size_t q = 0; q < 1000; ++q) {
+    (void)sink.MergedQuery(flows[q % flows.size()]);
   }
+  EXPECT_EQ(created->Value(), before);
+  // The counter is live: a rebuild moves it by one row per flow.
+  const ArenaSmbEngine rebuilt = sink.MergedEngine();
+  EXPECT_EQ(created->Value(), before + rebuilt.NumFlows());
 }
 
 struct Child {

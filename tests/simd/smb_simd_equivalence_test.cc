@@ -3,8 +3,8 @@
 // forced, and the dispatched AddBatch() must leave SMB in an identical
 // (bitmap, r, v) state — including blocks that straddle morph boundaries —
 // and the sibling batch inserts (LinearCounting, MRB) must match their
-// Add() loops exactly. These tests run in every CI leg, including the
-// ASan/UBSan and SMB_TELEMETRY=OFF matrices.
+// Add() loops exactly. These tests run in every CI leg, including
+// ASan/UBSan.
 
 #include <gtest/gtest.h>
 

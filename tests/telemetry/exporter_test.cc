@@ -1,7 +1,5 @@
-// Exporter/parser round trips. Hand-built snapshots keep these tests
-// meaningful in SMB_TELEMETRY=OFF builds too (the snapshot and exporter
-// layers are compiled unconditionally); the registry-derived round trip at
-// the bottom runs only when instrumentation exists.
+// Exporter/parser round trips over hand-built snapshots, plus a
+// registry-derived round trip at the bottom.
 
 #include "telemetry/exporter.h"
 
@@ -151,8 +149,6 @@ TEST(SnapshotParserTest, WhitespaceOnlyInputIsEmptySnapshot) {
   EXPECT_TRUE(parsed->samples.empty());
 }
 
-#if SMB_TELEMETRY_ENABLED
-
 TEST(ExporterTest, RegistrySnapshotRoundTripsBothFormats) {
   MetricsRegistry registry;
   registry.GetCounter("events_total", {{"shard", "0"}})->Add(11);
@@ -166,8 +162,6 @@ TEST(ExporterTest, RegistrySnapshotRoundTripsBothFormats) {
   EXPECT_EQ(ParsePrometheusText(ToPrometheusText(snapshot)), snapshot);
   EXPECT_EQ(ParseJsonSnapshot(ToJson(snapshot)), snapshot);
 }
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace smb::telemetry

@@ -16,14 +16,6 @@
 namespace smb::telemetry {
 namespace {
 
-TEST(MetricsTest, BuildModeConstantMirrorsMacro) {
-#if SMB_TELEMETRY_ENABLED
-  EXPECT_TRUE(kEnabled);
-#else
-  EXPECT_FALSE(kEnabled);
-#endif
-}
-
 TEST(MetricsTest, HistogramBucketGeometry) {
   // Bucket 0 is exactly {0}; bucket i covers [2^(i-1), 2^i - 1].
   EXPECT_EQ(HistogramBucketIndex(0), 0u);
@@ -46,8 +38,6 @@ TEST(MetricsTest, HistogramBucketGeometry) {
     EXPECT_EQ(HistogramBucketIndex(bound + 1), i + 1);
   }
 }
-
-#if SMB_TELEMETRY_ENABLED
 
 TEST(MetricsTest, InstrumentsAreLockFreeAndCacheLinePadded) {
   EXPECT_TRUE(std::atomic<uint64_t>::is_always_lock_free);
@@ -169,31 +159,6 @@ TEST(MetricsRegistryTest, ResetValuesKeepsRegistrationsAlive) {
   const MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(snapshot.samples.size(), 2u);
 }
-
-#else  // !SMB_TELEMETRY_ENABLED
-
-TEST(MetricsTest, DisabledInstrumentsAreInertNoOps) {
-  Counter counter;
-  counter.Add(100);
-  EXPECT_EQ(counter.Value(), 0u);
-  Gauge gauge;
-  gauge.Set(5);
-  EXPECT_EQ(gauge.Value(), 0);
-  LatencyHistogram histogram;
-  histogram.Record(123);
-  EXPECT_EQ(histogram.Count(), 0u);
-  EXPECT_EQ(histogram.Sum(), 0u);
-}
-
-TEST(MetricsRegistryTest, DisabledRegistryHandsOutNoOpsAndEmptySnapshots) {
-  auto& registry = MetricsRegistry::Global();
-  Counter* counter = registry.GetCounter("anything");
-  ASSERT_NE(counter, nullptr);
-  counter->Add(7);
-  EXPECT_TRUE(registry.Snapshot().samples.empty());
-}
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace smb::telemetry

@@ -29,8 +29,6 @@ SelfMorphingBitmap::Config SmallConfig() {
   return config;
 }
 
-#if SMB_TELEMETRY_ENABLED
-
 // This instance's kMorph events (oldest first) out of the global ring.
 std::vector<FlightEvent> EventsFor(const SelfMorphingBitmap& smb) {
   std::vector<FlightEvent> mine;
@@ -123,27 +121,6 @@ TEST(MorphTracerTest, ResetDoesNotEraseHistoryButRestartsItemCount) {
   EXPECT_EQ(events[events_before].b, 1u);
   EXPECT_LE(events[events_before].c, 5000u);
 }
-
-#else  // !SMB_TELEMETRY_ENABLED
-
-// Without telemetry the morph still reaches the flight recorder, with no
-// instance id or item count to tag it.
-TEST(MorphTracerTest, MorphsRecordRoundsWithoutInstanceIds) {
-  FlightRecorder::Global().Clear();
-  SelfMorphingBitmap smb(SmallConfig());
-  for (uint64_t i = 0; i < 20000; ++i) smb.Add(i);
-  ASSERT_GE(smb.round(), 3u);
-  uint64_t next_round = 1;
-  for (const FlightEvent& event : FlightRecorder::Global().Events()) {
-    if (event.type != FlightEventType::kMorph) continue;
-    EXPECT_EQ(event.a, 0u);
-    EXPECT_EQ(event.b, next_round++);
-    EXPECT_EQ(event.c, 0u);
-  }
-  EXPECT_EQ(next_round, smb.round() + 1);
-}
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace smb

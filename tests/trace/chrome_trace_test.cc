@@ -2,8 +2,7 @@
 // and ValidateChromeTrace are two halves of one schema contract: every
 // document the formatter can emit must validate, and the validator must
 // reject documents that are not traces with an error naming the broken
-// part. Built in every mode (the formatter backs --trace-out even in
-// SMB_TRACING=OFF builds).
+// part.
 
 #include "trace/chrome_trace.h"
 
@@ -17,7 +16,7 @@ namespace smb::trace {
 namespace {
 
 TEST(ChromeTraceTest, EmptyTraceValidatesWithZeroEvents) {
-  const std::string text = EmptyChromeTrace();
+  const std::string text = FormatChromeTrace({}, 0, 0);
   std::string error;
   size_t num_events = 999;
   EXPECT_TRUE(ValidateChromeTrace(text, &error, &num_events)) << error;
@@ -49,7 +48,8 @@ TEST(ChromeTraceTest, FormattedEventsRoundTripThroughValidator) {
 }
 
 TEST(ChromeTraceTest, ValidatorToleratesMissingErrorAndCountOut) {
-  EXPECT_TRUE(ValidateChromeTrace(EmptyChromeTrace(), nullptr, nullptr));
+  EXPECT_TRUE(
+      ValidateChromeTrace(FormatChromeTrace({}, 0, 0), nullptr, nullptr));
   EXPECT_FALSE(ValidateChromeTrace("not json", nullptr, nullptr));
 }
 

@@ -196,8 +196,6 @@ TEST(ProbeArenaTest, TopKIsSortedAndAggregatesMatchTheEngine) {
   EXPECT_EQ(all.top.size(), engine.NumFlows());
 }
 
-#if SMB_TELEMETRY_ENABLED
-
 TEST(PublishHealthTest, HealthGaugesRideBothExporters) {
   HealthReport report = DeriveHealth(MidRoundInput());
   PublishHealth(report, "probe_test");
@@ -241,8 +239,6 @@ TEST(PublishHealthTest, ArenaHealthPublishesAggregatesAndTopRanks) {
   EXPECT_NE(prom.find("arena_health_top_rel_error_ppm{rank=\"1\"}"),
             std::string::npos);
 }
-
-#endif  // SMB_TELEMETRY_ENABLED
 
 }  // namespace
 }  // namespace smb::health

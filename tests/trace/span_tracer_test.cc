@@ -1,10 +1,8 @@
-// Span tracer semantics in whichever SMB_TRACING mode this build
-// compiled. ON: capture gating, ring-wrap accounting and ordering, the
-// multi-thread record path (this file is part of the TSan CI workload —
-// writers are spawned after StartCapture and joined before the
-// control-plane reads, exactly the quiescence contract the header
-// documents), and the exported document's schema. OFF: the shells must
-// report a permanently idle tracer and still export a valid empty trace.
+// Span tracer semantics: capture gating, ring-wrap accounting and
+// ordering, the multi-thread record path (this file is part of the TSan
+// CI workload — writers are spawned after StartCapture and joined before
+// the control-plane reads, exactly the quiescence contract the header
+// documents), and the exported document's schema.
 
 #include "trace/span_tracer.h"
 
@@ -19,8 +17,6 @@
 
 namespace smb::trace {
 namespace {
-
-#if SMB_TRACING_ENABLED
 
 TEST(SpanTracerTest, CaptureGatesRecording) {
   EXPECT_FALSE(IsCapturing());
@@ -155,35 +151,6 @@ TEST(SpanTracerTest, ExportedTraceValidatesAgainstTheSchema) {
   EXPECT_EQ(num_events, 32u);
   EXPECT_NE(text.find("export"), std::string::npos);
 }
-
-#else  // !SMB_TRACING_ENABLED
-
-TEST(SpanTracerTest, DisabledTracerIsPermanentlyIdle) {
-  EXPECT_FALSE(IsCapturing());
-  StartCapture();
-  EXPECT_FALSE(IsCapturing());
-  // The macros compile away; these must be no-ops, not link errors.
-  TRACE_SPAN("test", "compiled_out");
-  TRACE_INSTANT("test", "compiled_out");
-  StopCapture();
-
-  const SpanStats stats = CaptureStats();
-  EXPECT_EQ(stats.total_recorded, 0u);
-  EXPECT_EQ(stats.dropped_on_wrap, 0u);
-  EXPECT_EQ(stats.threads, 0u);
-  EXPECT_TRUE(CollectSpans().empty());
-}
-
-TEST(SpanTracerTest, DisabledExportIsAValidEmptyTrace) {
-  const std::string text = ExportChromeTrace();
-  EXPECT_EQ(text, EmptyChromeTrace());
-  std::string error;
-  size_t num_events = 99;
-  EXPECT_TRUE(ValidateChromeTrace(text, &error, &num_events)) << error;
-  EXPECT_EQ(num_events, 0u);
-}
-
-#endif  // SMB_TRACING_ENABLED
 
 }  // namespace
 }  // namespace smb::trace

@@ -18,9 +18,6 @@
 // the live-latency question a cumulative histogram cannot answer.
 // Metrics absent from OLD are treated as starting from zero; a counter
 // that went backwards is flagged "reset".
-//
-// Works in SMB_TELEMETRY=OFF builds too: the parsers and snapshot types
-// are compiled unconditionally.
 
 #include <cmath>
 #include <cstdint>

@@ -10,10 +10,13 @@
 //   smbcard --load day1.smb < day2.txt   # cardinality of day1 ∪ day2
 
 #include <condition_variable>
+#include <cstdio>
 #include <filesystem>
 #include <mutex>
 #include <thread>
 
+#include "fault/failpoints.h"
+#include "io/file_util.h"
 #include "smbcard_cli/runners.h"
 #include "telemetry/exporter.h"
 #include "telemetry/metrics_registry.h"
@@ -22,9 +25,17 @@
 namespace smb::cli {
 namespace {
 
+// Where a --metrics-out snapshot is staged before it is renamed over the
+// target: same directory, so the rename is atomic.
+std::string MetricsStagingPath(const std::string& path) {
+  return path + ".tmp";
+}
+
 // Serializes the global registry into `path`; format picked by extension
-// (`.json` => JSON, anything else => Prometheus text). Returns false when
-// the file cannot be (fully) written.
+// (`.json` => JSON, anything else => Prometheus text). The snapshot is
+// staged and renamed into place, so a reader (smbtop, metrics_inspect)
+// sees either the previous snapshot or the new one, never a prefix.
+// Returns false when the file cannot be (fully) written.
 bool WriteMetricsSnapshot(const std::string& path) {
   const telemetry::MetricsSnapshot snapshot =
       telemetry::MetricsRegistry::Global().Snapshot();
@@ -32,11 +43,16 @@ bool WriteMetricsSnapshot(const std::string& path) {
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
   const std::string text = json ? telemetry::ToJson(snapshot)
                                 : telemetry::ToPrometheusText(snapshot);
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) return false;
-  file << text;
-  file.flush();
-  return file.good();
+  const std::string staging = MetricsStagingPath(path);
+  std::string error;
+  if (!io::WriteFileBytes(staging,
+                          reinterpret_cast<const uint8_t*>(text.data()),
+                          text.size(), &error) ||
+      std::rename(staging.c_str(), path.c_str()) != 0) {
+    std::remove(staging.c_str());
+    return false;
+  }
+  return true;
 }
 
 // Rewrites --metrics-out every interval while a runner runs. Final
@@ -79,11 +95,14 @@ class PeriodicMetricsWriter {
 };
 
 // Fails before any input is read when an output location is unusable.
-// The metrics and flight-recorder probes append, so an existing capture
-// is not clobbered by a run that then dies on bad input.
+// The metrics probe creates the staging file, and the flight-recorder
+// probe appends, so an existing capture is not clobbered by a run that
+// then dies on bad input. A --metrics-out that exists but is not a
+// regular file (/dev/null, a FIFO) is refused: the snapshot rename would
+// replace it.
 bool ProbeOutputs(const CliOptions& options) {
+  namespace fs = std::filesystem;
   if (!options.checkpoint_dir.empty()) {
-    namespace fs = std::filesystem;
     std::error_code ec;
     fs::create_directories(options.checkpoint_dir, ec);
     const fs::path probe_path =
@@ -96,11 +115,19 @@ bool ProbeOutputs(const CliOptions& options) {
     }
     fs::remove(probe_path, ec);
   }
-  if (!options.metrics_out.empty() &&
-      !std::ofstream(options.metrics_out, std::ios::app)) {
-    std::fprintf(stderr, "cannot write metrics to %s\n",
-                 options.metrics_out.c_str());
-    return false;
+  if (!options.metrics_out.empty()) {
+    std::error_code ec;
+    const fs::file_status target = fs::status(options.metrics_out, ec);
+    const std::string staging = MetricsStagingPath(options.metrics_out);
+    const bool writable =
+        (!fs::exists(target) || fs::is_regular_file(target)) &&
+        static_cast<bool>(std::ofstream(staging));
+    std::remove(staging.c_str());
+    if (!writable) {
+      std::fprintf(stderr, "cannot write metrics to %s\n",
+                   options.metrics_out.c_str());
+      return false;
+    }
   }
   if (!options.flight_recorder_out.empty() &&
       !std::ofstream(options.flight_recorder_out, std::ios::app)) {
@@ -136,6 +163,10 @@ int Run(const CliOptions& options) {
 int main(int argc, char** argv) {
   using namespace smb::cli;
   const CliOptions options = ParseArgs(argc, argv);
+  // Parse SMBCARD_FAILPOINTS now: a malformed string aborts here, before
+  // any input is read, rather than at the first failpoint site (which a
+  // run without checkpoints or replication never reaches).
+  smb::fault::FailpointRegistry::Global();
   if (!ProbeOutputs(options)) return 2;
   if (!options.flight_recorder_out.empty()) {
     // Arm the crash path first so a mid-run fatal signal still leaves a

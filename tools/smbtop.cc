@@ -26,11 +26,11 @@
 //               cumulative histograms are differenced between polls so
 //               the quantiles describe the last interval only
 //
-// --once renders a single frame without clearing and exits (CI smoke);
-// a transiently unreadable file is retried briefly before failing.
-// A missing or half-written file is not fatal in live mode (the
-// producer rewrites the file in place): the last good frame is
-// re-rendered with a [stale] badge until a poll succeeds again.
+// --once renders a single frame without clearing and exits (CI smoke).
+// smbcard replaces its --metrics-out file atomically, so a poll reads
+// either a whole snapshot or none. A missing or unreadable file is not
+// fatal in live mode: the last good frame is re-rendered with a [stale]
+// badge until a poll succeeds again.
 
 #include <unistd.h>
 
@@ -310,14 +310,7 @@ int main(int argc, char** argv) {
   if (path.empty()) return Usage(argv[0]);
 
   if (once) {
-    // A producer rewriting the file in place can leave it transiently
-    // unreadable; retry briefly before failing the smoke.
-    std::optional<MetricsSnapshot> snapshot = ReadSnapshot(path);
-    for (int attempt = 0; !snapshot.has_value() && attempt < 10;
-         ++attempt) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      snapshot = ReadSnapshot(path);
-    }
+    const std::optional<MetricsSnapshot> snapshot = ReadSnapshot(path);
     if (!snapshot.has_value()) {
       std::fprintf(stderr, "%s: not a readable metrics snapshot\n",
                    path.c_str());
@@ -345,8 +338,8 @@ int main(int argc, char** argv) {
       prev = std::move(snapshot);
       prev_time = now;
     } else if (prev.has_value()) {
-      // Mid-rotation: the producer is rewriting the file. Re-render the
-      // last good frame with a [stale] badge and keep retrying. Rates
+      // The file went missing or unreadable. Re-render the last good
+      // frame with a [stale] badge and keep retrying. Rates
       // are suppressed (prev == nullptr) — the baseline is this same
       // stale frame, so any rate shown would be a fabricated zero.
       std::printf("\x1b[H\x1b[2J");

@@ -8,8 +8,6 @@
 //
 // Exit 0 and a one-line summary when the document passes
 // ValidateChromeTrace; exit 1 with the validator's reason otherwise.
-// Works identically in SMB_TRACING=OFF builds: the validator is compiled
-// unconditionally, and an OFF build's empty trace passes.
 
 #include <fstream>
 #include <iostream>

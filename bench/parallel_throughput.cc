@@ -169,10 +169,10 @@ void Run(const BenchScale& scale) {
   json.Uint(std::thread::hardware_concurrency());
   json.Key("speedup_best_parallel_vs_add");
   json.Double(baseline > 0 ? best_parallel / baseline : 0.0, 2);
-  // Telemetry accumulated over every mode above.
+  // Telemetry accumulated over every mode above, as Prometheus text.
   json.Key("telemetry");
-  telemetry::WriteJson(telemetry::MetricsRegistry::Global().Snapshot(),
-                       &json);
+  json.String(telemetry::ToPrometheusText(
+      telemetry::MetricsRegistry::Global().Snapshot()));
   json.EndObject();
   std::printf("%s\n", json.str().c_str());
 }

@@ -1,6 +1,7 @@
 // Little-endian integers in byte buffers, shared by every binary format
-// that builds a std::vector<uint8_t> (FLW1, SMBZ1, SMBRPAR1, SMBREPL1
-// frames, framed checkpoints, SMB and sharded snapshots).
+// that builds a std::vector<uint8_t>: FLW1, SMBZ1, SMBRPAR1, SMBREPL1
+// frames, SMBCKPT1/SMBSPOOL framed images, SMB2, HPP2 and SHD1
+// snapshots, and SMBT1 traces.
 //
 // Values move through memcpy, which is the little-endian byte order only
 // on a little-endian host; the bulk word forms rely on that to copy a

@@ -2,7 +2,7 @@
 // estimator state (DESIGN.md §11).
 //
 // The store is payload-agnostic: it persists the byte snapshots the
-// existing Serialize()/Deserialize() formats produce (SMB2, HPP2, SHRD)
+// existing Serialize()/Deserialize() formats produce (SMB2, HPP2, SHD1)
 // without interpreting them. What it adds is the durability layer those
 // in-memory formats cannot provide on their own:
 //

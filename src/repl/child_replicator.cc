@@ -13,6 +13,11 @@
 namespace smb::repl {
 namespace {
 
+// Deadlines for connect, hello-ack and send progress.
+constexpr uint64_t kConnectDeadlineMs = 1000;
+constexpr uint64_t kHelloDeadlineMs = 1000;
+constexpr uint64_t kSendDeadlineMs = 2000;
+
 // Sorted dirty set: delta payloads are deterministic for a given dirty
 // set, which keeps the chaos suite's oracle comparisons byte-stable.
 std::vector<uint64_t> SortedFlows(const std::unordered_set<uint64_t>& set) {
@@ -130,7 +135,7 @@ void ChildReplicator::StartConnecting(uint64_t now_ms) {
     case ConnectStart::kInProgress:
       conn_ = std::move(fd);
       state_ = State::kConnecting;
-      deadline_ms_ = now_ms + options_.connect_deadline_ms;
+      deadline_ms_ = now_ms + kConnectDeadlineMs;
       return;
     case ConnectStart::kFailed:
       EnterBackoff(now_ms);
@@ -140,7 +145,7 @@ void ChildReplicator::StartConnecting(uint64_t now_ms) {
 
 void ChildReplicator::OnConnected(uint64_t now_ms) {
   state_ = State::kAwaitHelloAck;
-  deadline_ms_ = now_ms + options_.hello_deadline_ms;
+  deadline_ms_ = now_ms + kHelloDeadlineMs;
   Frame hello;
   hello.type = FrameType::kHello;
   hello.child_id = options_.child_id;
@@ -279,7 +284,7 @@ void ChildReplicator::HandleIncoming(uint64_t now_ms) {
           RebuildSendQueue();
           state_ = State::kStreaming;
           backoff_ms_ = 0;  // healthy session resets the backoff ladder
-          send_progress_deadline_ms_ = now_ms + options_.send_deadline_ms;
+          send_progress_deadline_ms_ = now_ms + kSendDeadlineMs;
           last_send_ms_ = now_ms;
         }
         break;
@@ -332,7 +337,7 @@ void ChildReplicator::PumpSend(uint64_t now_ms) {
   if (taken > 0) {
     outbox_.erase(outbox_.begin(), outbox_.begin() + static_cast<long>(taken));
     last_send_ms_ = now_ms;
-    send_progress_deadline_ms_ = now_ms + options_.send_deadline_ms;
+    send_progress_deadline_ms_ = now_ms + kSendDeadlineMs;
   }
   if (status == IoStatus::kError) {
     EnterBackoff(now_ms);

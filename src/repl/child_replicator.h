@@ -80,10 +80,6 @@ class ChildReplicator {
     // Jittered exponential backoff between connect attempts.
     uint64_t backoff_initial_ms = 10;
     uint64_t backoff_max_ms = 2000;
-    // Deadlines for connect, hello-ack and send progress.
-    uint64_t connect_deadline_ms = 1000;
-    uint64_t hello_deadline_ms = 1000;
-    uint64_t send_deadline_ms = 2000;
     // Idle keepalive cadence.
     uint64_t heartbeat_interval_ms = 200;
     // Seed for backoff jitter (deterministic in tests).

@@ -13,6 +13,10 @@
 namespace smb::repl {
 namespace {
 
+// Checkpoint generations the parent keeps: the newest plus one to fall
+// back to if the newest is torn.
+constexpr size_t kKeepCheckpoints = 2;
+
 // Parent checkpoint payload (inside the CheckpointStore's CRC framing):
 //   magic "SMBRPAR1" (8 bytes) | u64 num_children
 //   per child: u64 child_id | u64 high_water | u64 snapshot_len
@@ -31,7 +35,7 @@ ReplicationSink::ReplicationSink(const Options& options)
   if (!options_.checkpoint_dir.empty()) {
     io::CheckpointStore::Options store_options;
     store_options.directory = options_.checkpoint_dir;
-    store_options.keep_generations = options_.keep_checkpoints;
+    store_options.keep_generations = kKeepCheckpoints;
     store_options.sync = options_.checkpoint_sync;
     checkpoints_ = std::make_unique<io::CheckpointStore>(store_options);
     RecoverFromCheckpoint();

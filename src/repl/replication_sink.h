@@ -59,7 +59,6 @@ class ReplicationSink {
     // disables persistence (acks then advance with the in-memory apply,
     // and a parent restart starts empty — test/bench use only).
     std::string checkpoint_dir;
-    size_t keep_checkpoints = 2;
     bool checkpoint_sync = false;
     // Per-child reorder buffer (DeltaSequencer window).
     size_t reorder_window = 64;

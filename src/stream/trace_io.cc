@@ -1,65 +1,64 @@
 #include "stream/trace_io.h"
 
 #include <cerrno>
-#include <cstdio>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/le_bytes.h"
+
 namespace smb {
 namespace {
 
+// SMBT1: magic | u64 num_flows | u64 num_packets
+//        | num_flows u64 true cardinalities | num_packets (u64 flow, u64
+//        element) pairs, all little-endian (common/le_bytes.h).
 constexpr char kMagic[5] = {'S', 'M', 'B', 'T', '1'};
 
-void AppendU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + 8 > in.size()) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(
-               static_cast<uint8_t>(in[*pos + static_cast<size_t>(i)]))
-           << (8 * i);
-  }
-  *pos += 8;
-  *v = out;
-  return true;
-}
+// The packet array moves in one copy, so its in-memory layout must be the
+// on-disk (flow, element) pair.
+static_assert(sizeof(Packet) == 16 && offsetof(Packet, element) == 8 &&
+              std::is_trivially_copyable_v<Packet>);
 
 }  // namespace
 
 bool WriteTraceFile(const Trace& trace, const std::string& path) {
-  std::string out;
-  out.reserve(5 + 16 + trace.true_cardinality.size() * 8 +
-              trace.packets.size() * 16);
-  out.append(kMagic, sizeof(kMagic));
+  std::vector<uint8_t> out;
+  out.reserve(sizeof(kMagic) + 16 + trace.true_cardinality.size() * 8 +
+              trace.packets.size() * sizeof(Packet));
+  AppendBytes(&out, kMagic, sizeof(kMagic));
   AppendU64(&out, trace.true_cardinality.size());
   AppendU64(&out, trace.packets.size());
-  for (uint64_t c : trace.true_cardinality) AppendU64(&out, c);
-  for (const Packet& p : trace.packets) {
-    AppendU64(&out, p.flow);
-    AppendU64(&out, p.element);
-  }
+  AppendU64s(&out, trace.true_cardinality);
+  AppendBytes(&out, trace.packets.data(),
+              trace.packets.size() * sizeof(Packet));
   std::ofstream file(path, std::ios::binary | std::ios::trunc);
   if (!file) return false;
-  file.write(out.data(), static_cast<std::streamsize>(out.size()));
+  file.write(reinterpret_cast<const char*>(out.data()),
+             static_cast<std::streamsize>(out.size()));
   return static_cast<bool>(file);
 }
 
 std::optional<Trace> ReadTraceFile(const std::string& path) {
+  // file_size refuses anything but a regular file, so the one read below
+  // is sized by the file itself.
+  std::error_code error;
+  const uintmax_t size = std::filesystem::file_size(path, error);
+  if (error) return std::nullopt;
+  std::vector<uint8_t> in(size);
   std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::string in = buffer.str();
+  if (!file.read(reinterpret_cast<char*>(in.data()),
+                 static_cast<std::streamsize>(size))) {
+    return std::nullopt;
+  }
 
   if (in.size() < sizeof(kMagic) ||
       std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -77,20 +76,17 @@ std::optional<Trace> ReadTraceFile(const std::string& path) {
   const size_t body = in.size() - pos;
   if (num_flows > body / 8) return std::nullopt;
   const size_t packet_bytes = body - num_flows * 8;
-  if (packet_bytes % 16 != 0 || num_packets != packet_bytes / 16) {
+  if (packet_bytes % sizeof(Packet) != 0 ||
+      num_packets != packet_bytes / sizeof(Packet)) {
     return std::nullopt;
   }
 
   Trace trace;
   trace.true_cardinality.resize(num_flows);
-  for (auto& c : trace.true_cardinality) {
-    if (!ReadU64(in, &pos, &c)) return std::nullopt;
-  }
+  if (!ReadU64s(in, &pos, trace.true_cardinality)) return std::nullopt;
   trace.packets.resize(num_packets);
-  for (auto& p : trace.packets) {
-    if (!ReadU64(in, &pos, &p.flow) || !ReadU64(in, &pos, &p.element)) {
-      return std::nullopt;
-    }
+  std::memcpy(trace.packets.data(), in.data() + pos, packet_bytes);
+  for (const Packet& p : trace.packets) {
     if (p.flow >= num_flows) return std::nullopt;
   }
   return trace;

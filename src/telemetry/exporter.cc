@@ -89,59 +89,4 @@ std::string ToPrometheusText(const MetricsSnapshot& snapshot) {
   return out;
 }
 
-void WriteJson(const MetricsSnapshot& snapshot, JsonWriter* out) {
-  out->BeginObject();
-  out->Key("metrics");
-  out->BeginArray();
-  for (const MetricSample& sample : snapshot.samples) {
-    out->BeginObject();
-    out->Key("name");
-    out->String(sample.name);
-    if (!sample.labels.empty()) {
-      out->Key("labels");
-      out->BeginObject();
-      for (const auto& [key, value] : sample.labels) {
-        out->Key(key);
-        out->String(value);
-      }
-      out->EndObject();
-    }
-    out->Key("type");
-    out->String(MetricTypeName(sample.type));
-    switch (sample.type) {
-      case MetricType::kCounter:
-        out->Key("value");
-        out->Uint(sample.counter_value);
-        break;
-      case MetricType::kGauge:
-        out->Key("value");
-        out->Int(sample.gauge_value);
-        break;
-      case MetricType::kHistogram:
-        out->Key("count");
-        out->Uint(sample.histogram.count);
-        out->Key("sum");
-        out->Uint(sample.histogram.sum);
-        out->Key("buckets");
-        out->BeginArray();
-        for (uint64_t bucket : sample.histogram.buckets) {
-          out->Uint(bucket);
-        }
-        out->EndArray();
-        break;
-    }
-    out->EndObject();
-  }
-  out->EndArray();
-  out->EndObject();
-}
-
-std::string ToJson(const MetricsSnapshot& snapshot) {
-  JsonWriter writer(JsonWriter::kPretty);
-  WriteJson(snapshot, &writer);
-  std::string out = writer.TakeString();
-  out.push_back('\n');
-  return out;
-}
-
 }  // namespace smb::telemetry

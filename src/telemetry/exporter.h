@@ -1,17 +1,17 @@
-// Snapshot exporters: Prometheus text exposition format and JSON.
+// Snapshot exporter: the Prometheus text exposition format, the one
+// serialization of a MetricsSnapshot (smbcard --metrics-out, the bench
+// "telemetry" key).
 //
-// Both formats are stable-keyed — samples appear in the snapshot's
-// canonical (name, labels) order and every sample's fields are emitted in
-// a fixed order — so exporting the same state twice yields byte-identical
-// output, and snapshot_parser.h can round-trip either format back into an
-// equal MetricsSnapshot.
+// The output is stable-keyed — samples appear in the snapshot's canonical
+// (name, labels) order and every sample's lines are emitted in a fixed
+// order — so exporting the same state twice yields byte-identical text,
+// and snapshot_parser.h round-trips it back into an equal MetricsSnapshot.
 
 #ifndef SMBCARD_TELEMETRY_EXPORTER_H_
 #define SMBCARD_TELEMETRY_EXPORTER_H_
 
 #include <string>
 
-#include "common/json_writer.h"
 #include "telemetry/snapshot.h"
 
 namespace smb::telemetry {
@@ -21,14 +21,6 @@ namespace smb::telemetry {
 // series (bounds are the exact 2^i - 1 bucket upper bounds) plus `_sum`
 // and `_count`.
 std::string ToPrometheusText(const MetricsSnapshot& snapshot);
-
-// Writes the snapshot as a single JSON value (an object with a "metrics"
-// array) into an in-progress document — e.g. under a key of a larger bench
-// result object.
-void WriteJson(const MetricsSnapshot& snapshot, JsonWriter* out);
-
-// Standalone pretty-printed JSON document.
-std::string ToJson(const MetricsSnapshot& snapshot);
 
 }  // namespace smb::telemetry
 

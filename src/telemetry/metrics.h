@@ -18,8 +18,8 @@ namespace smb::telemetry {
 
 inline constexpr size_t kCacheLineSize = 64;
 
-// Histogram geometry is shared by the recording path, the exporters, and
-// the parsers, so it lives here unconditionally. Bucket 0 holds the value
+// Histogram geometry is shared by the recording path, the exporter, and
+// the parser, so it lives here unconditionally. Bucket 0 holds the value
 // 0; bucket i (0 < i < last) holds values in [2^(i-1), 2^i - 1]; the last
 // bucket is unbounded. 48 buckets cover every uint64 nanosecond latency or
 // batch size we can produce in practice (2^46 ns ≈ 19 hours).

@@ -4,7 +4,7 @@
 // returns a stable pointer, so hot paths register once (typically into a
 // function-local static or a per-run array) and then touch only their own
 // padded atomic. Snapshot() materializes every instrument's current value
-// into the sorted MetricsSnapshot the exporters consume.
+// into the sorted MetricsSnapshot the exporter consumes.
 
 #ifndef SMBCARD_TELEMETRY_METRICS_REGISTRY_H_
 #define SMBCARD_TELEMETRY_METRICS_REGISTRY_H_

@@ -1,5 +1,5 @@
-// Point-in-time value types shared by the registry, the exporters, the
-// snapshot parsers, and the metrics_inspect tool.
+// Point-in-time value types shared by the registry, the exporter, the
+// snapshot parser, and the smbtop tool.
 
 #ifndef SMBCARD_TELEMETRY_SNAPSHOT_H_
 #define SMBCARD_TELEMETRY_SNAPSHOT_H_
@@ -43,8 +43,8 @@ struct MetricSample {
 };
 
 struct MetricsSnapshot {
-  // Sorted by (name, rendered labels); both exporters preserve this order,
-  // which is what makes their output stable-keyed.
+  // Sorted by (name, rendered labels); the exporter preserves this order,
+  // which is what makes its output stable-keyed.
   std::vector<MetricSample> samples;
 
   bool operator==(const MetricsSnapshot&) const = default;

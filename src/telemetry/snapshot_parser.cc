@@ -1,7 +1,5 @@
 #include "telemetry/snapshot_parser.h"
 
-#include "common/json_value.h"
-
 #include <bit>
 #include <cctype>
 #include <cerrno>
@@ -12,9 +10,6 @@
 
 namespace smb::telemetry {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared small helpers
 
 bool ParseU64(std::string_view token, uint64_t* out) {
   if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0]))) {
@@ -52,9 +47,6 @@ void TrimTrailingZeroBuckets(HistogramData* histogram) {
     histogram->buckets.pop_back();
   }
 }
-
-// ---------------------------------------------------------------------------
-// Prometheus text
 
 struct PromLine {
   std::string name;
@@ -151,12 +143,11 @@ std::optional<MetricsSnapshot> ParsePrometheusText(std::string_view text) {
     line_start =
         line_end == std::string_view::npos ? text.size() + 1 : line_end + 1;
 
-    while (!line.empty() && (line.front() == ' ' || line.front() == '\r')) {
-      line.remove_prefix(1);
-    }
-    while (!line.empty() && (line.back() == ' ' || line.back() == '\r')) {
-      line.remove_suffix(1);
-    }
+    const auto blank = [](char c) {
+      return c == ' ' || c == '\t' || c == '\r';
+    };
+    while (!line.empty() && blank(line.front())) line.remove_prefix(1);
+    while (!line.empty() && blank(line.back())) line.remove_suffix(1);
     if (line.empty()) continue;
     if (line[0] == '#') {
       // `# TYPE <name> <type>`; other comments are ignored.
@@ -257,86 +248,6 @@ std::optional<MetricsSnapshot> ParsePrometheusText(std::string_view text) {
   }
   CanonicalizeSnapshot(&snapshot);
   return snapshot;
-}
-
-// ---------------------------------------------------------------------------
-// JSON
-
-std::optional<MetricsSnapshot> ParseJsonSnapshot(std::string_view text) {
-  JsonValue root;
-  if (!ParseJsonDocument(text, &root)) return std::nullopt;
-  if (root.kind != JsonValue::kObject) return std::nullopt;
-  const JsonValue* metrics = root.Find("metrics");
-  if (metrics == nullptr || metrics->kind != JsonValue::kArray) {
-    return std::nullopt;
-  }
-  MetricsSnapshot snapshot;
-  for (const JsonValue& entry : metrics->array) {
-    if (entry.kind != JsonValue::kObject) return std::nullopt;
-    MetricSample sample;
-    const JsonValue* name = entry.Find("name");
-    const JsonValue* type = entry.Find("type");
-    if (name == nullptr || name->kind != JsonValue::kString ||
-        type == nullptr || type->kind != JsonValue::kString) {
-      return std::nullopt;
-    }
-    sample.name = name->string;
-    const auto parsed_type = TypeFromName(type->string);
-    if (!parsed_type.has_value()) return std::nullopt;
-    sample.type = *parsed_type;
-    if (const JsonValue* labels = entry.Find("labels")) {
-      if (labels->kind != JsonValue::kObject) return std::nullopt;
-      for (const auto& [key, value] : labels->object) {
-        if (value.kind != JsonValue::kString) return std::nullopt;
-        sample.labels.emplace_back(key, value.string);
-      }
-    }
-    switch (sample.type) {
-      case MetricType::kCounter: {
-        const JsonValue* value = entry.Find("value");
-        if (value == nullptr || !value->AsU64(&sample.counter_value)) {
-          return std::nullopt;
-        }
-        break;
-      }
-      case MetricType::kGauge: {
-        const JsonValue* value = entry.Find("value");
-        if (value == nullptr || !value->AsI64(&sample.gauge_value)) {
-          return std::nullopt;
-        }
-        break;
-      }
-      case MetricType::kHistogram: {
-        const JsonValue* count = entry.Find("count");
-        const JsonValue* sum = entry.Find("sum");
-        const JsonValue* buckets = entry.Find("buckets");
-        if (count == nullptr || !count->AsU64(&sample.histogram.count) ||
-            sum == nullptr || !sum->AsU64(&sample.histogram.sum) ||
-            buckets == nullptr || buckets->kind != JsonValue::kArray) {
-          return std::nullopt;
-        }
-        for (const JsonValue& bucket : buckets->array) {
-          uint64_t bucket_count = 0;
-          if (!bucket.AsU64(&bucket_count)) return std::nullopt;
-          sample.histogram.buckets.push_back(bucket_count);
-        }
-        TrimTrailingZeroBuckets(&sample.histogram);
-        break;
-      }
-    }
-    snapshot.samples.push_back(std::move(sample));
-  }
-  CanonicalizeSnapshot(&snapshot);
-  return snapshot;
-}
-
-std::optional<MetricsSnapshot> ParseSnapshot(std::string_view text) {
-  for (char c : text) {
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') continue;
-    return c == '{' ? ParseJsonSnapshot(text) : ParsePrometheusText(text);
-  }
-  // All-whitespace input is a valid (empty) Prometheus exposition.
-  return MetricsSnapshot{};
 }
 
 }  // namespace smb::telemetry

@@ -1,11 +1,12 @@
-// Parsers that invert the exporters: captured Prometheus-text or JSON
-// snapshots back into MetricsSnapshot values. Used by the exporter
-// round-trip tests and by tools/metrics_inspect to pretty-print captures.
+// The parser that inverts the exporter: captured Prometheus text back
+// into a MetricsSnapshot. Used by the exporter round-trip tests and by
+// tools/smbtop to render captures.
 //
-// Scope: complete for everything the exporters emit (including histogram
-// bucket reassembly from cumulative `le` series); not a general-purpose
-// Prometheus or JSON implementation. Any malformed input yields nullopt
-// rather than a partial snapshot.
+// Scope: complete for everything ToPrometheusText emits (including
+// histogram bucket reassembly from cumulative `le` series); not a
+// general-purpose Prometheus implementation. Any malformed input yields
+// nullopt rather than a partial snapshot; empty or all-whitespace input
+// is a valid, empty snapshot.
 
 #ifndef SMBCARD_TELEMETRY_SNAPSHOT_PARSER_H_
 #define SMBCARD_TELEMETRY_SNAPSHOT_PARSER_H_
@@ -18,12 +19,6 @@
 namespace smb::telemetry {
 
 std::optional<MetricsSnapshot> ParsePrometheusText(std::string_view text);
-
-std::optional<MetricsSnapshot> ParseJsonSnapshot(std::string_view text);
-
-// Dispatches on the first non-whitespace byte ('{' = JSON, else
-// Prometheus text).
-std::optional<MetricsSnapshot> ParseSnapshot(std::string_view text);
 
 }  // namespace smb::telemetry
 

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <string>
 
-#include "core/generalized_smb.h"
 #include "core/self_morphing_bitmap.h"
 #include "core/smb_theory.h"
 #include "flow/arena_smb_engine.h"
-#include "flow/sharded_flow_monitor.h"
 #include "telemetry/metrics_registry.h"
 
 namespace smb::health {
@@ -21,6 +19,8 @@ constexpr double kNearSaturationShare = 0.9;
 // Logical-bitmap fill at the final round beyond which the estimate is
 // effectively pinned.
 constexpr double kSaturatedFill = 0.999;
+// Fraction of a nonzero budget beyond which memory_pressure raises.
+constexpr double kMemoryPressureShare = 0.9;
 
 int64_t Permille(double fraction) {
   return static_cast<int64_t>(std::llround(fraction * 1e3));
@@ -115,44 +115,22 @@ HealthReport ProbeSmb(const SelfMorphingBitmap& smb) {
   return DeriveHealth(input);
 }
 
-HealthReport ProbeGeneralizedSmb(const GeneralizedSmb& smb) {
-  HealthInput input;
-  input.num_bits = smb.num_bits();
-  input.threshold = smb.threshold();
-  input.max_round = smb.max_round();
-  input.round = smb.round();
-  input.ones_in_round = smb.ones_in_round();
-  input.estimate = smb.Estimate();
-  return DeriveHealth(input);
-}
-
-namespace {
-
-// Fraction of a nonzero budget beyond which memory_pressure raises.
-constexpr double kMemoryPressureShare = 0.9;
-
-void FillResidency(const ArenaSmbEngine::ArenaStats& stats,
-                   ArenaHealthReport* report) {
-  report->nursery_flows = stats.nursery_flows;
-  report->evicted_flows = stats.evicted_flows;
-  report->promoted_flows = stats.promoted_flows;
-  report->live_bytes = stats.live_bytes;
-  report->budget_bytes = stats.budget_bytes;
-  report->hugepage_bytes =
-      stats.main_alloc.hugetlb_bytes + stats.main_alloc.thp_advised_bytes +
-      stats.nursery_alloc.hugetlb_bytes + stats.nursery_alloc.thp_advised_bytes;
-  report->memory_pressure =
-      stats.budget_bytes > 0 &&
-      static_cast<double>(stats.live_bytes) >=
-          kMemoryPressureShare * static_cast<double>(stats.budget_bytes);
-}
-
-}  // namespace
-
 ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k) {
   ArenaHealthReport report;
   report.num_flows = engine.NumFlows();
-  FillResidency(engine.Stats(), &report);
+  const ArenaSmbEngine::ArenaStats stats = engine.Stats();
+  report.nursery_flows = stats.nursery_flows;
+  report.evicted_flows = stats.evicted_flows;
+  report.promoted_flows = stats.promoted_flows;
+  report.live_bytes = stats.live_bytes;
+  report.budget_bytes = stats.budget_bytes;
+  report.hugepage_bytes =
+      stats.main_alloc.hugetlb_bytes + stats.main_alloc.thp_advised_bytes +
+      stats.nursery_alloc.hugetlb_bytes + stats.nursery_alloc.thp_advised_bytes;
+  report.memory_pressure =
+      stats.budget_bytes > 0 &&
+      static_cast<double>(stats.live_bytes) >=
+          kMemoryPressureShare * static_cast<double>(stats.budget_bytes);
 
   // One pass to find the top_k flows by estimate and the aggregates.
   std::vector<std::pair<double, uint64_t>> ranked;
@@ -197,56 +175,6 @@ ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k) {
     input.ones_in_round = state->ones_in_round;
     input.estimate = ranked[i].first;
     report.top.push_back(FlowHealth{flow, DeriveHealth(input)});
-  }
-  return report;
-}
-
-ShardedHealthReport ProbeSharded(const ShardedFlowMonitor& monitor,
-                                 size_t top_k) {
-  ShardedHealthReport report;
-  report.flows_per_shard.reserve(monitor.num_shards());
-  FillResidency(monitor.Stats(), &report.aggregate);
-
-  std::vector<std::pair<double, FlowHealth>> merged_top;
-  for (size_t k = 0; k < monitor.num_shards(); ++k) {
-    const ArenaSmbEngine* shard = monitor.shard(k);
-    report.flows_per_shard.push_back(shard->NumFlows());
-    ArenaHealthReport shard_report = ProbeArena(*shard, top_k);
-    report.aggregate.num_flows += shard_report.num_flows;
-    report.aggregate.saturated_flows += shard_report.saturated_flows;
-    report.aggregate.stuck_flows += shard_report.stuck_flows;
-    report.aggregate.max_round_in_use = std::max(
-        report.aggregate.max_round_in_use, shard_report.max_round_in_use);
-    report.aggregate.max_estimate =
-        std::max(report.aggregate.max_estimate, shard_report.max_estimate);
-    for (FlowHealth& flow : shard_report.top) {
-      merged_top.emplace_back(flow.report.estimate, std::move(flow));
-    }
-  }
-
-  const size_t keep = std::min(top_k, merged_top.size());
-  std::partial_sort(merged_top.begin(),
-                    merged_top.begin() + static_cast<ptrdiff_t>(keep),
-                    merged_top.end(), [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second.flow < b.second.flow;
-                    });
-  report.aggregate.top.reserve(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    report.aggregate.top.push_back(std::move(merged_top[i].second));
-  }
-
-  if (report.flows_per_shard.size() > 1 && report.aggregate.num_flows > 0) {
-    const size_t max_flows = *std::max_element(report.flows_per_shard.begin(),
-                                               report.flows_per_shard.end());
-    const size_t min_flows = *std::min_element(report.flows_per_shard.begin(),
-                                               report.flows_per_shard.end());
-    const double mean = static_cast<double>(report.aggregate.num_flows) /
-                        static_cast<double>(report.flows_per_shard.size());
-    report.skew_permille = static_cast<uint64_t>(std::llround(
-        static_cast<double>(max_flows - min_flows) / mean * 1e3));
-    report.shard_skew =
-        report.aggregate.num_flows >= 64 && report.skew_permille > 500;
   }
   return report;
 }
@@ -308,20 +236,6 @@ void PublishArenaHealth(const ArenaHealthReport& report) {
         ->Set(static_cast<int64_t>(top.round));
     registry.GetGauge("arena_health_top_rel_error_ppm", labels)
         ->Set(Ppm(top.expected_relative_error));
-  }
-}
-
-void PublishShardedHealth(const ShardedHealthReport& report) {
-  PublishArenaHealth(report.aggregate);
-  auto& registry = telemetry::MetricsRegistry::Global();
-  registry.GetGauge("arena_health_shard_skew_permille")
-      ->Set(static_cast<int64_t>(report.skew_permille));
-  registry.GetGauge("arena_health_shard_skew")
-      ->Set(report.shard_skew ? 1 : 0);
-  for (size_t k = 0; k < report.flows_per_shard.size(); ++k) {
-    registry.GetGauge("arena_health_shard_flows",
-                      {{"shard", std::to_string(k)}})
-        ->Set(static_cast<int64_t>(report.flows_per_shard[k]));
   }
 }
 

@@ -24,13 +24,9 @@
 //                    the audited morph site, so it indicates state
 //                    corruption (a self-check, not a workload condition)
 //
-// For GeneralizedSmb with base != 2 the Theorem 3 bound is evaluated
-// as-is (the theorem is stated for base 2); treat the reported error as
-// a base-2 approximation.
-//
 // PublishHealth writes the report into the MetricsRegistry as gauges
 // (scaled to integers: permille / ppm), so health rides the existing
-// Prometheus/JSON exporters with zero new export machinery.
+// Prometheus text exporter with zero new export machinery.
 
 #ifndef SMBCARD_TRACE_HEALTH_PROBE_H_
 #define SMBCARD_TRACE_HEALTH_PROBE_H_
@@ -44,9 +40,7 @@
 namespace smb {
 
 class SelfMorphingBitmap;
-class GeneralizedSmb;
 class ArenaSmbEngine;
-class ShardedFlowMonitor;
 
 namespace health {
 
@@ -93,7 +87,6 @@ double ExpectedRelativeError(size_t num_bits, size_t threshold, uint64_t n,
 HealthReport DeriveHealth(const HealthInput& input);
 
 HealthReport ProbeSmb(const SelfMorphingBitmap& smb);
-HealthReport ProbeGeneralizedSmb(const GeneralizedSmb& smb);
 
 // Per-flow aggregate health of an arena engine, plus the top_k flows by
 // estimate (descending) probed individually.
@@ -124,21 +117,6 @@ struct ArenaHealthReport {
 
 ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k);
 
-// Arena aggregate across every shard plus the flow-placement skew.
-struct ShardedHealthReport {
-  ArenaHealthReport aggregate;
-  std::vector<size_t> flows_per_shard;
-  // (max - min) / mean flows per shard, in permille; 0 for <= 1 shard or
-  // no flows.
-  uint64_t skew_permille = 0;
-  // Raised when skew exceeds 500 permille with at least 64 flows (below
-  // that, skew is expected small-sample noise).
-  bool shard_skew = false;
-};
-
-ShardedHealthReport ProbeSharded(const ShardedFlowMonitor& monitor,
-                                 size_t top_k);
-
 // Registry publication. Gauge names are `<prefix>_health_*`:
 //   _round, _virtual_round_milli, _fill_permille,
 //   _expected_rel_error_ppm, _morph_cadence_items, _headroom_permille,
@@ -153,11 +131,6 @@ void PublishHealth(const HealthReport& report,
 // _promoted_flows, _live_bytes, _budget_bytes, _hugepage_bytes and the
 // _memory_pressure flag.
 void PublishArenaHealth(const ArenaHealthReport& report);
-
-// PublishArenaHealth(aggregate) + arena_health_shard_skew_permille,
-// arena_health_shard_skew (flag) and per-shard arena_health_shard_flows
-// gauges labeled {shard=k}.
-void PublishShardedHealth(const ShardedHealthReport& report);
 
 }  // namespace health
 }  // namespace smb

@@ -93,6 +93,46 @@ TEST_F(TraceIoTest, ReadRejectsCountsThatWrapTheSizeCheck) {
   EXPECT_FALSE(ReadTraceFile(Path("packets_wrap.bin")).has_value());
 }
 
+// The on-disk layout, byte for byte: magic, the two counts, the
+// cardinalities, then (flow, element) pairs, every field u64 LE.
+TEST_F(TraceIoTest, WriterBytesArePinned) {
+  Trace trace;
+  trace.true_cardinality = {2, 0x0102030405060708};
+  trace.packets = {{0, 0xAB}, {1, 0xFFFFFFFFFFFFFFFF}};
+  ASSERT_TRUE(WriteTraceFile(trace, Path("pin.bin")));
+  std::ifstream in(Path("pin.bin"), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::string expected = "SMBT1";
+  for (const uint64_t field :
+       {uint64_t{2}, uint64_t{2}, uint64_t{2}, uint64_t{0x0102030405060708},
+        uint64_t{0}, uint64_t{0xAB}, uint64_t{1},
+        uint64_t{0xFFFFFFFFFFFFFFFF}}) {
+    for (int i = 0; i < 8; ++i) {
+      expected.push_back(static_cast<char>(field >> (8 * i)));
+    }
+  }
+  EXPECT_EQ(bytes, expected);
+  const auto restored = ReadTraceFile(Path("pin.bin"));
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->true_cardinality, trace.true_cardinality);
+  EXPECT_EQ(restored->packets[1].element, 0xFFFFFFFFFFFFFFFFu);
+}
+
+// A packet naming a flow past the header's flow count is refused.
+TEST_F(TraceIoTest, ReadRejectsFlowOutOfRange) {
+  Trace trace;
+  trace.true_cardinality = {1};
+  trace.packets = {{0, 5}, {1, 6}};
+  ASSERT_TRUE(WriteTraceFile(trace, Path("flow.bin")));
+  EXPECT_FALSE(ReadTraceFile(Path("flow.bin")).has_value());
+}
+
+// A directory opens but is not a trace file.
+TEST_F(TraceIoTest, ReadRejectsDirectory) {
+  EXPECT_FALSE(ReadTraceFile(dir_.string()).has_value());
+}
+
 TEST(CsvTraceTest, ParsesBasicCsv) {
   const std::string csv =
       "# flow,element\n"

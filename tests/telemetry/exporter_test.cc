@@ -1,5 +1,5 @@
-// Exporter/parser round trips over hand-built snapshots, plus a
-// registry-derived round trip at the bottom.
+// Prometheus-text exporter/parser round trips over hand-built snapshots,
+// plus a registry-derived round trip at the bottom.
 
 #include "telemetry/exporter.h"
 
@@ -8,6 +8,7 @@
 #include <optional>
 #include <string>
 
+#include "common/json_value.h"
 #include "common/json_writer.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/snapshot.h"
@@ -74,25 +75,29 @@ TEST(ExporterTest, PrometheusRoundTrips) {
   EXPECT_EQ(*parsed, snapshot);
 }
 
+// A bench result carries its telemetry as the Prometheus text in a JSON
+// string: the snapshot survives the JSON round trip, escaped newlines,
+// quotes and backslashes in label values included.
 TEST(ExporterTest, JsonRoundTrips) {
-  const MetricsSnapshot snapshot = SampleSnapshot();
-  const std::string text = ToJson(snapshot);
-  const std::optional<MetricsSnapshot> parsed = ParseJsonSnapshot(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(*parsed, snapshot);
-}
-
-TEST(ExporterTest, ParseSnapshotDispatchesOnFormat) {
-  const MetricsSnapshot snapshot = SampleSnapshot();
-  EXPECT_EQ(ParseSnapshot(ToPrometheusText(snapshot)), snapshot);
-  EXPECT_EQ(ParseSnapshot(ToJson(snapshot)), snapshot);
+  JsonWriter json(JsonWriter::kCompact);
+  json.BeginObject();
+  json.Key("bench");
+  json.String("x");
+  json.Key("telemetry");
+  json.String(ToPrometheusText(SampleSnapshot()));
+  json.EndObject();
+  JsonValue root;
+  ASSERT_TRUE(ParseJsonDocument(json.str(), &root));
+  const JsonValue* telemetry = root.Find("telemetry");
+  ASSERT_NE(telemetry, nullptr);
+  ASSERT_EQ(telemetry->kind, JsonValue::kString);
+  EXPECT_EQ(ParsePrometheusText(telemetry->string), SampleSnapshot());
 }
 
 TEST(ExporterTest, OutputIsStableKeyed) {
   const MetricsSnapshot snapshot = SampleSnapshot();
   // Same state twice => byte-identical exports.
   EXPECT_EQ(ToPrometheusText(snapshot), ToPrometheusText(snapshot));
-  EXPECT_EQ(ToJson(snapshot), ToJson(snapshot));
   // A permuted sample order canonicalizes back to the same bytes.
   MetricsSnapshot shuffled = snapshot;
   std::swap(shuffled.samples.front(), shuffled.samples.back());
@@ -102,34 +107,24 @@ TEST(ExporterTest, OutputIsStableKeyed) {
 
 TEST(ExporterTest, EmptySnapshotRoundTrips) {
   const MetricsSnapshot empty;
+  EXPECT_EQ(ToPrometheusText(empty), "");
   EXPECT_EQ(ParsePrometheusText(ToPrometheusText(empty)), empty);
-  EXPECT_EQ(ParseJsonSnapshot(ToJson(empty)), empty);
-}
-
-TEST(ExporterTest, WriteJsonEmbedsInLargerDocument) {
-  JsonWriter json(JsonWriter::kCompact);
-  json.BeginObject();
-  json.Key("bench");
-  json.String("x");
-  json.Key("telemetry");
-  WriteJson(SampleSnapshot(), &json);
-  json.EndObject();
-  const std::string text = json.str();
-  EXPECT_EQ(text.substr(0, 14), "{\"bench\":\"x\",\"");
-  // The embedded object alone parses back to the snapshot.
-  const size_t start = text.find("{\"metrics\"");
-  ASSERT_NE(start, std::string::npos);
-  EXPECT_EQ(ParseJsonSnapshot(
-                std::string_view(text).substr(start, text.size() - 1 - start)),
-            SampleSnapshot());
 }
 
 TEST(SnapshotParserTest, MalformedInputsYieldNullopt) {
-  EXPECT_FALSE(ParseJsonSnapshot("{\"metrics\": [").has_value());
-  EXPECT_FALSE(ParseJsonSnapshot("[1, 2, 3]").has_value());
-  EXPECT_FALSE(ParseJsonSnapshot("{\"metrics\": [{\"type\": \"counter\"}]}")
-                   .has_value());  // missing name
+  // A JSON document is not an exposition.
+  EXPECT_FALSE(ParsePrometheusText("{\"metrics\": []}\n").has_value());
   EXPECT_FALSE(ParsePrometheusText("metric_without_value\n").has_value());
+  // A sample needs its family's `# TYPE` line first, and a known type.
+  EXPECT_FALSE(ParsePrometheusText("orphan_total 3\n").has_value());
+  EXPECT_FALSE(ParsePrometheusText("# TYPE s summary\ns 1\n").has_value());
+  // Counters are unsigned; values are integers; label sets close.
+  EXPECT_FALSE(
+      ParsePrometheusText("# TYPE c counter\nc -1\n").has_value());
+  EXPECT_FALSE(
+      ParsePrometheusText("# TYPE g gauge\ng 1.5\n").has_value());
+  EXPECT_FALSE(
+      ParsePrometheusText("# TYPE g gauge\ng{a=\"1\" 5\n").has_value());
   EXPECT_FALSE(
       ParsePrometheusText("# TYPE h histogram\nh_bucket{le=\"5\"} 1\n")
           .has_value());  // 5 is not a 2^i - 1 bucket bound
@@ -144,12 +139,13 @@ TEST(SnapshotParserTest, MalformedInputsYieldNullopt) {
 }
 
 TEST(SnapshotParserTest, WhitespaceOnlyInputIsEmptySnapshot) {
-  const std::optional<MetricsSnapshot> parsed = ParseSnapshot("  \n\t\n");
+  const std::optional<MetricsSnapshot> parsed =
+      ParsePrometheusText("  \n\t\n");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->samples.empty());
 }
 
-TEST(ExporterTest, RegistrySnapshotRoundTripsBothFormats) {
+TEST(ExporterTest, RegistrySnapshotRoundTrips) {
   MetricsRegistry registry;
   registry.GetCounter("events_total", {{"shard", "0"}})->Add(11);
   registry.GetCounter("events_total", {{"shard", "1"}})->Add(13);
@@ -160,7 +156,6 @@ TEST(ExporterTest, RegistrySnapshotRoundTripsBothFormats) {
   histogram->Record(1 << 20);
   const MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(ParsePrometheusText(ToPrometheusText(snapshot)), snapshot);
-  EXPECT_EQ(ParseJsonSnapshot(ToJson(snapshot)), snapshot);
 }
 
 }  // namespace

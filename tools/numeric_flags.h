@@ -1,9 +1,8 @@
-// Strict numeric flag parsing shared by the smbcard, smbtop,
-// metrics_inspect and trace_gen tools. Each parser consumes the whole
-// text or fails: it rejects empty input, a leading sign or space,
-// trailing junk and overflow, so a typo becomes a usage error instead of
-// a silent zero (strtoul's behaviour on "abc") or a wrapped huge value
-// (strtoul's behaviour on "-1").
+// Strict numeric flag parsing shared by the smbcard, smbtop and trace_gen
+// tools. Each parser consumes the whole text or fails: it rejects empty
+// input, a leading sign or space, trailing junk and overflow, so a typo
+// becomes a usage error instead of a silent zero (strtoul's behaviour on
+// "abc") or a wrapped huge value (strtoul's behaviour on "-1").
 
 #ifndef SMBCARD_TOOLS_NUMERIC_FLAGS_H_
 #define SMBCARD_TOOLS_NUMERIC_FLAGS_H_

@@ -31,18 +31,13 @@ std::string MetricsStagingPath(const std::string& path) {
   return path + ".tmp";
 }
 
-// Serializes the global registry into `path`; format picked by extension
-// (`.json` => JSON, anything else => Prometheus text). The snapshot is
-// staged and renamed into place, so a reader (smbtop, metrics_inspect)
-// sees either the previous snapshot or the new one, never a prefix.
-// Returns false when the file cannot be (fully) written.
+// Serializes the global registry into `path` as Prometheus text, whatever
+// the extension. The snapshot is staged and renamed into place, so a
+// reader (smbtop) sees either the previous snapshot or the new one, never
+// a prefix. Returns false when the file cannot be (fully) written.
 bool WriteMetricsSnapshot(const std::string& path) {
-  const telemetry::MetricsSnapshot snapshot =
-      telemetry::MetricsRegistry::Global().Snapshot();
-  const bool json =
-      path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0;
-  const std::string text = json ? telemetry::ToJson(snapshot)
-                                : telemetry::ToPrometheusText(snapshot);
+  const std::string text = telemetry::ToPrometheusText(
+      telemetry::MetricsRegistry::Global().Snapshot());
   const std::string staging = MetricsStagingPath(path);
   std::string error;
   if (!io::WriteFileBytes(staging,

@@ -144,8 +144,7 @@ const Flag kFlags[] = {
      .help = "also checkpoint every SECONDS while recording"},
     {.name = "--metrics-out", .kind = Kind::kString, .modes = kAnyMode,
      .target = &CliOptions::metrics_out, .arg = "FILE",
-     .help = "write a telemetry snapshot to FILE when done: JSON for\n"
-             "*.json, Prometheus text otherwise"},
+     .help = "write a Prometheus-text metrics snapshot to FILE when done"},
     {.name = "--metrics-interval", .kind = Kind::kSeconds,
      .modes = kAnyMode, .target = &CliOptions::metrics_interval_s,
      .arg = "SECONDS", .needs = "--metrics-out",

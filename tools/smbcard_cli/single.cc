@@ -4,6 +4,7 @@
 
 #include "common/table_printer.h"
 #include "core/self_morphing_bitmap.h"
+#include "io/file_util.h"
 #include "smbcard_cli/runners.h"
 #include "trace/health_probe.h"
 
@@ -84,14 +85,15 @@ int RunSnapshot(const CliOptions& options) {
   health::PublishHealth(health::ProbeSmb(*estimator));
   std::printf("%.0f\n", estimator->Estimate());
   if (!options.save_path.empty()) {
+    // Written in place, not staged: --save may name a device or a FIFO.
     const auto bytes = estimator->Serialize();
-    std::ofstream file(options.save_path, std::ios::binary);
-    if (!file) {
-      std::fprintf(stderr, "cannot write %s\n", options.save_path.c_str());
+    std::string error;
+    if (!io::WriteFileBytes(options.save_path, bytes.data(), bytes.size(),
+                            &error)) {
+      std::fprintf(stderr, "cannot write %s: %s\n",
+                   options.save_path.c_str(), error.c_str());
       return 1;
     }
-    file.write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
   }
   return 0;
 }

@@ -66,6 +66,12 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_speedup =
           std::strtod(argv[i] + sizeof(kPlainSpeedupFlag) - 1, nullptr);
     }
+    constexpr const char kBytesDropFlag[] = "--assert-bytes-drop=";
+    if (std::strncmp(argv[i], kBytesDropFlag, sizeof(kBytesDropFlag) - 1) ==
+        0) {
+      scale.assert_bytes_drop =
+          std::strtod(argv[i] + sizeof(kBytesDropFlag) - 1, nullptr);
+    }
     constexpr const char kDenseRatioFlag[] = "--assert-dense-ratio=";
     if (std::strncmp(argv[i], kDenseRatioFlag,
                      sizeof(kDenseRatioFlag) - 1) == 0) {

@@ -35,6 +35,10 @@ struct BenchScale {
   // comparison is not AddBatch-vs-Add (e.g. per_flow_throughput's
   // arena-vs-legacy-engine ratio; 0 disables the assertion).
   double assert_speedup = 0.0;
+  // --assert-bytes-drop=X makes per_flow_throughput exit nonzero when its
+  // bytes_per_flow_drop (1 - resident bytes per flow of the position-list
+  // engine over the fixed-stride engine's) is below X (0 disables).
+  double assert_bytes_drop = 0.0;
   // codec_throughput gates (0 disables each): minimum SMBZ1 compression
   // ratio on the dense and sparse fixtures, minimum decode throughput in
   // MB/s of rehydrated FLW1 bytes, minimum sparse-fixture encode

@@ -2,7 +2,7 @@
 // three flow-population fixtures:
 //
 //   sparse  single-packet flows (round 0, a handful of bits) — the
-//           nursery/low-fill shape checkpoints and deltas are mostly
+//           round-0/low-fill shape checkpoints and deltas are mostly
 //           made of; the varint position list should win >= 4x
 //   dense   final-round, near-saturated flows — the zero-polarity
 //           sparse mode names the few remaining zeros; >= 2x even
@@ -92,7 +92,7 @@ Fixture DenseFixture(size_t flows) {
 }
 
 // The replication bench's spread profile: 1-200 distinct elements per
-// flow, so the population blends nursery, mid-round, and dense slots.
+// flow, so the population blends round-0, mid-round, and dense slots.
 Fixture MixedFixture(size_t flows) {
   ArenaSmbEngine engine(EngineConfig(2048, 256));
   Xoshiro256 rng(0x313D);

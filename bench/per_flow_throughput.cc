@@ -5,9 +5,9 @@
 //
 //   * legacy_record      — unordered_map engine, packet-at-a-time
 //   * arena_record       — arena engine, packet-at-a-time (scalar path)
-//   * arena_batch        — arena engine, keyed SIMD batch path (nursery
-//                          tier on, the default tuning)
-//   * arena_fixed_stride — arena batch path with the nursery disabled:
+//   * arena_batch        — arena engine, keyed SIMD batch path (position
+//                          lists on, the default tuning)
+//   * arena_fixed_stride — arena batch path with position lists off:
 //                          every flow pays a full-stride slot from its
 //                          first packet (the pre-eviction engine)
 //   * arena_evict        — arena batch path under a memory budget with
@@ -27,9 +27,10 @@
 // memory-governance run), which drops the legacy and parallel modes —
 // the map engine's footprint and packet-at-a-time pace are pointless at
 // that scale — and audits bit-identity between the fixed-stride and
-// nursery engines instead (both budget-free, so they must agree
+// position-list engines instead (both budget-free, so they must agree
 // exactly). --zipf=S and --memory-budget=BYTES shape the trace and the
-// eviction run at any tier.
+// eviction run at any tier; --assert-bytes-drop=X gates the list engine's
+// resident-bytes saving over fixed stride.
 //
 // The ISSUE acceptance gate (arena >= 2x legacy at >= 100k flows) is the
 // --full configuration; CI smoke runs the fast scale with
@@ -153,7 +154,7 @@ int Run(const BenchScale& scale) {
   TraceConfig config;
   // Full scale satisfies the ISSUE gate's >= 100k flows; fast scale keeps
   // the CI smoke run in seconds on one core. The huge tier shifts the
-  // spread distribution toward the small flows that motivate the nursery
+  // spread distribution toward the small flows that motivate position lists
   // (and keeps the packet count from exploding with the flow count).
   config.num_flows = scale.flows != 0 ? scale.flows
                      : scale.full     ? 120000
@@ -190,7 +191,7 @@ int Run(const BenchScale& scale) {
                                  /*batched=*/false, nullptr));
   }
 
-  ArenaTuning nursery_tuning;  // defaults: nursery on, no budget
+  ArenaTuning nursery_tuning;  // defaults: position lists on, no budget
   ArenaTuning fixed_tuning;
   fixed_tuning.nursery_capacity = 0;
   ArenaSmbEngine nursery_engine(*ArenaSmbEngine::ConfigForSpec(spec));
@@ -204,7 +205,7 @@ int Run(const BenchScale& scale) {
 
   // Bit-identity audit over every flow before reporting any throughput.
   // Normal tiers hold the arena to the legacy engine; the huge tier
-  // (no legacy run) holds the nursery engine to the fixed-stride one —
+  // (no legacy run) holds the list engine to the fixed-stride one —
   // residency tiering must never change an estimate.
   size_t mismatches = 0;
   for (uint64_t flow = 0; flow < trace.num_flows(); ++flow) {
@@ -289,8 +290,8 @@ int Run(const BenchScale& scale) {
   }
 
   // Headline ratio: arena_batch over legacy where legacy ran; on the
-  // huge tier, nursery over fixed-stride (same batch path, tiering on
-  // vs off).
+  // huge tier, position lists over fixed-stride (same batch path, lists
+  // on vs off).
   const double baseline_mpps = huge ? fixed_result.mpps : results[0].mpps;
   const double speedup =
       baseline_mpps > 0 ? nursery_result.mpps / baseline_mpps : 0.0;
@@ -404,8 +405,18 @@ int Run(const BenchScale& scale) {
                  "FAIL: %s speedup %.2fx below the --assert-speedup "
                  "floor %.2fx (baseline %.3f Mpps, arena_batch %.3f "
                  "Mpps)\n",
-                 huge ? "nursery-vs-fixed" : "arena-vs-legacy", speedup,
+                 huge ? "lists-vs-fixed" : "arena-vs-legacy", speedup,
                  scale.assert_speedup, baseline_mpps, nursery_result.mpps);
+    return 1;
+  }
+  if (scale.assert_bytes_drop > 0 &&
+      bytes_per_flow_drop < scale.assert_bytes_drop) {
+    std::fprintf(stderr,
+                 "FAIL: bytes_per_flow_drop %.3f below the "
+                 "--assert-bytes-drop floor %.3f (fixed stride %.1f B/flow, "
+                 "position lists %.1f B/flow)\n",
+                 bytes_per_flow_drop, scale.assert_bytes_drop,
+                 fixed_result.bytes_per_flow, nursery_result.bytes_per_flow);
     return 1;
   }
   return 0;

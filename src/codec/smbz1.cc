@@ -356,32 +356,11 @@ bool IsSmbz1Image(std::span<const uint8_t> bytes) {
 
 std::optional<std::vector<uint8_t>> CompressFlw1Image(
     std::span<const uint8_t> image, CodecStats* stats) {
-  if (image.size() < flw1::kHeaderBytes + flw1::kChecksumBytes) {
-    return std::nullopt;
-  }
-  if (std::memcmp(image.data(), flw1::kMagic, sizeof(flw1::kMagic)) != 0) {
-    return std::nullopt;
-  }
-  const uint8_t* header = image.data() + sizeof(flw1::kMagic);
-  const uint64_t num_bits = LoadU64(header);
-  const uint64_t threshold = LoadU64(header + 8);
-  const uint64_t base_seed = LoadU64(header + 16);
-  const uint64_t num_flows = LoadU64(header + 24);
-  const uint64_t words_per_slot = LoadU64(header + 32);
-  if (num_bits == 0 || num_bits > kMaxNumBits) return std::nullopt;
-  if (words_per_slot != WordsForBits(num_bits)) return std::nullopt;
-  // Exact size by division: a multiplied-out num_flows can wrap size_t.
-  const size_t record_bytes = (2 + static_cast<size_t>(words_per_slot)) * 8;
-  const size_t body_bytes =
-      image.size() - flw1::kHeaderBytes - flw1::kChecksumBytes;
-  if (body_bytes % record_bytes != 0 ||
-      num_flows != body_bytes / record_bytes) {
-    return std::nullopt;
-  }
-  if (flw1::Checksum(image.data(), image.size() - flw1::kChecksumBytes) !=
-      LoadU64(image.data() + image.size() - flw1::kChecksumBytes)) {
-    return std::nullopt;
-  }
+  const std::optional<flw1::Header> header = flw1::ReadHeader(image);
+  if (!header.has_value()) return std::nullopt;
+  const auto [num_bits, threshold, base_seed, num_flows, words_per_slot] =
+      *header;
+  const size_t record_bytes = header->RecordBytes();
 
   std::vector<uint8_t> out;
   out.reserve(kHeaderBytes + static_cast<size_t>(num_flows) * 16 +

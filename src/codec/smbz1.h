@@ -9,7 +9,7 @@
 //           slot header, and the fallback for mid-fill states whose
 //           entropy genuinely approaches 1 bit/bit
 //   sparse  a varint-delta position list over the *minority* bit
-//           polarity: set positions for nursery/low-fill flows, zero
+//           polarity: set positions for round-0/low-fill flows, zero
 //           positions for late-round dense flows (an SMB bitmap at its
 //           final rounds is almost all ones, so the zeros are the
 //           cheap side to name)

@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "codec/flw1_layout.h"
 #include "common/bit_util.h"
@@ -30,6 +35,7 @@ struct FlowInstruments {
   telemetry::Counter* flows_created;
   telemetry::Counter* flows_evicted;
   telemetry::Counter* flows_promoted;
+  telemetry::Counter* invariant_violations;
   telemetry::Gauge* live_flows;
   telemetry::Gauge* nursery_flows;
   telemetry::Gauge* slab_bytes;
@@ -49,6 +55,7 @@ FlowInstruments& GlobalFlowInstruments() {
         registry.GetCounter("flow_flows_created_total"),
         registry.GetCounter("flow_flows_evicted_total"),
         registry.GetCounter("flow_flows_promoted_total"),
+        registry.GetCounter("flow_invariant_violations_total"),
         registry.GetGauge("flow_live_flows"),
         registry.GetGauge("flow_nursery_flows"),
         registry.GetGauge("flow_slab_bytes"),
@@ -68,46 +75,104 @@ FlowInstruments& GlobalFlowInstruments() {
 
 void ArenaSmbEngine::PublishResidency() const {
   FlowInstruments& ins = GlobalFlowInstruments();
-  ins.live_flows->Set(static_cast<int64_t>(NumFlows()));
-  ins.nursery_flows->Set(static_cast<int64_t>(live_nursery_));
-  ins.live_bytes->Set(static_cast<int64_t>(LiveBytes()));
-  ins.slab_bytes->Set(static_cast<int64_t>(arena_.ResidentBytes() +
-                                           nursery_.ResidentBytes()));
-  const SlabAllocStats& ma = arena_.alloc_stats();
-  const SlabAllocStats& na = nursery_.alloc_stats();
-  ins.hugepage_bytes->Set(
-      static_cast<int64_t>(ma.hugetlb_bytes + ma.thp_advised_bytes +
-                           na.hugetlb_bytes + na.thp_advised_bytes));
-  ins.cold_flows->Set(cold_ ? static_cast<int64_t>(cold_->NumFlows()) : 0);
-  ins.cold_bytes->Set(cold_ ? static_cast<int64_t>(cold_->EncodedBytes())
-                            : 0);
+  const ArenaStats stats = Stats();
+  ins.live_flows->Set(static_cast<int64_t>(stats.live_flows));
+  ins.nursery_flows->Set(static_cast<int64_t>(stats.nursery_flows));
+  ins.live_bytes->Set(static_cast<int64_t>(stats.live_bytes));
+  ins.slab_bytes->Set(static_cast<int64_t>(stats.alloc.mapped_bytes));
+  ins.hugepage_bytes->Set(static_cast<int64_t>(
+      stats.alloc.hugetlb_bytes + stats.alloc.thp_advised_bytes));
+  ins.cold_flows->Set(static_cast<int64_t>(stats.cold_flows));
+  ins.cold_bytes->Set(static_cast<int64_t>(stats.cold_encoded_bytes));
   ins.cold_resident_bytes->Set(
       cold_ ? static_cast<int64_t>(cold_->ResidentBytes()) : 0);
   ins.cold_ratio_milli->Set(
-      cold_ && cold_->EncodedBytes() > 0
-          ? static_cast<int64_t>(cold_->RawBytes() * 1000 /
-                                 cold_->EncodedBytes())
+      stats.cold_encoded_bytes > 0
+          ? static_cast<int64_t>(stats.cold_raw_bytes * 1000 /
+                                 stats.cold_encoded_bytes)
           : 0);
 }
 
 namespace {
 
-// Nursery slab stride: the position list as whole uint64 words.
-size_t NurseryWordsFor(size_t capacity) {
-  return capacity == 0 ? 1 : (capacity * sizeof(uint32_t) + 7) / 8;
+// Position lists hold exactly a flow's set bits, in insertion order.
+// Membership compares 32 bytes per step (two SSE2 compares) and masks
+// the lanes past the end instead of branching on what it found: a
+// data-dependent exit mispredicts about once per packet, which cost more
+// than the compares. Class strides are multiples of kListBlockBytes, so
+// the last step never reads past the slot.
+constexpr size_t kListBlockBytes = 32;
+
+template <typename Pos>
+bool ListContainsOf(const Pos* list, uint32_t n, uint32_t pos) {
+#if defined(__SSE2__)
+  constexpr uint32_t kLanes = 16 / sizeof(Pos);
+  const __m128i needle = sizeof(Pos) == 2
+                             ? _mm_set1_epi16(static_cast<int16_t>(pos))
+                             : _mm_set1_epi32(static_cast<int32_t>(pos));
+  const auto match_bits = [&](const Pos* at) {
+    const __m128i lanes =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+    return static_cast<uint32_t>(_mm_movemask_epi8(
+        sizeof(Pos) == 2 ? _mm_cmpeq_epi16(lanes, needle)
+                         : _mm_cmpeq_epi32(lanes, needle)));
+  };
+  uint32_t hits = 0;
+  for (uint32_t i = 0; i < n; i += 2 * kLanes) {
+    uint32_t bits =
+        match_bits(list + i) | (match_bits(list + i + kLanes) << 16);
+    // One movemask bit per byte; keep the bytes that hold positions.
+    const uint32_t bytes = (n - i) * static_cast<uint32_t>(sizeof(Pos));
+    if (bytes < kListBlockBytes) bits &= (uint32_t{1} << bytes) - 1;
+    hits |= bits;
+  }
+  return hits != 0;
+#else
+  bool found = false;
+  for (uint32_t i = 0; i < n; ++i) found |= list[i] == pos;
+  return found;
+#endif
 }
 
-// A nursery only helps when its slot is strictly smaller than a main
-// slot; otherwise graduation would just be a copy with no memory win.
-size_t EffectiveNurseryCapacity(size_t capacity, size_t words_per_slot) {
-  if (capacity == 0) return 0;
-  return NurseryWordsFor(capacity) < words_per_slot ? capacity : 0;
+// List slots hold uint16 positions when position_bytes is 2, else uint32.
+bool ListContains(const uint64_t* slot, size_t position_bytes, uint32_t n,
+                  uint32_t pos) {
+  return position_bytes == 2
+             ? ListContainsOf(reinterpret_cast<const uint16_t*>(slot), n, pos)
+             : ListContainsOf(reinterpret_cast<const uint32_t*>(slot), n, pos);
 }
 
-SlabAllocOptions AllocOptionsFor(const ArenaTuning& tuning) {
-  SlabAllocOptions options;
-  options.try_hugepages = tuning.try_hugepages;
-  return options;
+void ListSet(uint64_t* slot, size_t position_bytes, uint32_t i,
+             uint32_t pos) {
+  if (position_bytes == 2) {
+    reinterpret_cast<uint16_t*>(slot)[i] = static_cast<uint16_t>(pos);
+  } else {
+    reinterpret_cast<uint32_t*>(slot)[i] = pos;
+  }
+}
+
+// ORs a list's n positions into bitmap words.
+void ListToWords(const uint64_t* slot, size_t position_bytes, uint32_t n,
+                 uint64_t* words) {
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t pos = position_bytes == 2
+                             ? reinterpret_cast<const uint16_t*>(slot)[i]
+                             : reinterpret_cast<const uint32_t*>(slot)[i];
+    words[pos >> 6] |= uint64_t{1} << (pos & 63);
+  }
+}
+
+// Writes the set bits of `words` as a list, ascending.
+void WordsToList(std::span<const uint64_t> words, size_t position_bytes,
+                 uint64_t* slot) {
+  uint32_t n = 0;
+  for (size_t w = 0; w < words.size(); ++w) {
+    for (uint64_t word = words[w]; word != 0; word &= word - 1) {
+      ListSet(slot, position_bytes, n++,
+              static_cast<uint32_t>(w * 64 + static_cast<size_t>(
+                                                 CountTrailingZeros64(word))));
+    }
+  }
 }
 
 }  // namespace
@@ -135,17 +200,60 @@ ArenaSmbEngine::ArenaSmbEngine(const Config& config)
     : config_(config),
       max_round_(SmbMaxRound(config.num_bits, config.threshold)),
       words_per_slot_((config.num_bits + 63) / 64),
-      nursery_capacity_(EffectiveNurseryCapacity(
-          config.tuning.nursery_capacity, words_per_slot_)),
-      nursery_words_(NurseryWordsFor(nursery_capacity_)),
-      s_table_(BuildSTable(config.num_bits, config.threshold)),
-      arena_(words_per_slot_, AllocOptionsFor(config.tuning)),
-      nursery_(nursery_words_, AllocOptionsFor(config.tuning)) {
+      position_bytes_(config.num_bits <= 65536 ? 2 : 4),
+      s_table_(BuildSTable(config.num_bits, config.threshold)) {
   SMB_CHECK_MSG(Supports(config.num_bits, config.threshold),
                 "(num_bits, threshold) outside the packed-metadata envelope");
+  // List classes: powers of two from 16 positions up to the tuning's cap,
+  // each strictly smaller than a bitmap slot, and none past the first
+  // that reaches T (a round-0 fill morphs there).
+  const size_t cap = config_.tuning.nursery_capacity;
+  const size_t morph_fill =
+      max_round_ > 0 ? config_.threshold : std::numeric_limits<size_t>::max();
+  const SlabAllocOptions options{config_.tuning.try_hugepages};
+  // Slabs map nothing until their first slot is taken.
+  slabs_.reserve(kMaxListClasses + 1);
+  for (size_t positions = std::min<size_t>(16, cap);
+       positions > 0; positions = std::min(positions * 2, cap)) {
+    const size_t words =
+        RoundUp(positions * position_bytes_, kListBlockBytes) / 8;
+    if (words >= words_per_slot_) break;
+    SMB_CHECK(slabs_.size() < kMaxListClasses);
+    class_positions_[slabs_.size()] = static_cast<uint32_t>(positions);
+    slabs_.emplace_back(words, options);
+    if (positions == cap || positions >= morph_fill) break;
+  }
+  bitmap_class_ = static_cast<uint32_t>(slabs_.size());
+  graduate_at_ =
+      bitmap_class_ == 0
+          ? 0
+          : static_cast<uint32_t>(std::min<size_t>(
+                class_positions_[bitmap_class_ - 1], morph_fill));
+  slabs_.emplace_back(words_per_slot_, options);
   if (config_.tuning.cold_tier) {
     cold_ = std::make_unique<ColdSketchTier>(config_.num_bits);
   }
+}
+
+uint32_t ArenaSmbEngine::AllocateIn(uint32_t cls) {
+  const uint32_t slot = slabs_[cls].Allocate();
+  SMB_CHECK_MSG(slot < kSlotMask, "residency class slab is full");
+  live_bytes_ += ClassBytes(cls);
+  return (cls << kClassShift) | slot;
+}
+
+void ArenaSmbEngine::FreeRef(uint32_t ref) {
+  SMB_DCHECK(ref != kDeadRef);
+  slabs_[RefClass(ref)].Free(ref & kSlotMask);
+  live_bytes_ -= ClassBytes(RefClass(ref));
+}
+
+uint32_t ArenaSmbEngine::ClassFor(uint32_t meta) const {
+  // The round sits above the fill in meta, so one compare covers both.
+  if (meta >= graduate_at_) return bitmap_class_;
+  uint32_t cls = 0;
+  while (class_positions_[cls] <= meta) ++cls;
+  return cls;
 }
 
 uint64_t ArenaSmbEngine::FlowSeedOffset(uint64_t flow) const {
@@ -176,24 +284,21 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
       slab_ref_.push_back(kDeadRef);
       ref_bits_.push_back(0);
     }
-    if (nursery_capacity_ > 0) {
-      const uint32_t nursery_slot = nursery_.Allocate();
-      SMB_DCHECK(nursery_slot < kNurseryFlag);
-      slab_ref_[row] = kNurseryFlag | nursery_slot;
-      ++live_nursery_;
-    } else {
-      const uint32_t main_slot = arena_.Allocate();
-      SMB_DCHECK(main_slot < kNurseryFlag);
-      slab_ref_[row] = main_slot;
-      ++live_main_;
-    }
+    slab_ref_[row] = AllocateIn(ClassFor(0));
+    ++live_flows_;
     ++recorded_flows_;
     GlobalFlowInstruments().flows_created->Add();
-    PublishResidency();
+    residency_changed_ = true;
     // Thaw-before-gate: a returning frozen flow resumes from its exact
-    // evicted state, so the bits it records from here on are identical
-    // to a never-evicted engine's.
-    if (cold_ != nullptr && cold_->Contains(flow)) ThawRow(row, flow);
+    // evicted state, in the class that state calls for, so the bits it
+    // records from here on are identical to a never-evicted engine's.
+    if (cold_ != nullptr && cold_->Contains(flow)) {
+      uint32_t round = 0, ones = 0;
+      inspect_scratch_.resize(words_per_slot_);
+      cold_->Thaw(flow, &round, &ones, inspect_scratch_);
+      StoreState(row, (round << kRoundShift) | ones, inspect_scratch_);
+      ++thawed_flows_;
+    }
   }
   // CLOCK reference: any lookup — gate-rejected traffic included — marks
   // the flow recently-used.
@@ -202,74 +307,41 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
   return row;
 }
 
-void ArenaSmbEngine::ThawRow(uint32_t row, uint64_t flow) {
-  // Thawed flows always land on the main slab: a frozen state can be at
-  // any round, and even a round-0 state would only bounce back through
-  // the nursery's promotion path on its next morph.
-  const uint32_t ref = slab_ref_[row];
-  if (ref & kNurseryFlag) {
-    nursery_.Free(ref & ~kNurseryFlag);
-    const uint32_t main_slot = arena_.Allocate();
-    SMB_DCHECK(main_slot < kNurseryFlag);
-    slab_ref_[row] = main_slot;
-    --live_nursery_;
-    ++live_main_;
+void ArenaSmbEngine::StoreState(uint32_t row, uint32_t meta,
+                                std::span<const uint64_t> words) {
+  const uint32_t cls = ClassFor(meta);
+  uint32_t ref = slab_ref_[row];
+  if (RefClass(ref) != cls) {
+    FreeRef(ref);
+    ref = AllocateIn(cls);
+    slab_ref_[row] = ref;
+    residency_changed_ = true;
   }
-  uint64_t* words = arena_.SlotWords(slab_ref_[row]);
-  uint32_t round = 0, ones = 0;
-  const bool ok =
-      cold_->Thaw(flow, &round, &ones, {words, words_per_slot_});
-  SMB_DCHECK(ok);
-  (void)ok;
-  meta_[row] = (round << kRoundShift) | ones;
-  ++thawed_flows_;
-  PublishResidency();
+  if (cls == bitmap_class_) {
+    std::copy(words.begin(), words.end(), SlotWords(ref));
+  } else {
+    WordsToList(words, position_bytes_, SlotWords(ref));
+  }
+  meta_[row] = meta;
 }
 
-void ArenaSmbEngine::PromoteRow(uint32_t row) {
-  const uint32_t ref = slab_ref_[row];
-  if ((ref & kNurseryFlag) == 0) return;  // already on the main slab
-  SMB_DCHECK(ref != kDeadRef);
-  // Nursery rows are always round 0, so the fill IS the position count.
-  const uint32_t count = meta_[row] & kFillMask;
-  const uint32_t main_slot = arena_.Allocate();
-  SMB_DCHECK(main_slot < kNurseryFlag);
-  uint64_t* words = arena_.SlotWords(main_slot);
-  const uint32_t* positions = NurseryPositions(ref);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t pos = positions[i];
-    words[pos >> 6] |= uint64_t{1} << (pos & 63);
+uint32_t ArenaSmbEngine::MoveList(uint32_t row, uint32_t cls) {
+  const uint32_t old_ref = slab_ref_[row];
+  const uint32_t ref = AllocateIn(cls);
+  // List rows are round 0, so the meta IS the position count.
+  if (cls == bitmap_class_) {
+    ListToWords(SlotWords(old_ref), position_bytes_, meta_[row],
+                SlotWords(ref));
+    ++promoted_flows_;
+    GlobalFlowInstruments().flows_promoted->Add();
+  } else {
+    std::memcpy(SlotWords(ref), SlotWords(old_ref),
+                meta_[row] * position_bytes_);
   }
-  nursery_.Free(ref & ~kNurseryFlag);
-  slab_ref_[row] = main_slot;
-  --live_nursery_;
-  ++live_main_;
-  ++promoted_flows_;
-  GlobalFlowInstruments().flows_promoted->Add();
-  PublishResidency();
-}
-
-void ArenaSmbEngine::NurseryApply(uint32_t row, uint32_t ref, uint32_t pos,
-                                  uint32_t meta) {
-  uint32_t* positions = NurseryPositions(ref);
-  const uint32_t v = meta & kFillMask;
-  // Membership scan stands in for the main path's word & mask duplicate
-  // check — the list holds exactly the set bits.
-  for (uint32_t i = 0; i < v; ++i) {
-    if (positions[i] == pos) return;
-  }
-  SMB_DCHECK(v < nursery_capacity_);
-  positions[v] = pos;
-  const uint32_t v_new = v + 1;
-  meta_[row] = v_new;  // round stays 0
-  // Same morph condition as the main path at round 0; graduation happens
-  // BEFORE the morph is recorded, so post-morph state always lives on
-  // the main slab.
-  const bool morphs = v_new >= config_.threshold && max_round_ > 0;
-  if (morphs || v_new >= nursery_capacity_) {
-    PromoteRow(row);
-    if (morphs) meta_[row] = uint32_t{1} << kRoundShift;
-  }
+  FreeRef(old_ref);
+  slab_ref_[row] = ref;
+  residency_changed_ = true;
+  return ref;
 }
 
 inline void ArenaSmbEngine::ApplyToRow(uint32_t row, uint64_t lo,
@@ -280,12 +352,26 @@ inline void ArenaSmbEngine::ApplyToRow(uint32_t row, uint64_t lo,
   // never the slabs.
   if (SMB_LIKELY(rank < round)) return;
   const size_t pos = FastRange64(lo, config_.num_bits);
-  const uint32_t ref = slab_ref_[row];
-  if (ref & kNurseryFlag) {
-    NurseryApply(row, ref, static_cast<uint32_t>(pos), meta);
-    return;
+  uint32_t ref = slab_ref_[row];
+  if (IsList(ref)) {
+    // Round 0: the meta is the fill, which is the list length. The
+    // membership scan stands in for the bitmap's word & mask check.
+    const uint32_t p = static_cast<uint32_t>(pos);
+    if (ListContains(SlotWords(ref), position_bytes_, meta, p)) return;
+    if (meta + 1 < graduate_at_) {
+      ListSet(SlotWords(ref), position_bytes_, meta, p);
+      meta_[row] = meta + 1;
+      if (meta + 1 == class_positions_[RefClass(ref)]) {
+        MoveList(row, RefClass(ref) + 1);
+      }
+      return;
+    }
+    // The fill reaches the last class's capacity or T: graduate BEFORE
+    // recording, so the bitmap step below sets the bit and morphs
+    // exactly as it would have for a row born on a bitmap.
+    ref = MoveList(row, bitmap_class_);
   }
-  uint64_t& word = arena_.SlotWords(ref)[pos >> 6];
+  uint64_t& word = BitmapWords(ref)[pos >> 6];
   const uint64_t mask = uint64_t{1} << (pos & 63);
   if (word & mask) return;
   word |= mask;
@@ -305,7 +391,7 @@ void ArenaSmbEngine::Record(uint64_t flow, uint64_t element) {
   const uint32_t row = FindOrCreateRow(flow, FlowTable::BucketHash(flow));
   const Hash128 hash = ItemHash128(element + seed_offsets_[row], 0);
   ApplyToRow(row, hash.lo, static_cast<uint32_t>(GeometricRank(hash.hi)));
-  MaybeEvict();
+  SettleBoundary();
 }
 
 void ArenaSmbEngine::RecordBatch(const Packet* packets, size_t n) {
@@ -363,8 +449,8 @@ void ArenaSmbEngine::RecordBatch(const Packet* packets, size_t n) {
       BatchHashAndRankKeyed(elems, offsets, nb, elem_lo, elem_rank);
     }
     // Stage 4: gate-first compaction against each lane's current round +
-    // storage prefetch for the survivors (the exact bitmap word on the
-    // main slab; the position list base for nursery rows). Safe to gate
+    // storage prefetch for the survivors (the exact bitmap word, or the
+    // first lines of a list the scan will read). Safe to gate
     // early: a flow's round only grows, so a lane rejected now would also
     // be rejected at its sequential turn; survivors are re-gated against
     // the live round in stage 5.
@@ -372,17 +458,21 @@ void ArenaSmbEngine::RecordBatch(const Packet* packets, size_t n) {
     {
       TRACE_SPAN("flow", "arena.gate_compact");
       for (size_t i = 0; i < nb; ++i) {
-        const uint32_t round = meta_[rows[i]] >> kRoundShift;
-        if (SMB_UNLIKELY(elem_rank[i] >= round)) {
+        const uint32_t meta = meta_[rows[i]];
+        if (SMB_UNLIKELY(elem_rank[i] >= (meta >> kRoundShift))) {
           surv_row[survivors] = rows[i];
           surv_lo[survivors] = elem_lo[i];
           surv_rank[survivors] = elem_rank[i];
           const uint32_t ref = slab_ref_[rows[i]];
-          if (ref & kNurseryFlag) {
-            __builtin_prefetch(nursery_.SlotWords(ref & ~kNurseryFlag), 1, 3);
+          if (IsList(ref)) {
+            // First line and, once the list reaches it, the second; no loop.
+            const char* list = reinterpret_cast<const char*>(SlotWords(ref));
+            __builtin_prefetch(list, 1, 3);
+            __builtin_prefetch(
+                list + std::min<size_t>(meta * position_bytes_, 64), 1, 3);
           } else {
             const size_t pos = FastRange64(elem_lo[i], config_.num_bits);
-            __builtin_prefetch(arena_.SlotWords(ref) + (pos >> 6), 1, 3);
+            __builtin_prefetch(BitmapWords(ref) + (pos >> 6), 1, 3);
           }
           ++survivors;
         }
@@ -399,27 +489,43 @@ void ArenaSmbEngine::RecordBatch(const Packet* packets, size_t n) {
     }
     // Block boundary: nothing caches row ids across this point, so cold
     // rows can be reclaimed now.
-    MaybeEvict();
+    SettleBoundary();
     packets += nb;
     n -= nb;
   }
 }
 
-void ArenaSmbEngine::MaybeEvict() {
-  if (!EvictionEnabled()) return;
+void ArenaSmbEngine::SettleBoundary() {
   const size_t budget = config_.tuning.memory_budget_bytes;
-  while (NumFlows() > 1 && LiveBytes() > budget) {
-    if (!EvictOneRow()) break;
+  if (budget > 0 && config_.tuning.eviction != ArenaEviction::kOff) {
+    while (NumFlows() > 1 && LiveBytes() > budget && EvictOneRow()) continue;
+  }
+  // The accounting identities, re-derived from the class slabs' own slot
+  // counts.
+  size_t rows = 0, bytes = 0;
+  for (uint32_t cls = 0; cls < slabs_.size(); ++cls) {
+    rows += slabs_[cls].num_slots();
+    bytes += slabs_[cls].num_slots() * ClassBytes(cls);
+  }
+  const bool ok = rows == live_flows_ && bytes == live_bytes_ &&
+                  recorded_flows_ == live_flows_ + evicted_flows_;
+  if (SMB_UNLIKELY(!ok)) {
+    GlobalFlowInstruments().invariant_violations->Add();
+  }
+  SMB_DCHECK(ok);
+  if (residency_changed_) {
+    residency_changed_ = false;
+    PublishResidency();
   }
 }
 
 bool ArenaSmbEngine::EvictOneRow() {
-  const size_t rows = num_rows();
+  const size_t rows = flow_keys_.size();
   if (rows == 0) return false;
-  // 2Q drains the nursery first: newborn rows hold the least learned
+  // 2Q drains list rows first: newborn rows hold the least learned
   // state, so re-admitting one later costs almost nothing.
-  const bool prefer_nursery =
-      config_.tuning.eviction == ArenaEviction::k2Q && live_nursery_ > 0;
+  const bool prefer_lists = config_.tuning.eviction == ArenaEviction::k2Q &&
+                            slabs_[bitmap_class_].num_slots() < live_flows_;
   // Two sweeps bound the scan: the first pass can at worst clear every
   // reference byte, the second must then find a victim.
   for (size_t scanned = 0; scanned < rows * 2; ++scanned) {
@@ -427,44 +533,33 @@ bool ArenaSmbEngine::EvictOneRow() {
     const uint32_t row = static_cast<uint32_t>(clock_hand_++);
     const uint32_t ref = slab_ref_[row];
     if (ref == kDeadRef) continue;
-    if (prefer_nursery && (ref & kNurseryFlag) == 0) continue;
+    if (prefer_lists && !IsList(ref)) continue;
     if (ref_bits_[row] != 0) {
       ref_bits_[row] = 0;
       continue;
     }
-    EvictRow(row);
+    const uint64_t flow = flow_keys_[row];
+    if (cold_ != nullptr) {
+      // Freeze: the state stays queryable and revivable in-process, so
+      // nothing is lost. Without the cold tier the state is dropped.
+      const uint32_t meta = meta_[row];
+      cold_->Freeze(flow, meta >> kRoundShift, meta & kFillMask,
+                    MaterializedWords(row, &inspect_scratch_));
+    }
+    const bool erased = table_.Erase(flow, FlowTable::BucketHash(flow));
+    SMB_DCHECK(erased);
+    (void)erased;
+    FreeRef(ref);
+    --live_flows_;
+    slab_ref_[row] = kDeadRef;
+    ref_bits_[row] = 0;
+    row_free_.push_back(row);
+    ++evicted_flows_;
+    GlobalFlowInstruments().flows_evicted->Add();
+    residency_changed_ = true;
     return true;
   }
   return false;
-}
-
-void ArenaSmbEngine::EvictRow(uint32_t row) {
-  const uint32_t ref = slab_ref_[row];
-  SMB_DCHECK(ref != kDeadRef);
-  const uint64_t flow = flow_keys_[row];
-  if (cold_ != nullptr) {
-    // Freeze: the state stays queryable and revivable in-process, so
-    // nothing is lost. Without the cold tier the state is dropped.
-    const uint32_t meta = meta_[row];
-    cold_->Freeze(flow, meta >> kRoundShift, meta & kFillMask,
-                  MaterializedWords(row, &inspect_scratch_));
-  }
-  const bool erased = table_.Erase(flow, FlowTable::BucketHash(flow));
-  SMB_DCHECK(erased);
-  (void)erased;
-  if (ref & kNurseryFlag) {
-    nursery_.Free(ref & ~kNurseryFlag);
-    --live_nursery_;
-  } else {
-    arena_.Free(ref);
-    --live_main_;
-  }
-  slab_ref_[row] = kDeadRef;
-  ref_bits_[row] = 0;
-  row_free_.push_back(row);
-  ++evicted_flows_;
-  GlobalFlowInstruments().flows_evicted->Add();
-  PublishResidency();
 }
 
 double ArenaSmbEngine::EstimateMeta(uint32_t round32, uint32_t ones32) const {
@@ -478,11 +573,6 @@ double ArenaSmbEngine::EstimateMeta(uint32_t round32, uint32_t ones32) const {
   const double scale = std::ldexp(static_cast<double>(config_.num_bits),
                                   static_cast<int>(round));
   return s_table_[round] + scale * (-std::log1p(-v / m_r));
-}
-
-double ArenaSmbEngine::EstimateSlot(uint32_t row) const {
-  const uint32_t meta = meta_[row];
-  return EstimateMeta(meta >> kRoundShift, meta & kFillMask);
 }
 
 bool ArenaSmbEngine::FindMeta(uint64_t flow, uint32_t* meta) const {
@@ -508,17 +598,9 @@ double ArenaSmbEngine::Query(uint64_t flow) const {
 
 std::vector<uint64_t> ArenaSmbEngine::FlowsOver(double threshold) const {
   std::vector<uint64_t> out;
-  for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
-    if (slab_ref_[row] == kDeadRef) continue;
-    if (EstimateSlot(row) >= threshold) out.push_back(flow_keys_[row]);
-  }
-  if (cold_ != nullptr) {
-    for (const uint64_t flow : cold_->SortedFlows()) {
-      uint32_t round = 0, ones = 0;
-      cold_->PeekMeta(flow, &round, &ones);
-      if (EstimateMeta(round, ones) >= threshold) out.push_back(flow);
-    }
-  }
+  ForEachFlow([&](uint64_t flow, double estimate) {
+    if (estimate >= threshold) out.push_back(flow);
+  });
   return out;
 }
 
@@ -526,7 +608,8 @@ void ArenaSmbEngine::ForEachFlow(
     const std::function<void(uint64_t, double)>& fn) const {
   for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
     if (slab_ref_[row] == kDeadRef) continue;
-    fn(flow_keys_[row], EstimateSlot(row));
+    fn(flow_keys_[row],
+       EstimateMeta(meta_[row] >> kRoundShift, meta_[row] & kFillMask));
   }
   if (cold_ != nullptr) {
     for (const uint64_t flow : cold_->SortedFlows()) {
@@ -541,16 +624,9 @@ std::span<const uint64_t> ArenaSmbEngine::MaterializedWords(
     uint32_t row, std::vector<uint64_t>* scratch) const {
   const uint32_t ref = slab_ref_[row];
   SMB_DCHECK(ref != kDeadRef);
-  if ((ref & kNurseryFlag) == 0) {
-    return {arena_.SlotWords(ref), words_per_slot_};
-  }
+  if (!IsList(ref)) return {SlotWords(ref), words_per_slot_};
   scratch->assign(words_per_slot_, 0);
-  const uint32_t count = meta_[row] & kFillMask;
-  const uint32_t* positions = NurseryPositions(ref);
-  for (uint32_t i = 0; i < count; ++i) {
-    const uint32_t pos = positions[i];
-    (*scratch)[pos >> 6] |= uint64_t{1} << (pos & 63);
-  }
+  ListToWords(SlotWords(ref), position_bytes_, meta_[row], scratch->data());
   return {scratch->data(), words_per_slot_};
 }
 
@@ -605,7 +681,7 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
   SMB_CHECK_MSG(CanMergeWith(other),
                 "arena merge requires identical (num_bits, threshold, "
                 "base_seed)");
-  std::vector<uint64_t> replay(words_per_slot_);
+  std::vector<uint64_t> replay(words_per_slot_), merged(words_per_slot_);
   const auto merge_one = [&](uint64_t flow,
                              std::span<const uint64_t> src_words,
                              uint32_t src_meta) {
@@ -615,40 +691,35 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
     const bool existed = table_.Find(flow, bucket_hash).found ||
                          (cold_ != nullptr && cold_->Contains(flow));
     const uint32_t row = FindOrCreateRow(flow, bucket_hash);
-    PromoteRow(row);  // merge results live on the main slab
-    const std::span<uint64_t> dst_words(arena_.SlotWords(slab_ref_[row]),
-                                        words_per_slot_);
     if (!existed) {
       // Flow unknown here: adopt the source state verbatim (the
       // merge-with-empty identity, without the replay detour).
-      std::copy(src_words.begin(), src_words.end(), dst_words.begin());
-      meta_[row] = src_meta;
+      StoreState(row, src_meta, src_words);
       return;
     }
-    MergeFlowState(flow, dst_words, &meta_[row], src_words, src_meta,
-                   replay);
-  };
-  for (uint32_t src_row = 0; src_row < other.flow_keys_.size(); ++src_row) {
-    if (other.slab_ref_[src_row] == kDeadRef) continue;
-    // Materialized view (nursery rows included) — the merge replay works
-    // on real bitmap words on both sides.
-    merge_one(other.flow_keys_[src_row],
-              other.MaterializedWords(src_row, &other.inspect_scratch_),
-              other.meta_[src_row]);
-  }
-  if (other.cold_ != nullptr) {
-    // The source's frozen flows are engine state too; materialize each
-    // and merge it like any live row.
-    std::vector<uint64_t> cold_words(words_per_slot_);
-    for (const uint64_t flow : other.cold_->SortedFlows()) {
-      uint32_t round = 0, ones = 0;
-      other.cold_->ReadState(flow, &round, &ones, cold_words);
-      merge_one(flow, cold_words, (round << kRoundShift) | ones);
+    const uint32_t ref = slab_ref_[row];
+    if (!IsList(ref)) {
+      // A merge never shrinks a state, so a bitmap row stays one: merge
+      // in place.
+      MergeFlowState(flow, {SlotWords(ref), words_per_slot_}, &meta_[row],
+                     src_words, src_meta, replay);
+      SMB_DCHECK(ClassFor(meta_[row]) == bitmap_class_);
+      return;
     }
-  }
+    MaterializedWords(row, &merged);  // a list row materializes in place
+    uint32_t meta = meta_[row];
+    MergeFlowState(flow, merged, &meta, src_words, src_meta, replay);
+    StoreState(row, meta, merged);
+  };
+  // Every source flow, live or frozen, materialized — the merge replay
+  // works on real bitmap words on both sides.
+  other.ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
+                             std::span<const uint64_t> words) {
+    merge_one(flow, words, (round << kRoundShift) | ones);
+  });
   // Adopted flows may have pushed past the budget; reclaim at the merge
   // boundary (no cached row ids here).
-  MaybeEvict();
+  SettleBoundary();
 }
 
 double ArenaSmbEngine::QueryMerged(
@@ -689,8 +760,11 @@ double ArenaSmbEngine::QueryMerged(
 }
 
 size_t ArenaSmbEngine::ResidentBytes() const {
-  return sizeof(*this) + table_.ResidentBytes() + arena_.ResidentBytes() +
-         nursery_.ResidentBytes() + meta_.capacity() * sizeof(uint32_t) +
+  size_t slab_bytes = 0;
+  for (const SlabArena& slab : slabs_) slab_bytes += slab.ResidentBytes();
+  return sizeof(*this) + table_.ResidentBytes() + slab_bytes +
+         slabs_.capacity() * sizeof(SlabArena) +
+         meta_.capacity() * sizeof(uint32_t) +
          seed_offsets_.capacity() * sizeof(uint64_t) +
          flow_keys_.capacity() * sizeof(uint64_t) +
          slab_ref_.capacity() * sizeof(uint32_t) +
@@ -704,18 +778,25 @@ size_t ArenaSmbEngine::ResidentBytes() const {
 ArenaSmbEngine::ArenaStats ArenaSmbEngine::Stats() const {
   ArenaStats stats;
   stats.live_flows = NumFlows();
-  stats.nursery_flows = live_nursery_;
-  stats.main_flows = live_main_;
+  stats.main_flows = slabs_[bitmap_class_].num_slots();
+  stats.nursery_flows = NumFlows() - stats.main_flows;
   stats.recorded_flows = recorded_flows_;
   stats.evicted_flows = evicted_flows_;
   stats.promoted_flows = promoted_flows_;
   stats.live_bytes = LiveBytes();
   stats.budget_bytes = config_.tuning.memory_budget_bytes;
-  stats.main_slots_high_water = arena_.high_water_slots();
-  stats.main_slots_free = arena_.free_slots();
-  stats.nursery_slots_high_water = nursery_.high_water_slots();
-  stats.nursery_slots_free = nursery_.free_slots();
-  stats.nursery_enabled = nursery_capacity_ > 0;
+  stats.nursery_enabled = bitmap_class_ > 0;
+  for (uint32_t cls = 0; cls < slabs_.size(); ++cls) {
+    const SlabArena& slab = slabs_[cls];
+    ArenaStats::ResidencyClass entry;
+    entry.positions = cls < bitmap_class_ ? class_positions_[cls] : 0;
+    entry.slot_bytes = slab.words_per_slot() * 8;
+    entry.live_flows = slab.num_slots();
+    stats.classes.push_back(entry);
+    stats.alloc.mapped_bytes += slab.alloc_stats().mapped_bytes;
+    stats.alloc.hugetlb_bytes += slab.alloc_stats().hugetlb_bytes;
+    stats.alloc.thp_advised_bytes += slab.alloc_stats().thp_advised_bytes;
+  }
   if (cold_ != nullptr) {
     stats.cold_flows = cold_->NumFlows();
     stats.cold_encoded_bytes = cold_->EncodedBytes();
@@ -723,35 +804,17 @@ ArenaSmbEngine::ArenaStats ArenaSmbEngine::Stats() const {
     stats.cold_compactions = cold_->compactions();
   }
   stats.thawed_flows = thawed_flows_;
-  stats.main_alloc = arena_.alloc_stats();
-  stats.nursery_alloc = nursery_.alloc_stats();
   return stats;
 }
 
 std::optional<ArenaSmbEngine::FlowState> ArenaSmbEngine::Inspect(
     uint64_t flow) const {
-  const FlowTable::Probe probe =
-      table_.Find(flow, FlowTable::BucketHash(flow));
-  if (!probe.found) {
-    if (cold_ != nullptr) {
-      inspect_scratch_.assign(words_per_slot_, 0);
-      uint32_t round = 0, ones = 0;
-      if (cold_->ReadState(flow, &round, &ones,
-                           {inspect_scratch_.data(), words_per_slot_})) {
-        FlowState state;
-        state.round = round;
-        state.ones_in_round = ones;
-        state.words = {inspect_scratch_.data(), words_per_slot_};
-        return state;
-      }
-    }
-    return std::nullopt;
-  }
-  const uint32_t meta = meta_[probe.slot];
+  uint32_t meta = 0;
+  if (!FindMeta(flow, &meta)) return std::nullopt;
   FlowState state;
   state.round = meta >> kRoundShift;
   state.ones_in_round = meta & kFillMask;
-  state.words = MaterializedWords(probe.slot, &inspect_scratch_);
+  state.words = HeldWords(flow, &inspect_scratch_);
   return state;
 }
 
@@ -759,7 +822,7 @@ namespace {
 
 // Snapshot image: the FLW1 layout (codec/flw1_layout.h), one record per
 // flow in row order. Seed offsets are not stored — they are a pure
-// function of (base_seed, flow key) and are rebuilt on load. Nursery rows
+// function of (base_seed, flow key) and are rebuilt on load. List rows
 // are materialized on write, so the format is residency-agnostic.
 
 // Reserves the whole image up front so every record is appended with
@@ -791,55 +854,28 @@ void SealSnapshot(std::vector<uint8_t>* out) {
 }  // namespace
 
 std::vector<uint8_t> ArenaSmbEngine::Serialize() const {
+  // Frozen flows ride the same snapshot, materialized, after the live
+  // rows — ascending key so snapshot bytes are deterministic.
   const size_t cold_flows = cold_ != nullptr ? cold_->NumFlows() : 0;
   std::vector<uint8_t> out =
       BeginSnapshot(config_, NumFlows() + cold_flows, words_per_slot_);
-  std::vector<uint64_t> scratch(words_per_slot_);
-  for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
-    if (slab_ref_[row] == kDeadRef) continue;
-    AppendRecord(&out, flow_keys_[row], meta_[row],
-                 MaterializedWords(row, &scratch));
-  }
-  if (cold_ != nullptr) {
-    // Frozen flows ride the same snapshot, materialized, after the live
-    // rows — ascending key so snapshot bytes are deterministic.
-    for (const uint64_t flow : cold_->SortedFlows()) {
-      uint32_t round = 0, ones = 0;
-      cold_->ReadState(flow, &round, &ones, scratch);
-      AppendRecord(&out, flow, (round << kRoundShift) | ones, scratch);
-    }
-  }
+  ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
+                       std::span<const uint64_t> words) {
+    AppendRecord(&out, flow, (round << kRoundShift) | ones, words);
+  });
   SealSnapshot(&out);
   return out;
 }
 
 std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
     const std::vector<uint8_t>& bytes, const ArenaTuning& tuning) {
-  if (bytes.size() < flw1::kHeaderBytes + flw1::kChecksumBytes ||
-      std::memcmp(bytes.data(), flw1::kMagic, sizeof(flw1::kMagic)) != 0) {
+  const std::optional<flw1::Header> header = flw1::ReadHeader(bytes);
+  if (!header.has_value() || !Supports(header->num_bits, header->threshold)) {
     return std::nullopt;
   }
-  const uint8_t* header = bytes.data() + sizeof(flw1::kMagic);
-  const uint64_t num_bits = LoadU64(header);
-  const uint64_t threshold = LoadU64(header + 8);
-  const uint64_t base_seed = LoadU64(header + 16);
-  const uint64_t num_flows = LoadU64(header + 24);
-  const uint64_t words_per_slot = LoadU64(header + 32);
-  if (!Supports(num_bits, threshold)) return std::nullopt;
-  if (words_per_slot != (num_bits + 63) / 64) return std::nullopt;
-  // Exact size, by division so a huge num_flows cannot wrap the check:
-  // truncation and trailing garbage after the checksum must not pass.
-  const size_t record_bytes = (2 + words_per_slot) * 8;
-  const size_t body_bytes =
-      bytes.size() - flw1::kHeaderBytes - flw1::kChecksumBytes;
-  if (body_bytes % record_bytes != 0 ||
-      num_flows != body_bytes / record_bytes) {
-    return std::nullopt;
-  }
-  if (flw1::Checksum(bytes.data(), bytes.size() - flw1::kChecksumBytes) !=
-      LoadU64(bytes.data() + bytes.size() - flw1::kChecksumBytes)) {
-    return std::nullopt;
-  }
+  const auto [num_bits, threshold, base_seed, num_flows, words_per_slot] =
+      *header;
+  const size_t record_bytes = header->RecordBytes();
 
   Config config;
   config.num_bits = num_bits;
@@ -854,44 +890,19 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
     const uint64_t meta_u64 = LoadU64(record + 8);
     if (meta_u64 > 0xFFFFFFFFull) return std::nullopt;
     const uint32_t meta = static_cast<uint32_t>(meta_u64);
-    const uint32_t round = meta >> kRoundShift;
-    const uint32_t ones = meta & kFillMask;
     std::memcpy(words.data(), record + 16, words.size() * 8);
-    if (!SmbStateReachable(num_bits, threshold, round, ones, words)) {
+    if (!SmbStateReachable(num_bits, threshold, meta >> kRoundShift,
+                           meta & kFillMask, words)) {
       return std::nullopt;
     }
     bool created = false;
     const uint32_t row =
         engine.FindOrCreateRow(key, FlowTable::BucketHash(key), &created);
     if (!created) return std::nullopt;  // duplicate flow key
-    const uint32_t ref = engine.slab_ref_[row];
-    // Strict <: nursery residents always have v < capacity (promotion
-    // fires at v == capacity), and a full position list would leave no
-    // room for the next element's append.
-    if ((ref & kNurseryFlag) != 0 && round == 0 &&
-        ones < engine.nursery_capacity_) {
-      // The flow fits the nursery: decode its set bits back into a
-      // position list instead of spending a main-slab slot.
-      uint32_t* positions = engine.NurseryPositions(ref);
-      uint32_t count = 0;
-      for (size_t w = 0; w < words.size(); ++w) {
-        uint64_t word = words[w];
-        while (word != 0) {
-          positions[count++] = static_cast<uint32_t>(
-              w * 64 + static_cast<size_t>(CountTrailingZeros64(word)));
-          word &= word - 1;
-        }
-      }
-      SMB_DCHECK(count == ones);
-    } else {
-      engine.PromoteRow(row);  // no-op when the nursery is disabled
-      std::copy(words.begin(), words.end(),
-                engine.arena_.SlotWords(engine.slab_ref_[row]));
-    }
-    engine.meta_[row] = meta;
+    engine.StoreState(row, meta, words);
   }
   // The snapshot may hold more state than the restored budget allows.
-  engine.MaybeEvict();
+  engine.SettleBoundary();
   return engine;
 }
 
@@ -931,30 +942,26 @@ bool ArenaSmbEngine::UpsertFlowState(uint64_t flow, uint32_t round,
     return false;
   }
   const uint32_t row = FindOrCreateRow(flow, FlowTable::BucketHash(flow));
-  PromoteRow(row);  // replicated state lives on the main slab
-  uint64_t* dst = arena_.SlotWords(slab_ref_[row]);
-  std::copy(words.begin(), words.end(), dst);
-  meta_[row] = (round << kRoundShift) | ones;
-  MaybeEvict();
+  StoreState(row, (round << kRoundShift) | ones, words);
+  SettleBoundary();
   return true;
 }
 
 void ArenaSmbEngine::ForEachFlowState(
     const std::function<void(uint64_t, uint32_t, uint32_t,
                              std::span<const uint64_t>)>& fn) const {
+  std::vector<uint64_t> scratch(words_per_slot_);
   for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
     if (slab_ref_[row] == kDeadRef) continue;
     const uint32_t meta = meta_[row];
     fn(flow_keys_[row], meta >> kRoundShift, meta & kFillMask,
-       MaterializedWords(row, &inspect_scratch_));
+       MaterializedWords(row, &scratch));
   }
   if (cold_ != nullptr) {
-    std::vector<uint64_t> words(words_per_slot_);
     for (const uint64_t flow : cold_->SortedFlows()) {
       uint32_t round = 0, ones = 0;
-      cold_->ReadState(flow, &round, &ones,
-                       {words.data(), words_per_slot_});
-      fn(flow, round, ones, {words.data(), words_per_slot_});
+      cold_->ReadState(flow, &round, &ones, scratch);
+      fn(flow, round, ones, scratch);
     }
   }
 }

@@ -1,10 +1,8 @@
 // ArenaSmbEngine — cache-conscious per-flow SMB storage (DESIGN.md §12,
 // scaled to 10M+ flows by §15).
 //
-// The legacy PerFlowMonitor keeps one heap-allocated SelfMorphingBitmap
-// per flow behind an unordered_map of unique_ptrs: every packet pays a
-// node walk, a pointer chase and a virtual call before it even reaches
-// the geometric gate. This engine replaces that with flat arrays:
+// Flat arrays in place of the legacy map of heap estimators (a node
+// walk, a pointer chase and a virtual call per packet):
 //
 //   FlowTable      flow key -> dense row   (open addressing, incremental
 //                                           rehash + tombstone erase,
@@ -13,58 +11,59 @@
 //                                           the paper's 32 auxiliary bits;
 //                                           one cache line covers 16
 //                                           flows' gate state)
-//   slab_ref_[row] storage tier + slot     (nursery or main slab)
-//   SlabArena x2   slot -> flow storage    (fixed stride, chunked mmap)
+//   slab_ref_[row] residency class + slot (class tag in the top 5 bits)
+//   SlabArena x C  slot -> flow storage    (one fixed-stride arena per
+//                                           residency class, chunked mmap)
 //
 // The gate-before-slab invariant: the geometric gate reads only meta_, so
 // a gate-rejected packet — the common case past round 0 — never touches
-// either slab. Per-flow hash seeds are derived exactly as the legacy
+// any slab. Per-flow hash seeds are derived exactly as the legacy
 // engine derives them (Murmur3Fmix64(base_seed ^ flow)) and every
 // recording/query operation replays SelfMorphingBitmap's operations in
 // the same order, so estimates are bit-identical to the legacy engine
 // given the same seeds (pinned by the equivalence suite).
 //
-// Graduated storage (DESIGN.md §15): a brand-new flow holds only a
-// handful of set bits, yet a fixed-stride slab charges it the full m-bit
-// bitmap up front — on a heavy-tailed trace most of the slab is zeros
-// belonging to single-digit-packet flows. New flows therefore start in
-// the *nursery*: a small-stride slab whose slot is the flow's set-bit
-// POSITIONS (one uint32 each) rather than the bitmap itself. While a
-// flow's round is 0 its fill v equals its distinct-position count, so
-// the position list is a lossless encoding of the full bitmap and every
-// estimate/snapshot/merge sees exactly the bits the main slab would
-// hold. The flow graduates to a main-slab slot (positions materialized
-// into real bits) the moment the list fills or the next insert would
-// morph it to round 1 — so main-slab bytes are spent only on flows that
-// proved they have a tail.
+// Residency classes (DESIGN.md §15): at round 0 a flow's fill v is its
+// distinct-position count, so the list of its set POSITIONS encodes the
+// m-bit bitmap losslessly — and most flows of a heavy-tailed trace never
+// leave round 0. A round-0 flow is a position list (uint16 when m <=
+// 65536, else uint32) in power-of-two classes of 16, 32, 64, ...
+// positions, up to the largest class smaller than a bitmap slot (512 at
+// m = 10000) or ArenaTuning::nursery_capacity. A full list is copied
+// into the next class. The graduation invariant: a row is on a list
+// exactly when it is round 0 with a fill below the last class's capacity
+// and below T, on the smallest class holding its fill; it moves to a
+// bitmap slot the moment the fill reaches that capacity or would morph.
+// Readers of bits go through MaterializedWords(); writers of a whole
+// state (restore, upsert, merge, thaw) through StoreState(), which picks
+// the class from (r, v) alone.
 //
-// Memory budget + eviction (DESIGN.md §15): with a budget configured,
-// crossing it evicts cold flows — CLOCK second-chance over the packed
-// row metadata plus a per-row reference byte (refreshed by every lookup,
-// including gate-rejected traffic), or 2Q, which drains the nursery
-// first (newborn singletons are the cheapest state to re-learn). An
-// evicted flow's table entry is tombstoned and its slab slot is
-// free-listed for reuse; its state is dropped, or frozen when the cold
-// tier (ArenaTuning::cold_tier) is on. The budget governs
-// LiveBytes() — bytes of *live* rows — because slab chunks are never
-// unmapped; mapped bytes plateau at the high-water mark while the free
-// lists recycle slots beneath it.
+// Memory budget + eviction (DESIGN.md §15): crossing the budget evicts
+// cold flows — CLOCK second-chance over a per-row reference byte
+// (refreshed by every lookup, gate-rejected traffic included), or 2Q,
+// which drains list rows first. An evicted row's table entry is
+// tombstoned and its slot free-listed; its state is dropped, or frozen
+// into the cold tier (ArenaTuning::cold_tier). The budget governs
+// LiveBytes() — per live row its class's stride plus kRowOverheadBytes —
+// because slab chunks are never unmapped.
 //
-// RecordBatch is the keyed batch pipeline: one SIMD kernel call hashes a
-// block of flow keys (bucket hashes), table lookups run with bucket
-// prefetch a few lanes ahead, a second *keyed* kernel call hashes the
-// block's elements with each lane's own flow seed (hash/batch_hash.h's
-// ItemSeedOffset identity), and surviving lanes prefetch their storage
-// (either tier) before the in-order apply loop. Eviction runs only at
-// block boundaries, so the row ids a block caches stay valid for the
-// whole block.
+// RecordBatch (DESIGN.md §12) hashes a block of flow keys and then its
+// elements with per-flow seeds in two SIMD passes, looks rows up with
+// bucket prefetch, and prefetches each survivor's storage (the bitmap
+// word, or a list's first lines) before the in-order apply loop.
+// Eviction runs only at block boundaries, so the row ids a block caches
+// stay valid; the accounting identities (recorded == live + evicted,
+// per-class slots == live rows) are checked there too and counted in
+// flow_invariant_violations_total.
 
 #ifndef SMBCARD_FLOW_ARENA_SMB_ENGINE_H_
 #define SMBCARD_FLOW_ARENA_SMB_ENGINE_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -82,7 +81,7 @@ namespace smb {
 enum class ArenaEviction : uint8_t {
   kOff = 0,    // never evict (budget, if set, is ignored)
   kClock = 1,  // CLOCK second-chance over all rows
-  k2Q = 2,     // CLOCK preferring nursery rows while any exist
+  k2Q = 2,     // CLOCK preferring list-resident rows while any exist
 };
 
 // Knobs that do NOT affect recorded state (estimates are bit-identical
@@ -92,10 +91,10 @@ struct ArenaTuning {
   // not kOff.
   size_t memory_budget_bytes = 0;
   ArenaEviction eviction = ArenaEviction::kClock;
-  // Nursery position-list capacity per flow; 0 disables the nursery, and
-  // it auto-disables when a nursery slot would not be smaller than a
-  // main-slab slot.
-  size_t nursery_capacity = 16;
+  // Position-list cap per flow, in positions: 0 stores every flow as a
+  // bitmap from its first packet (fixed stride); the default leaves the
+  // built-in bound, the largest list class smaller than a bitmap slot.
+  size_t nursery_capacity = std::numeric_limits<size_t>::max();
   // Frozen cold tier (DESIGN.md §17): with this on, an evicted flow's
   // state is SMBZ1-frozen in-process instead of being lost.
   // A returning flow thaws its exact state back before the gate runs
@@ -104,7 +103,7 @@ struct ArenaTuning {
   // them. Cold bytes live outside LiveBytes() (they are what the budget
   // reclaims INTO); track them via ArenaStats::cold_encoded_bytes.
   bool cold_tier = false;
-  // Page placement for both slabs (see SlabAllocOptions).
+  // Page placement for every class's slab (see SlabAllocOptions).
   bool try_hugepages = false;
 };
 
@@ -162,7 +161,7 @@ class ArenaSmbEngine {
   double Query(uint64_t flow) const;
 
   // Currently-tracked (live) flows; evicted flows are excluded.
-  size_t NumFlows() const { return live_main_ + live_nursery_; }
+  size_t NumFlows() const { return live_flows_; }
 
   // Flows whose current estimate is >= threshold, in row (creation)
   // order.
@@ -173,17 +172,14 @@ class ArenaSmbEngine {
       const std::function<void(uint64_t flow, double estimate)>& fn) const;
 
   // True heap + object footprint: flow table buckets, SoA metadata
-  // arrays, and both slabs' mapped bytes.
+  // arrays, and every class slab's mapped bytes.
   size_t ResidentBytes() const;
 
-  // Bytes attributable to *live* flows — what the memory budget governs.
-  // Per flow: its storage-tier slot plus kRowOverheadBytes of row + table
-  // bookkeeping. Honest under eviction: a freed row leaves immediately,
-  // even though its slab chunk stays mapped for reuse.
-  size_t LiveBytes() const {
-    return live_main_ * (words_per_slot_ * 8 + kRowOverheadBytes) +
-           live_nursery_ * (nursery_words_ * 8 + kRowOverheadBytes);
-  }
+  // Bytes attributable to *live* flows — what the memory budget governs:
+  // per flow its class's slot stride plus kRowOverheadBytes of row and
+  // table bookkeeping. A freed row leaves it at once, though its slab
+  // chunk stays mapped for reuse.
+  size_t LiveBytes() const { return live_bytes_; }
 
   // Logical sketch bits (the paper's m + 32 per flow) — what the legacy
   // TotalMemoryBits used to report.
@@ -198,26 +194,28 @@ class ArenaSmbEngine {
   // accounting regression tests (recorded == live + evicted always).
   struct ArenaStats {
     size_t live_flows = 0;      // rows currently tracked
-    size_t nursery_flows = 0;   // live rows still in the nursery tier
-    size_t main_flows = 0;      // live rows in the main slab
+    size_t nursery_flows = 0;   // live rows on a position list
+    size_t main_flows = 0;      // live rows on a bitmap slot
     size_t recorded_flows = 0;  // flows ever created
     size_t evicted_flows = 0;   // flows reclaimed by the budget
-    size_t promoted_flows = 0;  // nursery -> main graduations
+    size_t promoted_flows = 0;  // list -> bitmap graduations by recording
     size_t live_bytes = 0;      // LiveBytes()
     size_t budget_bytes = 0;    // configured ceiling (0 = unlimited)
-    size_t main_slots_high_water = 0;
-    size_t main_slots_free = 0;
-    size_t nursery_slots_high_water = 0;
-    size_t nursery_slots_free = 0;
-    bool nursery_enabled = false;
+    bool nursery_enabled = false;  // any list class exists
+    // Per residency class: the list classes by capacity, then the bitmap.
+    struct ResidencyClass {
+      size_t positions = 0;   // list capacity; 0 for the bitmap class
+      size_t slot_bytes = 0;  // slab stride
+      size_t live_flows = 0;
+    };
+    std::vector<ResidencyClass> classes;
     // Frozen cold tier (tuning.cold_tier).
     size_t cold_flows = 0;          // flows currently frozen
     size_t cold_encoded_bytes = 0;  // SMBZ1 bytes holding them
     size_t cold_raw_bytes = 0;      // what they would cost uncompressed
     size_t thawed_flows = 0;        // lifetime freeze -> live revivals
     uint64_t cold_compactions = 0;
-    SlabAllocStats main_alloc;
-    SlabAllocStats nursery_alloc;
+    SlabAllocStats alloc;  // summed over every class slab
   };
   ArenaStats Stats() const;
 
@@ -273,14 +271,14 @@ class ArenaSmbEngine {
                        std::span<const uint64_t> words);
 
   // Calls fn(flow, round, ones, words) for every live flow in row order
-  // (nursery rows materialized). The words span is valid only for the
+  // (list rows materialized). The words span is valid only for the
   // duration of the callback.
   void ForEachFlowState(
       const std::function<void(uint64_t flow, uint32_t round, uint32_t ones,
                                std::span<const uint64_t> words)>& fn) const;
 
   // Equivalence-test introspection: the flow's live (r, v, bitmap words).
-  // For nursery-resident flows the words are materialized into an
+  // For list-resident flows the words are materialized into an
   // internal scratch buffer; the span stays valid until the next Inspect
   // or mutation.
   struct FlowState {
@@ -294,82 +292,99 @@ class ArenaSmbEngine {
   // Compact binary snapshot of the whole engine (config + every live
   // flow's key, metadata and materialized bitmap words); the payload fed
   // to CheckpointStore. Residency tier and eviction history are not
-  // recorded — the snapshot is the same whether or not flows sat in the
-  // nursery. Frozen cold-tier flows are materialized and appended after
+  // recorded — the snapshot is the same whatever class each flow sat in.
+  // Frozen cold-tier flows are materialized and appended after
   // the live rows (ascending key), so a snapshot loses nothing the
   // engine still holds.
   std::vector<uint8_t> Serialize() const;
   // Rebuilds an engine from Serialize() output; nullopt on malformed,
-  // truncated or internally inconsistent input. Restored round-0 flows
-  // whose fill fits the nursery return to it; `tuning` configures the
+  // truncated or internally inconsistent input. Each restored flow lands
+  // in the residency class its (r, v) calls for; `tuning` configures the
   // restored engine (snapshots carry no tuning).
   static std::optional<ArenaSmbEngine> Deserialize(
       const std::vector<uint8_t>& bytes, const ArenaTuning& tuning = {});
 
  private:
-  // slab_ref_ encoding: top bit = nursery tier, low 31 bits = slot index
-  // within the tier; all-ones = row reclaimed (on the row free list).
-  static constexpr uint32_t kNurseryFlag = 0x80000000u;
+  // slab_ref_ encoding: the top 5 bits are the residency class (list
+  // classes 0..bitmap_class_-1, then the bitmap class), the low 27 bits
+  // the slot within that class's slab; all-ones = row reclaimed (on the
+  // row free list).
+  static constexpr uint32_t kClassShift = 27;
+  static constexpr uint32_t kSlotMask = (uint32_t{1} << kClassShift) - 1;
   static constexpr uint32_t kDeadRef = 0xFFFFFFFFu;
+  // Doubling from 16 positions below a slot of <= 2^20 words.
+  static constexpr size_t kMaxListClasses = 17;
   // Modeled bookkeeping bytes a live flow costs outside its slab slot:
   // SoA row (key 8 + seed 8 + meta 4 + slab_ref 4 + ref byte 1) plus its
   // share of flow-table buckets at typical load (~24).
   static constexpr size_t kRowOverheadBytes = 48;
+
+  static uint32_t RefClass(uint32_t ref) { return ref >> kClassShift; }
+  bool IsList(uint32_t ref) const { return RefClass(ref) < bitmap_class_; }
+  uint64_t* SlotWords(uint32_t ref) {
+    return slabs_[RefClass(ref)].SlotWords(ref & kSlotMask);
+  }
+  const uint64_t* SlotWords(uint32_t ref) const {
+    return slabs_[RefClass(ref)].SlotWords(ref & kSlotMask);
+  }
+  // SlotWords for a bitmap row (the last slab), without class arithmetic.
+  uint64_t* BitmapWords(uint32_t ref) {
+    return slabs_.back().SlotWords(ref & kSlotMask);
+  }
+  // What one live row of class `cls` charges LiveBytes().
+  size_t ClassBytes(uint32_t cls) const {
+    return slabs_[cls].words_per_slot() * 8 + kRowOverheadBytes;
+  }
+  // Takes a zeroed slot in class `cls` / returns one, keeping LiveBytes()
+  // in step.
+  uint32_t AllocateIn(uint32_t cls);
+  void FreeRef(uint32_t ref);
+  // The class a whole state belongs in: the smallest list class whose
+  // capacity exceeds the fill for round-0 states below graduate_at_,
+  // else the bitmap class. A pure function of the packed meta.
+  uint32_t ClassFor(uint32_t meta) const;
 
   // The flow's per-flow hash seed, pre-folded for the keyed hash path:
   // ItemSeedOffset(Murmur3Fmix64(base_seed ^ flow)), exactly the legacy
   // PerFlowMonitor derivation.
   uint64_t FlowSeedOffset(uint64_t flow) const;
 
-  // Finds or creates the flow's row; newly created flows get their seed
-  // offset, zeroed metadata and a storage slot (nursery when enabled).
-  // Refreshes the row's CLOCK reference byte. *created reports whether a
-  // new row was made.
+  // Finds or creates the flow's row — a new row gets its seed offset,
+  // zeroed meta and the empty state's slot, or thaws its frozen state —
+  // refreshes its CLOCK byte, and reports creation in *created.
   uint32_t FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
                            bool* created = nullptr);
 
   // The scalar probe/set/morph step shared by Record and the batch apply
   // loop; `rank` has already passed (or will be re-checked against) the
-  // gate. Dispatches on the row's storage tier.
+  // gate.
   void ApplyToRow(uint32_t row, uint64_t lo, uint32_t rank);
-  // Round-0 position-list insert; promotes on fill or imminent morph.
-  void NurseryApply(uint32_t row, uint32_t ref, uint32_t pos, uint32_t meta);
-  // Graduates a nursery row: materializes its positions into a fresh
-  // main-slab slot and frees the nursery slot. No-op for main rows.
-  void PromoteRow(uint32_t row);
+  // Moves a list row to class `cls`: a larger list (a copy), or the
+  // bitmap (a graduation, its positions materialized). Returns the ref.
+  uint32_t MoveList(uint32_t row, uint32_t cls);
+  // Replaces the row's whole state, moving it to ClassFor(meta).
+  void StoreState(uint32_t row, uint32_t meta,
+                  std::span<const uint64_t> words);
 
-  // Evicts cold rows until LiveBytes() fits the budget (or one row is
-  // left). Must only run when no batch block holds cached row ids.
-  void MaybeEvict();
+  // Block-boundary upkeep: evicts cold rows until LiveBytes() fits the
+  // budget (or one row is left); re-derives the live row count and
+  // LiveBytes() from the class slabs and checks recorded == live +
+  // evicted, counting each failure in flow_invariant_violations_total
+  // (and aborting a debug build); republishes the residency gauges if
+  // they moved. Must only run when no batch block holds cached row ids.
+  void SettleBoundary();
+  // CLOCK (or 2Q) picks one cold row and evicts it; false if none.
   bool EvictOneRow();
-  void EvictRow(uint32_t row);
-
-  // Republishes the residency gauges after a create/promote/thaw/evict
-  // event.
   void PublishResidency() const;
 
-  bool EvictionEnabled() const {
-    return config_.tuning.memory_budget_bytes > 0 &&
-           config_.tuning.eviction != ArenaEviction::kOff;
-  }
-
-  uint32_t* NurseryPositions(uint32_t ref) {
-    return reinterpret_cast<uint32_t*>(
-        nursery_.SlotWords(ref & ~kNurseryFlag));
-  }
-  const uint32_t* NurseryPositions(uint32_t ref) const {
-    return reinterpret_cast<const uint32_t*>(
-        nursery_.SlotWords(ref & ~kNurseryFlag));
-  }
-
-  // The row's bitmap words: main-slab rows in place, nursery rows
+  // The row's bitmap words: bitmap rows in place, list rows
   // materialized into *scratch (valid until its next use or a mutation).
   std::span<const uint64_t> MaterializedWords(
       uint32_t row, std::vector<uint64_t>* scratch) const;
   // The packed (r, v) of a flow held live or frozen; false when absent.
   bool FindMeta(uint64_t flow, uint32_t* meta) const;
-  // A held flow's bitmap words: main-slab rows in place, nursery and
-  // frozen flows materialized into *scratch.
+  // A held flow's bitmap words: bitmap rows in place, list and frozen
+  // flows materialized into *scratch.
   std::span<const uint64_t> HeldWords(uint64_t flow,
                                       std::vector<uint64_t>* scratch) const;
   // The per-flow replay merge shared by MergeFrom and QueryMerged: folds
@@ -384,37 +399,35 @@ class ArenaSmbEngine {
   // whole reason frozen flows can be queried without decoding their
   // bitmap payload.
   double EstimateMeta(uint32_t round, uint32_t ones) const;
-  double EstimateSlot(uint32_t row) const;
-
-  // Revives a frozen flow into `row`'s (main-slab) storage before any
-  // recording touches it.
-  void ThawRow(uint32_t row, uint64_t flow);
-
-  size_t num_rows() const { return flow_keys_.size(); }
 
   Config config_;
   size_t max_round_;
   size_t words_per_slot_;
-  size_t nursery_capacity_;  // effective capacity (0 when disabled)
-  size_t nursery_words_;     // nursery slab stride in words
+  size_t position_bytes_;   // 2 when m <= 65536, else 4
+  uint32_t bitmap_class_;   // == number of list classes
+  // A round-0 list row graduates when its fill reaches this: the last
+  // list class's capacity, or T when that is lower (0: lists off).
+  uint32_t graduate_at_;
+  // Capacity in positions of each list class (first bitmap_class_ used).
+  std::array<uint32_t, kMaxListClasses> class_positions_{};
   std::vector<double> s_table_;
   FlowTable table_;
-  SlabArena arena_;    // main tier: full-stride bitmaps
-  SlabArena nursery_;  // nursery tier: round-0 position lists
+  std::vector<SlabArena> slabs_;  // one per residency class, bitmap last
   // SoA hot metadata, indexed by row.
   std::vector<uint32_t> meta_;          // (round << 26) | v
   std::vector<uint64_t> seed_offsets_;  // ItemSeedOffset(per-flow seed)
   std::vector<uint64_t> flow_keys_;     // row -> flow key (reverse map)
-  std::vector<uint32_t> slab_ref_;      // row -> storage tier + slot
+  std::vector<uint32_t> slab_ref_;      // row -> residency class + slot
   std::vector<uint8_t> ref_bits_;       // row -> CLOCK reference byte
   std::vector<uint32_t> row_free_;      // reclaimed row ids
-  size_t live_main_ = 0;
-  size_t live_nursery_ = 0;
+  size_t live_flows_ = 0;
+  size_t live_bytes_ = 0;
   size_t recorded_flows_ = 0;
   size_t evicted_flows_ = 0;
   size_t promoted_flows_ = 0;
   size_t thawed_flows_ = 0;
   size_t clock_hand_ = 0;
+  bool residency_changed_ = false;  // gauges are stale
   // Present only when tuning.cold_tier; unique_ptr keeps the engine
   // movable.
   std::unique_ptr<ColdSketchTier> cold_;

@@ -90,11 +90,6 @@ size_t ShardedFlowMonitor::ResidentBytes() const {
 
 ArenaSmbEngine::ArenaStats ShardedFlowMonitor::Stats() const {
   ArenaSmbEngine::ArenaStats total;
-  const auto add_alloc = [](SlabAllocStats* into, const SlabAllocStats& s) {
-    into->mapped_bytes += s.mapped_bytes;
-    into->hugetlb_bytes += s.hugetlb_bytes;
-    into->thp_advised_bytes += s.thp_advised_bytes;
-  };
   for (const auto& shard : shards_) {
     const ArenaSmbEngine::ArenaStats s = shard.Stats();
     total.live_flows += s.live_flows;
@@ -105,13 +100,18 @@ ArenaSmbEngine::ArenaStats ShardedFlowMonitor::Stats() const {
     total.promoted_flows += s.promoted_flows;
     total.live_bytes += s.live_bytes;
     total.budget_bytes += s.budget_bytes;
-    total.main_slots_high_water += s.main_slots_high_water;
-    total.main_slots_free += s.main_slots_free;
-    total.nursery_slots_high_water += s.nursery_slots_high_water;
-    total.nursery_slots_free += s.nursery_slots_free;
     total.nursery_enabled = total.nursery_enabled || s.nursery_enabled;
-    add_alloc(&total.main_alloc, s.main_alloc);
-    add_alloc(&total.nursery_alloc, s.nursery_alloc);
+    // Every shard shares one geometry, so the class lists line up.
+    total.classes.resize(s.classes.size());
+    for (size_t c = 0; c < s.classes.size(); ++c) {
+      auto& into = total.classes[c];
+      into.positions = s.classes[c].positions;
+      into.slot_bytes = s.classes[c].slot_bytes;
+      into.live_flows += s.classes[c].live_flows;
+    }
+    total.alloc.mapped_bytes += s.alloc.mapped_bytes;
+    total.alloc.hugetlb_bytes += s.alloc.hugetlb_bytes;
+    total.alloc.thp_advised_bytes += s.alloc.thp_advised_bytes;
   }
   return total;
 }

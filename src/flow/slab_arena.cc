@@ -1,6 +1,6 @@
 #include "flow/slab_arena.h"
 
-#include <utility>
+#include <algorithm>
 
 #include "common/bit_util.h"
 
@@ -14,107 +14,84 @@
 namespace smb {
 namespace {
 
-// Chunk sizing target: one explicit hugepage. Chosen even when hugepages
-// are off — 2 MiB chunks keep the chunk-base array tiny and give
-// transparent hugepages an aligned region to collapse.
+// Chunk sizing target: one explicit hugepage. Growth reaches it even
+// when hugepages are off — 2 MiB chunks keep the mapping count low and
+// give transparent hugepages an aligned region to collapse.
 constexpr size_t kTargetChunkBytes = size_t{2} << 20;
+// The addressing unit, and so the first chunk, without hugepages.
+constexpr size_t kUnitBytes = size_t{64} << 10;
 constexpr size_t kPageBytes = 4096;
+
+// The largest power of two <= bytes / stride_bytes, at least 1.
+size_t SlotsPerChunk(size_t bytes, size_t stride_bytes) {
+  const size_t slots = std::max<size_t>(bytes / stride_bytes, 1);
+  return size_t{1} << Log2Floor64(slots);
+}
 
 }  // namespace
 
-SlabAlloc::SlabAlloc(const SlabAllocOptions& options) : options_(options) {}
-
-SlabAlloc::~SlabAlloc() { Release(); }
-
-SlabAlloc::SlabAlloc(SlabAlloc&& other) noexcept
-    : options_(other.options_),
-      stats_(other.stats_),
-      chunks_(std::move(other.chunks_)) {
-  other.chunks_.clear();
-  other.stats_ = SlabAllocStats{};
-}
-
-SlabAlloc& SlabAlloc::operator=(SlabAlloc&& other) noexcept {
-  if (this == &other) return *this;
-  Release();
-  options_ = other.options_;
-  stats_ = other.stats_;
-  chunks_ = std::move(other.chunks_);
-  other.chunks_.clear();
-  other.stats_ = SlabAllocStats{};
-  return *this;
-}
-
-void SlabAlloc::Release() {
+void SlabAlloc::Unmap::operator()(void* base) const {
 #ifdef __linux__
-  for (const Chunk& chunk : chunks_) {
-    munmap(chunk.base, chunk.bytes);
-  }
+  munmap(base, bytes);
 #else
-  for (const Chunk& chunk : chunks_) {
-    ::operator delete(chunk.base, std::align_val_t{kPageBytes});
-  }
+  ::operator delete(base, std::align_val_t{kPageBytes});
 #endif
-  chunks_.clear();
-  stats_ = SlabAllocStats{};
 }
 
 void* SlabAlloc::Map(size_t bytes) {
   SMB_CHECK_MSG(bytes > 0, "cannot map an empty chunk");
-  Chunk chunk;
+  void* base = nullptr;
+  size_t chunk_bytes = RoundUp(bytes, kPageBytes);
 #ifdef __linux__
   if (options_.try_hugepages) {
     // Explicit hugepages first: needs a preallocated pool
     // (vm.nr_hugepages); commonly absent, so failure is the expected
     // path, not an error.
     const size_t huge_bytes = RoundUp(bytes, kTargetChunkBytes);
-    void* base = mmap(nullptr, huge_bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
+    base = mmap(nullptr, huge_bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_HUGETLB, -1, 0);
     if (base != MAP_FAILED) {
-      chunk.base = base;
-      chunk.bytes = huge_bytes;
-      chunk.hugetlb = true;
+      chunk_bytes = huge_bytes;
       stats_.hugetlb_bytes += huge_bytes;
+    } else {
+      base = nullptr;
     }
   }
-  if (chunk.base == nullptr) {
-    const size_t page_bytes = RoundUp(bytes, kPageBytes);
-    void* base = mmap(nullptr, page_bytes, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (base == nullptr) {
+    base = mmap(nullptr, chunk_bytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     SMB_CHECK_MSG(base != MAP_FAILED, "slab chunk mmap failed");
-    chunk.base = base;
-    chunk.bytes = page_bytes;
-    if (options_.try_hugepages) {
 #ifdef MADV_HUGEPAGE
-      if (madvise(base, page_bytes, MADV_HUGEPAGE) == 0) {
-        stats_.thp_advised_bytes += page_bytes;
-      }
-#endif
+    if (options_.try_hugepages &&
+        madvise(base, chunk_bytes, MADV_HUGEPAGE) == 0) {
+      stats_.thp_advised_bytes += chunk_bytes;
     }
+#endif
   }
 #else
-  const size_t page_bytes = RoundUp(bytes, kPageBytes);
-  chunk.base = ::operator new(page_bytes, std::align_val_t{kPageBytes});
-  std::memset(chunk.base, 0, page_bytes);
-  chunk.bytes = page_bytes;
+  base = ::operator new(chunk_bytes, std::align_val_t{kPageBytes});
+  std::memset(base, 0, chunk_bytes);
 #endif
-  stats_.mapped_bytes += chunk.bytes;
-  chunks_.push_back(chunk);
-  return chunk.base;
+  stats_.mapped_bytes += chunk_bytes;
+  chunks_.emplace_back(base, Unmap{chunk_bytes});
+  return base;
 }
 
 SlabArena::SlabArena(size_t words_per_slot,
                      const SlabAllocOptions& alloc_options)
     : stride_(words_per_slot), alloc_(alloc_options) {
   SMB_CHECK_MSG(words_per_slot >= 1, "slab slots need at least one word");
-  // Power-of-two slots per chunk so the hot slot->address math is a
+  // Power-of-two slots per unit so the hot slot->address math is a
   // shift+mask; the chunk request rounds the byte count up to the page
   // granularity, so a non-power-of-two stride only wastes the tail.
   const size_t stride_bytes = stride_ * sizeof(uint64_t);
-  size_t per_chunk = kTargetChunkBytes / stride_bytes;
-  if (per_chunk < 1) per_chunk = 1;
-  chunk_shift_ = static_cast<size_t>(Log2Floor64(per_chunk));
-  chunk_mask_ = static_cast<uint32_t>((size_t{1} << chunk_shift_) - 1);
+  const size_t unit_slots = SlotsPerChunk(
+      alloc_options.try_hugepages ? kTargetChunkBytes : kUnitBytes,
+      stride_bytes);
+  chunk_shift_ = static_cast<size_t>(Log2Floor64(unit_slots));
+  chunk_mask_ = static_cast<uint32_t>(unit_slots - 1);
+  target_units_ =
+      SlotsPerChunk(kTargetChunkBytes, stride_bytes) / unit_slots;
 }
 
 uint32_t SlabArena::Allocate() {
@@ -125,10 +102,16 @@ uint32_t SlabArena::Allocate() {
     return slot;
   }
   const size_t slot = high_water_;
-  const size_t chunk = slot >> chunk_shift_;
-  if (chunk == chunk_bases_.size()) {
-    chunk_bases_.push_back(static_cast<uint64_t*>(
-        alloc_.Map(slots_per_chunk() * stride_ * sizeof(uint64_t))));
+  if ((slot >> chunk_shift_) == chunk_bases_.size()) {
+    // Double the mapped units, capped at one full-size chunk.
+    const size_t units =
+        std::clamp<size_t>(chunk_bases_.size(), 1, target_units_);
+    const size_t unit_words = slots_per_chunk() * stride_;
+    auto* base = static_cast<uint64_t*>(
+        alloc_.Map(units * unit_words * sizeof(uint64_t)));
+    for (size_t u = 0; u < units; ++u) {
+      chunk_bases_.push_back(base + u * unit_words);
+    }
   }
   ++high_water_;
   return static_cast<uint32_t>(slot);

@@ -8,12 +8,13 @@
 // — the access pattern the batch recording pipeline's prefetches are
 // built around.
 //
-// Chunked growth (DESIGN.md §15): slots are grouped into power-of-two
-// blocks of `slots_per_chunk`, each backed by one private anonymous
-// mapping. Unlike the old std::vector slab, growth maps a NEW chunk and
-// never moves existing slots, so slot pointers are stable for the
-// arena's lifetime — eviction can free-list and reuse slots without any
-// pointer fix-ups elsewhere.
+// Chunked growth (DESIGN.md §15): slots are addressed in power-of-two
+// units of `slots_per_chunk` (about 64 KiB), and each growth step maps a
+// chunk of whole units that doubles the mapped total, up to 2 MiB
+// chunks — so an arena holding a few slots (an engine keeps one per
+// residency class) maps one small unit. With try_hugepages a unit IS
+// 2 MiB. Growth never moves slots, so slot pointers are stable for the
+// arena's lifetime and eviction can free-list and reuse them.
 //
 // SlabAlloc is where page placement happens:
 //   * try_hugepages: each chunk is first requested as MAP_HUGETLB (needs
@@ -35,7 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "common/macros.h"
@@ -60,13 +61,8 @@ struct SlabAllocStats {
 // recycles slots instead, so addresses handed out stay valid.
 class SlabAlloc {
  public:
-  explicit SlabAlloc(const SlabAllocOptions& options = {});
-  ~SlabAlloc();
-
-  SlabAlloc(SlabAlloc&& other) noexcept;
-  SlabAlloc& operator=(SlabAlloc&& other) noexcept;
-  SlabAlloc(const SlabAlloc&) = delete;
-  SlabAlloc& operator=(const SlabAlloc&) = delete;
+  explicit SlabAlloc(const SlabAllocOptions& options = {})
+      : options_(options) {}
 
   // Maps a zero-filled chunk of at least `bytes` (rounded up to the page
   // size actually used) and returns its base. Aborts on out-of-memory —
@@ -78,17 +74,15 @@ class SlabAlloc {
   size_t num_chunks() const { return chunks_.size(); }
 
  private:
-  struct Chunk {
-    void* base = nullptr;
+  // Returns one chunk to the system.
+  struct Unmap {
     size_t bytes = 0;
-    bool hugetlb = false;
+    void operator()(void* base) const;
   };
-
-  void Release();
 
   SlabAllocOptions options_;
   SlabAllocStats stats_;
-  std::vector<Chunk> chunks_;
+  std::vector<std::unique_ptr<void, Unmap>> chunks_;
 };
 
 class SlabArena {
@@ -118,9 +112,6 @@ class SlabArena {
     return chunk_bases_[slot >> chunk_shift_] +
            (slot & chunk_mask_) * stride_;
   }
-  std::span<const uint64_t> SlotSpan(uint32_t slot) const {
-    return {SlotWords(slot), stride_};
-  }
 
   // Currently-allocated slots (free-listed slots excluded).
   size_t num_slots() const { return high_water_ - free_slots_.size(); }
@@ -128,6 +119,8 @@ class SlabArena {
   size_t high_water_slots() const { return high_water_; }
   size_t free_slots() const { return free_slots_.size(); }
   size_t words_per_slot() const { return stride_; }
+  // Slots per addressing unit: the first chunk's size, and the granule
+  // every later chunk is a whole multiple of.
   size_t slots_per_chunk() const { return size_t{1} << chunk_shift_; }
 
   // Mapped footprint (address space held), plus bookkeeping vectors.
@@ -145,10 +138,12 @@ class SlabArena {
 
  private:
   size_t stride_;
-  size_t chunk_shift_ = 0;   // log2(slots per chunk)
-  uint32_t chunk_mask_ = 0;  // slots_per_chunk - 1
+  size_t chunk_shift_ = 0;   // log2(slots per unit)
+  uint32_t chunk_mask_ = 0;  // slots per unit - 1
+  size_t target_units_ = 1;  // units in a full-size (2 MiB) chunk
   size_t high_water_ = 0;
   SlabAlloc alloc_;
+  // One base per unit; a multi-unit chunk contributes consecutive bases.
   std::vector<uint64_t*> chunk_bases_;
   std::vector<uint32_t> free_slots_;
 };

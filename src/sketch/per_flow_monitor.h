@@ -45,7 +45,7 @@ class PerFlowMonitor {
   // Every flow's estimator is created from `spec` (same memory budget and
   // design cardinality), with a per-flow-decorrelated hash seed.
   // `tuning` configures the arena engine's memory budget/eviction,
-  // nursery and page placement (flow/arena_smb_engine.h); it never
+  // position lists and page placement (flow/arena_smb_engine.h); it never
   // changes estimates and is ignored by the legacy map engine.
   explicit PerFlowMonitor(const EstimatorSpec& spec,
                           Engine engine = Engine::kAuto,

@@ -30,6 +30,29 @@ int64_t Ppm(double fraction) {
   return static_cast<int64_t>(std::llround(fraction * 1e6));
 }
 
+double FillFraction(const HealthInput& input) {
+  const size_t logical_bits =
+      input.num_bits > input.round * input.threshold
+          ? input.num_bits - input.round * input.threshold
+          : 0;
+  return logical_bits > 0 ? static_cast<double>(input.ones_in_round) /
+                                static_cast<double>(logical_bits)
+                          : 1.0;
+}
+
+bool Saturated(const HealthInput& input) {
+  return input.round >= input.max_round &&
+         FillFraction(input) >= kSaturatedFill;
+}
+
+// Unreachable through the audited morph site (v morphs to 0 the moment
+// it reaches T below the final round) — raising this means the state
+// was corrupted or hand-built.
+bool StuckRound(const HealthInput& input) {
+  return input.round < input.max_round &&
+         input.ones_in_round >= input.threshold;
+}
+
 }  // namespace
 
 double ExpectedRelativeError(size_t num_bits, size_t threshold, uint64_t n,
@@ -59,14 +82,7 @@ HealthReport DeriveHealth(const HealthInput& input) {
   report.round = input.round;
   report.max_round = input.max_round;
 
-  const size_t logical_bits =
-      input.num_bits > input.round * input.threshold
-          ? input.num_bits - input.round * input.threshold
-          : 0;
-  report.fill_fraction =
-      logical_bits > 0 ? static_cast<double>(input.ones_in_round) /
-                             static_cast<double>(logical_bits)
-                       : 1.0;
+  report.fill_fraction = FillFraction(input);
 
   const double morph_progress =
       input.threshold > 0 ? static_cast<double>(input.ones_in_round) /
@@ -88,15 +104,10 @@ HealthReport DeriveHealth(const HealthInput& input) {
   report.headroom =
       std::clamp(1.0 - report.virtual_round / schedule, 0.0, 1.0);
 
-  report.saturated = input.round >= input.max_round &&
-                     report.fill_fraction >= kSaturatedFill;
+  report.saturated = Saturated(input);
   report.near_saturation =
       !report.saturated && report.virtual_round >= kNearSaturationShare * schedule;
-  // Unreachable through the audited morph site (v morphs to 0 the moment
-  // it reaches T below the final round) — raising this means the state
-  // was corrupted or hand-built.
-  report.stuck_round = input.round < input.max_round &&
-                       input.ones_in_round >= input.threshold;
+  report.stuck_round = StuckRound(input);
 
   if (report.saturated) report.flags.emplace_back("saturated");
   if (report.near_saturation) report.flags.emplace_back("near_saturation");
@@ -125,8 +136,7 @@ ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k) {
   report.live_bytes = stats.live_bytes;
   report.budget_bytes = stats.budget_bytes;
   report.hugepage_bytes =
-      stats.main_alloc.hugetlb_bytes + stats.main_alloc.thp_advised_bytes +
-      stats.nursery_alloc.hugetlb_bytes + stats.nursery_alloc.thp_advised_bytes;
+      stats.alloc.hugetlb_bytes + stats.alloc.thp_advised_bytes;
   report.memory_pressure =
       stats.budget_bytes > 0 &&
       static_cast<double>(stats.live_bytes) >=
@@ -146,20 +156,19 @@ ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k) {
                       return a.second < b.second;
                     });
 
-  engine.ForEachFlow([&](uint64_t flow, double estimate) {
-    const auto state = engine.Inspect(flow);
-    if (!state.has_value()) return;
-    report.max_round_in_use = std::max(report.max_round_in_use, state->round);
-    HealthInput input;
-    input.num_bits = engine.config().num_bits;
-    input.threshold = engine.config().threshold;
-    input.max_round = engine.max_round();
-    input.round = state->round;
-    input.ones_in_round = state->ones_in_round;
-    input.estimate = estimate;
-    const HealthReport flow_report = DeriveHealth(input);
-    if (flow_report.saturated) ++report.saturated_flows;
-    if (flow_report.stuck_round) ++report.stuck_flows;
+  // The flags over every flow need only (r, v); the expected-error
+  // bisection DeriveHealth runs is kept to the top flows.
+  HealthInput input;
+  input.num_bits = engine.config().num_bits;
+  input.threshold = engine.config().threshold;
+  input.max_round = engine.max_round();
+  engine.ForEachFlowState([&](uint64_t, uint32_t round, uint32_t ones,
+                              std::span<const uint64_t>) {
+    report.max_round_in_use = std::max<size_t>(report.max_round_in_use, round);
+    input.round = round;
+    input.ones_in_round = ones;
+    if (Saturated(input)) ++report.saturated_flows;
+    if (StuckRound(input)) ++report.stuck_flows;
   });
 
   report.top.reserve(keep);
@@ -167,10 +176,6 @@ ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k) {
     const uint64_t flow = ranked[i].second;
     const auto state = engine.Inspect(flow);
     if (!state.has_value()) continue;
-    HealthInput input;
-    input.num_bits = engine.config().num_bits;
-    input.threshold = engine.config().threshold;
-    input.max_round = engine.max_round();
     input.round = state->round;
     input.ones_in_round = state->ones_in_round;
     input.estimate = ranked[i].first;

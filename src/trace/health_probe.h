@@ -104,9 +104,9 @@ struct ArenaHealthReport {
   std::vector<FlowHealth> top;  // top_k flows by estimate
 
   // Residency and memory governance (ArenaSmbEngine::Stats()).
-  size_t nursery_flows = 0;    // live flows still in the nursery tier
+  size_t nursery_flows = 0;    // live flows on a position list
   size_t evicted_flows = 0;    // flows reclaimed by the memory budget
-  size_t promoted_flows = 0;   // nursery -> main graduations
+  size_t promoted_flows = 0;   // list -> bitmap graduations
   size_t live_bytes = 0;       // bytes the budget governs
   size_t budget_bytes = 0;     // configured ceiling (0 = unlimited)
   size_t hugepage_bytes = 0;   // slab bytes on HugeTLB or THP-advised maps

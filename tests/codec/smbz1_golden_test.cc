@@ -7,7 +7,7 @@
 // different (still valid) slot mode.
 //
 // The engine uses the CLI geometry (num_bits 10000: the last bitmap
-// word holds 16 bits) and holds nursery rows, main rows, cold-frozen
+// word holds 16 bits) and holds list rows, bitmap rows, cold-frozen
 // flows, and slots in every encoder mode: sparse over set bits, sparse
 // over zero bits (late-round dense), rle (clustered) and raw (high
 // entropy).
@@ -38,12 +38,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Pinned at the commit that introduced these fixtures; every later
-// change to the byte writers must leave them unchanged.
-constexpr uint64_t kSerializeHash = 0x6b4dcd3b54095cbb;
-constexpr uint64_t kSerializeFlowsHash = 0x3417501ee8742a51;
-constexpr uint64_t kCompressedHash = 0x4387beebc89a281d;
+// A change to the byte writers must leave every hash unchanged. The
+// first three hash the budgeted fixture, whose content also depends on
+// what each row charges the budget (that decides which flows freeze), so
+// a change to LiveBytes() accounting re-pins them; the unbudgeted hashes
+// and kCheckpointHash depend on the formats alone.
+constexpr uint64_t kSerializeHash = 0x1fdad498be98ce05;
+constexpr uint64_t kSerializeFlowsHash = 0x0563491403fe3758;
+constexpr uint64_t kCompressedHash = 0x572fbbd7cd7a75eb;
 constexpr uint64_t kCheckpointHash = 0x859b9c32ea2bee44;
+constexpr uint64_t kUnbudgetedSerializeHash = 0xaff815f9590e61b8;
+constexpr uint64_t kUnbudgetedCompressedHash = 0x5044065069249a76;
 
 uint64_t HashBytes(const std::vector<uint8_t>& bytes) {
   return XxHash64(bytes.data(), bytes.size(), 0);
@@ -100,8 +105,8 @@ constexpr uint64_t kEntropyBase = 3000000;
 void FillGoldenEngine(ArenaSmbEngine& engine) {
   Xoshiro256 rng(0x60D);
   const size_t num_bits = engine.config().num_bits;
-  // Main rows: a few hundred distinct elements each, promoted out of
-  // the nursery, still round 0 — sparse over set bits.
+  // Round-0 rows of a few hundred distinct elements each, on the larger
+  // list classes or graduated to bitmaps — sparse over set bits.
   for (uint64_t flow = 1; flow <= 40; ++flow) {
     const size_t packets = 20 + rng.NextBounded(400);
     for (size_t p = 0; p < packets; ++p) engine.Record(flow, rng.Next());
@@ -128,7 +133,7 @@ void FillGoldenEngine(ArenaSmbEngine& engine) {
     Plant(engine, kEntropyBase + i,
           RandomBits(rng, num_bits, num_bits / 3 + rng.NextBounded(3000)));
   }
-  // Nursery rows: a handful of elements each, recorded last so the
+  // Small list rows: a handful of elements each, recorded last so the
   // budget's CLOCK hand freezes older rows first.
   for (uint64_t flow = 101; flow <= 400; ++flow) {
     const size_t packets = 1 + rng.NextBounded(8);
@@ -198,6 +203,26 @@ TEST(Smbz1GoldenTest, SnapshotBytesArePinned) {
   const auto restored = ArenaSmbEngine::Deserialize(*unpacked);
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(HashBytes(restored->Serialize()), kSerializeHash);
+}
+
+// The same fill with no budget freezes nothing, so its image depends
+// only on the recorded states — never on residency classes or on what a
+// row charges the budget: every residency layout, fixed stride included,
+// must reproduce it.
+TEST(Smbz1GoldenTest, UnbudgetedSnapshotBytesArePinned) {
+  ArenaSmbEngine::Config fixed_stride = CliGeometry();
+  fixed_stride.tuning.nursery_capacity = 0;
+  for (const ArenaSmbEngine::Config& config : {CliGeometry(), fixed_stride}) {
+    ArenaSmbEngine engine(config);
+    FillGoldenEngine(engine);
+    const std::vector<uint8_t> flw1 = engine.Serialize();
+    EXPECT_EQ(HashBytes(flw1), kUnbudgetedSerializeHash)
+        << Hex(HashBytes(flw1));
+    const auto packed = CompressFlw1Image(flw1);
+    ASSERT_TRUE(packed.has_value());
+    EXPECT_EQ(HashBytes(*packed), kUnbudgetedCompressedHash)
+        << Hex(HashBytes(*packed));
+  }
 }
 
 // A parent that applied one compressed delta carrying the whole fixture

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "flow/arena_smb_engine.h"
+#include "flow_test_util.h"
 #include "flow/sharded_flow_monitor.h"
 #include "parallel/shard_pipeline.h"
 #include "simd/simd_dispatch.h"
@@ -180,11 +181,12 @@ TEST(ArenaNurseryTest, PromotionPreservesEstimatesExactly) {
 }
 
 TEST(ArenaNurseryTest, NurseryDisablesWhenItWouldNotSaveMemory) {
-  // A nursery slot at capacity 64 needs 32 words — no smaller than this
-  // spec's full stride — so the engine must run flat.
+  // The first list class (16 uint16 positions) needs 4 words — no
+  // smaller than a 256-bit spec's full stride — so the engine must run
+  // flat.
   ArenaTuning tuning;
   tuning.nursery_capacity = 64;
-  ArenaSmbEngine engine(TunedConfig(SmbSpec(), tuning));
+  ArenaSmbEngine engine(TunedConfig(SmbSpec(/*memory_bits=*/256), tuning));
   engine.Record(1, 1);
   const ArenaSmbEngine::ArenaStats stats = engine.Stats();
   EXPECT_FALSE(stats.nursery_enabled);
@@ -236,6 +238,7 @@ TEST(ArenaEvictionTest, RecordedMinusEvictedEqualsLive) {
   EXPECT_EQ(stats.recorded_flows - stats.evicted_flows, stats.live_flows);
   EXPECT_GT(stats.evicted_flows, 0u);  // the budget actually bit
   EXPECT_GT(checked, 10u);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaEvictionTest, BudgetIsRespectedAfterEveryBatch) {
@@ -254,6 +257,7 @@ TEST(ArenaEvictionTest, BudgetIsRespectedAfterEveryBatch) {
         << "offset " << offset;
   }
   EXPECT_GT(engine.Stats().evicted_flows, 0u);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaEvictionTest, NoBudgetOrPolicyOffMeansNoEviction) {
@@ -285,6 +289,7 @@ TEST(ArenaEvictionTest, TwoQueuePolicyPrefersNurseryFlows) {
   EXPECT_GT(stats.evicted_flows, 0u);
   EXPECT_EQ(stats.recorded_flows - stats.evicted_flows, stats.live_flows);
   ASSERT_LE(engine.LiveBytes(), tuning.memory_budget_bytes);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -438,6 +443,7 @@ TEST(ArenaEvictionTest, SnapshotRestoreMidEvictionKeepsSurvivorIdentity) {
     ASSERT_EQ(estimate, oracle.Query(flow)) << "flow " << flow;
   });
   ASSERT_GT(untouched_survivors, 0u);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 }  // namespace

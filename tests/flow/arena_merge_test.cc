@@ -16,6 +16,7 @@
 
 #include "core/self_morphing_bitmap.h"
 #include "flow/arena_smb_engine.h"
+#include "flow_test_util.h"
 #include "sketch/per_flow_monitor.h"
 
 namespace smb {
@@ -119,6 +120,7 @@ TEST(ArenaMergeTest, SharedFlowMergeIsBitIdenticalToSnapshotMerge) {
     EXPECT_DOUBLE_EQ(monitor_a.Query(flow), expected[flow].Estimate())
         << "flow " << flow;
   }
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaMergeTest, LegacyEngineMergeMatchesArena) {
@@ -175,6 +177,7 @@ TEST(ArenaMergeTest, Flw1SnapshotsMergeAfterLoad) {
   // survive the merge).
   EXPECT_TRUE(
       ArenaSmbEngine::Deserialize(loaded_a->Serialize()).has_value());
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaMergeTest, MergedEstimateTracksUnionStream) {
@@ -318,6 +321,7 @@ TEST(ArenaMergeTest, QueryMergedMatchesMergeFromInEveryOrder) {
       {a, b},    {b, c},    {c, a},    {a},       {c},       {},
       {b, b}};
   for (const auto& order : orders) ExpectQueryMergedMatchesMergeFrom(order);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 }  // namespace

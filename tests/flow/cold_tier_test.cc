@@ -11,6 +11,7 @@
 
 #include "common/random.h"
 #include "flow/arena_smb_engine.h"
+#include "flow_test_util.h"
 
 namespace smb {
 namespace {
@@ -183,6 +184,7 @@ TEST(ArenaColdTierTest, ThawedBitsMatchNeverEvictedOracle) {
   ASSERT_GT(stats.thawed_flows, 0u) << "stream never revisited a frozen flow";
   EXPECT_EQ(stats.recorded_flows, stats.live_flows + stats.evicted_flows);
   ExpectSameStates(pair.cold, pair.oracle, kFlows);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaColdTierTest, FrozenQueriesAnswerWithoutReviving) {
@@ -216,6 +218,7 @@ TEST(ArenaColdTierTest, SnapshotCoversFrozenFlows) {
       ArenaSmbEngine::Deserialize(pair.oracle.Serialize());
   ASSERT_TRUE(restored_oracle.has_value());
   ExpectSameStates(*restored, *restored_oracle, kFlows);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaColdTierTest, MergeSeesFrozenRowsOnBothSides) {
@@ -239,6 +242,7 @@ TEST(ArenaColdTierTest, MergeSeesFrozenRowsOnBothSides) {
   merged_oracle.MergeFrom(right.oracle);
 
   ExpectSameStates(merged_cold, merged_oracle, kFlows + 80);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaColdTierTest, StatsExposeColdFootprint) {

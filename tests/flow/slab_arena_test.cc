@@ -1,7 +1,7 @@
 // SlabAlloc/SlabArena unit tests: chunked growth with stable slot
-// pointers, zero-filled allocation, free-list recycling, the
-// live-vs-resident accounting split the memory budget depends on, the
-// and the hugepage fallback chain.
+// pointers, small first chunks that double toward 2 MiB, zero-filled
+// allocation, free-list recycling, the live-vs-resident accounting split
+// the memory budget depends on, and the hugepage fallback chain.
 
 #include "flow/slab_arena.h"
 
@@ -76,6 +76,38 @@ TEST(SlabArenaTest, LiveBytesCountsSlotsResidentCountsMappings) {
   // Freeing shrinks the budgeted (live) figure but never unmaps.
   EXPECT_EQ(arena.LiveBytes(), 0u);
   EXPECT_GE(arena.ResidentBytes(), resident);
+}
+
+TEST(SlabArenaTest, ChunksStartSmallAndDoubleToTwoMebibytes) {
+  // 1,256-byte slots (a 10,000-bit bitmap): a first slot maps one 64 KiB
+  // unit, not a 2 MiB chunk; each later chunk doubles the mapped total
+  // until chunks reach 2 MiB, so mapped bytes stay within twice the
+  // slots handed out (plus one unit) the whole way.
+  SlabArena arena(/*words_per_slot=*/157);
+  std::vector<size_t> chunk_bytes;
+  size_t mapped = 0;
+  while (mapped < (size_t{16} << 20)) {
+    arena.Allocate();
+    const size_t now = arena.alloc_stats().mapped_bytes;
+    if (now != mapped) chunk_bytes.push_back(now - mapped);
+    mapped = now;
+    ASSERT_LE(mapped, 2 * arena.LiveBytes() + (size_t{64} << 10));
+  }
+  ASSERT_GE(chunk_bytes.size(), 8u);
+  EXPECT_LE(chunk_bytes.front(), size_t{64} << 10);
+  for (size_t i = 1; i < chunk_bytes.size(); ++i) {
+    EXPECT_GE(chunk_bytes[i], chunk_bytes[i - 1]) << i;
+    EXPECT_LE(chunk_bytes[i], size_t{2} << 20) << i;
+  }
+  EXPECT_GT(chunk_bytes.back(), size_t{1} << 20);
+}
+
+TEST(SlabArenaTest, HugepageArenasMapFullChunksFromTheStart) {
+  SlabAllocOptions options;
+  options.try_hugepages = true;
+  SlabArena arena(/*words_per_slot=*/157, options);
+  arena.Allocate();
+  EXPECT_GT(arena.alloc_stats().mapped_bytes, size_t{1} << 20);
 }
 
 TEST(SlabAllocTest, HugepageRequestFallsBackGracefully) {

@@ -168,7 +168,7 @@ const Flag kFlags[] = {
     {.name = "--eviction", .kind = Kind::kEnum, .modes = kPerFlow | kChild,
      .target = &CliOptions::eviction, .choices = kEvictions,
      .help = "reclamation over --memory-budget: clock (default) is\n"
-             "second-chance over all flows, 2q drains the nursery first,\n"
+             "second-chance over all flows, 2q drains list flows first,\n"
              "off never evicts and needs no budget"},
     {.name = "--hugepages", .kind = Kind::kSwitch,
      .modes = kPerFlow | kChild, .target = &CliOptions::hugepages,

@@ -72,7 +72,13 @@ int RunPerFlow(const CliOptions& options) {
   };
 
   // Batch packets so SMB specs go down the arena engine's keyed SIMD
-  // pipeline instead of packet-at-a-time.
+  // pipeline instead of packet-at-a-time. Per-flow health rides the
+  // metrics snapshot: it is published here, between batches — after the
+  // first, then once per --metrics-interval — so the periodic writer
+  // never reads the engine.
+  const ArenaSmbEngine* arena = monitor.arena_engine();
+  Interval health_interval(arena != nullptr ? options.metrics_interval_s : 0,
+                           /*due_now=*/true);
   std::vector<Packet> pending;
   pending.reserve(4096);
   auto flush_pending = [&]() {
@@ -82,6 +88,9 @@ int RunPerFlow(const CliOptions& options) {
     }
     monitor.RecordBatch(pending);
     pending.clear();
+    if (health_interval.Due()) {
+      health::PublishArenaHealth(health::ProbeArena(*arena, options.top_k));
+    }
   };
   uint64_t line_number = 0;
   uint64_t lines_since_cut = 0;
@@ -157,10 +166,9 @@ int RunPerFlow(const CliOptions& options) {
     repl_rc = repl_io_error ? 1 : (drained ? 0 : 3);
   }
 
-  // Per-flow health (saturation counts, top-K expected error) rides the
-  // metrics snapshot when the arena engine is in use.
-  if (const ArenaSmbEngine* engine = monitor.arena_engine()) {
-    health::PublishArenaHealth(health::ProbeArena(*engine, options.top_k));
+  // Final health (saturation counts, top-K expected error).
+  if (arena != nullptr) {
+    health::PublishArenaHealth(health::ProbeArena(*arena, options.top_k));
   }
 
   std::vector<std::pair<uint64_t, double>> spreads;
@@ -169,11 +177,12 @@ int RunPerFlow(const CliOptions& options) {
     spreads.emplace_back(flow, estimate);
   });
   PrintTopSpreads(std::move(spreads), options.top_k);
-  if (const ArenaSmbEngine* engine = monitor.arena_engine()) {
-    const ArenaSmbEngine::ArenaStats stats = engine->Stats();
+  if (arena != nullptr) {
+    const ArenaSmbEngine::ArenaStats stats = arena->Stats();
     std::fprintf(stderr,
-                 "%zu flows live (%zu nursery), %zu recorded, %zu evicted, "
-                 "%zu promoted, %zu live bytes over %llu input lines\n",
+                 "%zu flows live (%zu on position lists), %zu recorded, "
+                 "%zu evicted, %zu promoted, %zu live bytes over %llu "
+                 "input lines\n",
                  stats.live_flows, stats.nursery_flows, stats.recorded_flows,
                  stats.evicted_flows, stats.promoted_flows, stats.live_bytes,
                  static_cast<unsigned long long>(line_number));

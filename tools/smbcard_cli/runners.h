@@ -65,6 +65,23 @@ uint64_t NowMs();
 void PrintTopSpreads(std::vector<std::pair<uint64_t, double>> spreads,
                      size_t top_k);
 
+// True at most once per `seconds` (never for 0), first one interval
+// after construction — or at the first poll with `due_now`; the caller
+// polls it from its own loop.
+class Interval {
+ public:
+  explicit Interval(uint64_t seconds, bool due_now = false)
+      : period_(seconds),
+        last_(std::chrono::steady_clock::now() -
+              (due_now ? period_ : std::chrono::seconds(0))) {}
+  bool on() const { return period_.count() > 0; }
+  bool Due();
+
+ private:
+  std::chrono::seconds period_;
+  std::chrono::steady_clock::time_point last_;
+};
+
 // --checkpoint-dir and --checkpoint-interval for the single and sharded
 // runners. Does nothing when --checkpoint-dir is not given.
 class Checkpointer {
@@ -78,18 +95,17 @@ class Checkpointer {
 
   bool enabled() const { return store_ != nullptr; }
   // True when periodic checkpoints are on.
-  bool periodic() const { return enabled() && interval_.count() > 0; }
+  bool periodic() const { return enabled() && interval_.on(); }
   // True once the interval has passed since the last Due() that returned
   // true (or since Open).
-  bool Due();
+  bool Due() { return periodic() && interval_.Due(); }
   // Writes one generation; false (said on stderr when the store fails)
   // when nothing was written.
   bool Write(const std::optional<std::vector<uint8_t>>& payload);
 
  private:
   std::unique_ptr<io::CheckpointStore> store_;
-  std::chrono::seconds interval_{0};
-  std::chrono::steady_clock::time_point last_;
+  Interval interval_{0};
 };
 
 }  // namespace smb::cli

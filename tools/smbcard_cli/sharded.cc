@@ -57,33 +57,36 @@ int RunSharded(const CliOptions& options) {
       });
   if (!opened) return 2;
 
-  std::vector<uint64_t> keys;
-  FeedAllInputs(options, [&](const std::string& s) {
-    keys.push_back(Murmur3_64(s));
-  });
   ShardPipelineOptions pipeline_options;
   pipeline_options.num_producers = threads;
   pipeline_options.overload_policy = options.overload_policy;
   ShardPipeline<ShardedEstimator> pipeline(&*estimator, pipeline_options);
 
-  // Periodic checkpoints happen between record slices — the pipeline owns
-  // the estimator while a slice runs, so the slice size bounds how stale a
+  // Input is recorded slice by slice as it arrives, so a live stream's
+  // metrics move while it runs and memory holds one slice of keys.
+  // Periodic checkpoints happen between slices — the pipeline owns the
+  // estimator while a slice runs, so the slice size bounds how stale a
   // checkpoint can get.
   constexpr size_t kSliceItems = size_t{1} << 16;
-  const size_t slice = checkpoints.periodic() ? kSliceItems : keys.size();
+  std::vector<uint64_t> keys;
+  keys.reserve(kSliceItems);
   ShardPipelineStats stats;
-  for (size_t offset = 0; offset < keys.size(); offset += slice) {
-    const size_t len = std::min(slice, keys.size() - offset);
-    stats += pipeline.Record(
-        std::span<const uint64_t>(keys.data() + offset, len));
+  const auto record_slice = [&] {
+    stats += pipeline.Record(std::span<const uint64_t>(keys));
+    keys.clear();
     if (checkpoints.Due()) checkpoints.Write(estimator->Serialize());
-  }
+  };
+  const uint64_t lines = FeedAllInputs(options, [&](const std::string& s) {
+    keys.push_back(Murmur3_64(s));
+    if (keys.size() == kSliceItems) record_slice();
+  });
+  if (!keys.empty()) record_slice();
   if (stats.items_dropped > 0) {
     std::fprintf(stderr,
-                 "overload: dropped %llu of %zu items "
+                 "overload: dropped %llu of %llu items "
                  "(%llu degrade events); the estimate undercounts\n",
                  static_cast<unsigned long long>(stats.items_dropped),
-                 keys.size(),
+                 static_cast<unsigned long long>(lines),
                  static_cast<unsigned long long>(stats.degrade_events));
   }
 

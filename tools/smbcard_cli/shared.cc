@@ -56,8 +56,7 @@ bool Checkpointer::Open(
   };
   store_options.codec = std::move(codec);
   store_ = std::make_unique<io::CheckpointStore>(store_options);
-  interval_ = std::chrono::seconds(options.checkpoint_interval_s);
-  last_ = std::chrono::steady_clock::now();
+  interval_ = Interval(options.checkpoint_interval_s);
 
   const auto recovered = store_->RecoverLatest();
   for (const std::string& skipped : recovered.skipped) {
@@ -79,10 +78,10 @@ bool Checkpointer::Open(
   return true;
 }
 
-bool Checkpointer::Due() {
-  if (!periodic()) return false;
+bool Interval::Due() {
+  if (!on()) return false;
   const auto now = std::chrono::steady_clock::now();
-  if (now - last_ < interval_) return false;
+  if (now - last_ < period_) return false;
   last_ = now;
   return true;
 }

@@ -33,24 +33,27 @@ int RunSingle(const CliOptions& options) {
       });
   if (!opened) return 2;
 
-  // The interval check piggybacks on the feed loop: look at the clock
+  // The interval checks piggyback on the feed loop: look at the clock
   // every 4096 lines so checkpointing costs nothing on the line path.
+  // SMB health is published there too — at the first check, then once
+  // per --metrics-interval — so the periodic metrics writer never reads
+  // the estimator.
+  const auto* as_smb =
+      dynamic_cast<const SelfMorphingBitmap*>(estimator.get());
+  Interval health_interval(as_smb != nullptr ? options.metrics_interval_s : 0,
+                           /*due_now=*/true);
   uint64_t lines_since_check = 0;
   FeedAllInputs(options, [&](const std::string& s) {
     estimator->AddBytes(s);
-    if (checkpoints.periodic() && (++lines_since_check & 0xFFF) == 0 &&
-        checkpoints.Due()) {
-      checkpoints.Write(SerializeEstimator(*estimator));
-    }
+    if ((++lines_since_check & 0xFFF) != 0) return;
+    if (checkpoints.Due()) checkpoints.Write(SerializeEstimator(*estimator));
+    if (health_interval.Due()) health::PublishHealth(health::ProbeSmb(*as_smb));
   });
 
   const bool checkpoint_ok =
       !checkpoints.enabled() ||
       checkpoints.Write(SerializeEstimator(*estimator));
-  if (const auto* as_smb =
-          dynamic_cast<const SelfMorphingBitmap*>(estimator.get())) {
-    health::PublishHealth(health::ProbeSmb(*as_smb));
-  }
+  if (as_smb != nullptr) health::PublishHealth(health::ProbeSmb(*as_smb));
   std::printf("%.0f\n", estimator->Estimate());
   return checkpoint_ok ? 0 : 1;
 }

@@ -102,6 +102,13 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_encode_crc_ratio =
           std::strtod(argv[i] + sizeof(kEncodeCrcRatioFlag) - 1, nullptr);
     }
+    constexpr const char kDirectEncodeRatioFlag[] =
+        "--assert-direct-encode-ratio=";
+    if (std::strncmp(argv[i], kDirectEncodeRatioFlag,
+                     sizeof(kDirectEncodeRatioFlag) - 1) == 0) {
+      scale.assert_direct_encode_ratio = std::strtod(
+          argv[i] + sizeof(kDirectEncodeRatioFlag) - 1, nullptr);
+    }
     constexpr const char kTraceOutFlag[] = "--trace-out=";
     if (std::strncmp(argv[i], kTraceOutFlag, sizeof(kTraceOutFlag) - 1) ==
         0) {

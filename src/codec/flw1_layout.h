@@ -50,6 +50,12 @@ struct Header {
   }
 };
 
+// The size of an image of `num_flows` records.
+inline uint64_t ImageBytes(uint64_t num_flows, uint64_t words_per_slot) {
+  return kHeaderBytes + num_flows * (2 + words_per_slot) * 8 +
+         kChecksumBytes;
+}
+
 // Checks an image's framing and returns its header: the magic, 0 <
 // num_bits <= 2^26 with words_per_slot == ceil(num_bits / 64), a body of
 // exactly num_flows records (by division, so a huge num_flows cannot wrap

@@ -24,12 +24,17 @@ size_t SmbMaxRound(size_t m, size_t threshold) {
   return std::min<size_t>((m - 2) / threshold, 63);
 }
 
-bool SmbStateReachable(size_t m, size_t threshold, uint64_t round,
-                       uint64_t ones, std::span<const uint64_t> words) {
+bool SmbStateReachableCounts(size_t m, size_t threshold, uint64_t round,
+                             uint64_t ones, uint64_t set_bits) {
   const size_t max_round = SmbMaxRound(m, threshold);
   if (round > max_round) return false;
   if (round < max_round && ones >= threshold) return false;
   if (ones > m - round * threshold) return false;
+  return set_bits == round * threshold + ones;
+}
+
+bool SmbStateReachable(size_t m, size_t threshold, uint64_t round,
+                       uint64_t ones, std::span<const uint64_t> words) {
   if (words.size() != m / 64 + (m % 64 != 0)) return false;
   const size_t tail_bits = m % 64;
   if (tail_bits != 0 && (words.back() >> tail_bits) != 0) return false;
@@ -38,7 +43,7 @@ bool SmbStateReachable(size_t m, size_t threshold, uint64_t round,
   for (const uint64_t w : words) {
     if (w != 0) popcount += static_cast<uint64_t>(Popcount64(w));
   }
-  return popcount == round * threshold + ones;
+  return SmbStateReachableCounts(m, threshold, round, ones, popcount);
 }
 
 std::vector<double> BuildSTable(size_t m, size_t threshold) {

@@ -25,6 +25,11 @@ size_t SmbMaxRound(size_t m, size_t threshold);
 // fresh bits). Every reader of serialized SMB state checks it.
 bool SmbStateReachable(size_t m, size_t threshold, uint64_t round,
                        uint64_t ones, std::span<const uint64_t> words);
+// The same rule for a bitmap already known to span ceil(m / 64) words
+// with a clean tail and `set_bits` bits set (what codec::DecodeSlot
+// guarantees and reports), so the words need no second pass.
+bool SmbStateReachableCounts(size_t m, size_t threshold, uint64_t round,
+                             uint64_t ones, uint64_t set_bits);
 
 // Builds the S table of paper Eq. (9):
 //   S[0] = 0,

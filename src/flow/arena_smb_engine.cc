@@ -10,6 +10,7 @@
 #endif
 
 #include "codec/flw1_layout.h"
+#include "codec/smbz1.h"
 #include "common/bit_util.h"
 #include "common/le_bytes.h"
 #include "common/macros.h"
@@ -95,16 +96,30 @@ void ArenaSmbEngine::PublishResidency() const {
 
 namespace {
 
-// Position lists hold exactly a flow's set bits, in insertion order.
-// Membership compares 32 bytes per step (two SSE2 compares) and masks
-// the lanes past the end instead of branching on what it found: a
-// data-dependent exit mispredicts about once per packet, which cost more
-// than the compares. Class strides are multiples of kListBlockBytes, so
-// the last step never reads past the slot.
+// Position lists hold exactly a flow's set bits. Class strides are
+// multiples of kListBlockBytes, and every probe compares whole 32-byte
+// blocks (two SSE2 compares) without reading past the slot.
+//
+// Short lists — slots of at most kShortListBytes — keep insertion order.
+// Membership compares the whole list and masks the lanes past the end
+// instead of branching on what it found: a data-dependent exit
+// mispredicts about once per packet, which cost more than the compares.
+// A new position is appended.
+//
+// Long lists are strictly ascending, so a long list row already is an
+// SMBZ1 sparse payload without its varint framing, and a probe is a
+// branch-free binary search down to one block: the positions below the
+// probed one there give the insertion point, and the membership answer
+// in one load after it. An insert shifts the tail up. A list entering
+// the first long class is sorted once as it is copied, and a short list
+// is sorted into a copy when it is encoded. Shifting short lists too
+// cost more than their whole-list compare: the library move call slowed
+// zipf_ingest's record path (DESIGN.md §15).
 constexpr size_t kListBlockBytes = 32;
+constexpr size_t kShortListBytes = 4 * kListBlockBytes;
 
 template <typename Pos>
-bool ListContainsOf(const Pos* list, uint32_t n, uint32_t pos) {
+bool ShortListContainsOf(const Pos* list, uint32_t n, uint32_t pos) {
 #if defined(__SSE2__)
   constexpr uint32_t kLanes = 16 / sizeof(Pos);
   const __m128i needle = sizeof(Pos) == 2
@@ -134,12 +149,94 @@ bool ListContainsOf(const Pos* list, uint32_t n, uint32_t pos) {
 #endif
 }
 
+// The number of positions below `pos` in an ascending list of n >= one
+// block of positions.
+template <typename Pos>
+uint32_t LongListCountBelowOf(const Pos* list, uint32_t n, uint32_t pos) {
+  constexpr uint32_t kBlockLanes = kListBlockBytes / sizeof(Pos);
+  // Narrow [lo, lo + len] around the count, reading list[lo + half - 1]
+  // with a conditional move, until one block holds it; then take the
+  // whole block inside the list that covers it (every position before
+  // that block is below `pos`).
+  uint32_t lo = 0;
+  for (uint32_t len = n; len > kBlockLanes;) {
+    const uint32_t half = len / 2;
+    lo = list[lo + half - 1] < pos ? lo + half : lo;
+    len -= half;
+  }
+  const Pos* block = list + std::min(lo, n - kBlockLanes);
+  uint32_t below = 0;
+#if defined(__SSE2__)
+  constexpr uint32_t kLanes = 16 / sizeof(Pos);
+  // Positions fit in 26 bits, so the uint32 compare may be signed; the
+  // uint16 one is "needle - lane saturates to zero" (lane >= needle).
+  const __m128i needle = sizeof(Pos) == 2
+                             ? _mm_set1_epi16(static_cast<int16_t>(pos))
+                             : _mm_set1_epi32(static_cast<int32_t>(pos));
+  const auto below_bits = [&](const Pos* at) {
+    const __m128i lanes =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+    if constexpr (sizeof(Pos) == 2) {
+      return 0xFFFFu & ~static_cast<uint32_t>(_mm_movemask_epi8(
+                           _mm_cmpeq_epi16(_mm_subs_epu16(needle, lanes),
+                                           _mm_setzero_si128())));
+    } else {
+      return static_cast<uint32_t>(
+          _mm_movemask_epi8(_mm_cmplt_epi32(lanes, needle)));
+    }
+  };
+  // The bytes below form a prefix of the block: count its ones.
+  const uint32_t bits = below_bits(block) | (below_bits(block + kLanes) << 16);
+  below = static_cast<uint32_t>(CountTrailingZeros64(~uint64_t{bits})) /
+          static_cast<uint32_t>(sizeof(Pos));
+#else
+  for (uint32_t i = 0; i < kBlockLanes; ++i) below += block[i] < pos;
+#endif
+  return static_cast<uint32_t>(block - list) + below;
+}
+
+// Looks `pos` up in an ascending long list of n positions and, unless it
+// is there or `insert` is false, inserts it in order (the slot must hold
+// n + 1 positions). True when it was absent.
+template <typename Pos>
+bool LongListProbeOf(Pos* list, uint32_t n, uint32_t pos, bool insert) {
+  const uint32_t at = LongListCountBelowOf(list, n, pos);
+  if (at < n && list[at] == pos) return false;
+  if (insert) {
+    std::memmove(list + at + 1, list + at, (n - at) * sizeof(Pos));
+    list[at] = static_cast<Pos>(pos);
+  }
+  return true;
+}
+
 // List slots hold uint16 positions when position_bytes is 2, else uint32.
-bool ListContains(const uint64_t* slot, size_t position_bytes, uint32_t n,
-                  uint32_t pos) {
+bool ShortListContains(const uint64_t* slot, size_t position_bytes,
+                       uint32_t n, uint32_t pos) {
   return position_bytes == 2
-             ? ListContainsOf(reinterpret_cast<const uint16_t*>(slot), n, pos)
-             : ListContainsOf(reinterpret_cast<const uint32_t*>(slot), n, pos);
+             ? ShortListContainsOf(reinterpret_cast<const uint16_t*>(slot),
+                                   n, pos)
+             : ShortListContainsOf(reinterpret_cast<const uint32_t*>(slot),
+                                   n, pos);
+}
+
+bool LongListProbe(uint64_t* slot, size_t position_bytes, uint32_t n,
+                   uint32_t pos, bool insert) {
+  return position_bytes == 2
+             ? LongListProbeOf(reinterpret_cast<uint16_t*>(slot), n, pos,
+                               insert)
+             : LongListProbeOf(reinterpret_cast<uint32_t*>(slot), n, pos,
+                               insert);
+}
+
+// Sorts a list's n positions in place.
+void SortList(uint64_t* slot, size_t position_bytes, uint32_t n) {
+  if (position_bytes == 2) {
+    auto* list = reinterpret_cast<uint16_t*>(slot);
+    std::sort(list, list + n);
+  } else {
+    auto* list = reinterpret_cast<uint32_t*>(slot);
+    std::sort(list, list + n);
+  }
 }
 
 void ListSet(uint64_t* slot, size_t position_bytes, uint32_t i,
@@ -224,6 +321,11 @@ ArenaSmbEngine::ArenaSmbEngine(const Config& config)
     if (positions == cap || positions >= morph_fill) break;
   }
   bitmap_class_ = static_cast<uint32_t>(slabs_.size());
+  long_class_ = 0;
+  while (long_class_ < bitmap_class_ &&
+         slabs_[long_class_].words_per_slot() * 8 <= kShortListBytes) {
+    ++long_class_;
+  }
   graduate_at_ =
       bitmap_class_ == 0
           ? 0
@@ -337,6 +439,10 @@ uint32_t ArenaSmbEngine::MoveList(uint32_t row, uint32_t cls) {
   } else {
     std::memcpy(SlotWords(ref), SlotWords(old_ref),
                 meta_[row] * position_bytes_);
+    // A short list becomes a long one: put it in order, once.
+    if (cls == long_class_) {
+      SortList(SlotWords(ref), position_bytes_, meta_[row]);
+    }
   }
   FreeRef(old_ref);
   slab_ref_[row] = ref;
@@ -355,11 +461,18 @@ inline void ArenaSmbEngine::ApplyToRow(uint32_t row, uint64_t lo,
   uint32_t ref = slab_ref_[row];
   if (IsList(ref)) {
     // Round 0: the meta is the fill, which is the list length. The
-    // membership scan stands in for the bitmap's word & mask check.
+    // list probe stands in for the bitmap's word & mask check; a new
+    // position below the graduation fill joins the list.
     const uint32_t p = static_cast<uint32_t>(pos);
-    if (ListContains(SlotWords(ref), position_bytes_, meta, p)) return;
-    if (meta + 1 < graduate_at_) {
-      ListSet(SlotWords(ref), position_bytes_, meta, p);
+    const bool insert = meta + 1 < graduate_at_;
+    uint64_t* list = SlotWords(ref);
+    if (RefClass(ref) < long_class_) {
+      if (ShortListContains(list, position_bytes_, meta, p)) return;
+      if (insert) ListSet(list, position_bytes_, meta, p);
+    } else if (!LongListProbe(list, position_bytes_, meta, p, insert)) {
+      return;
+    }
+    if (insert) {
       meta_[row] = meta + 1;
       if (meta + 1 == class_positions_[RefClass(ref)]) {
         MoveList(row, RefClass(ref) + 1);
@@ -465,11 +578,16 @@ void ArenaSmbEngine::RecordBatch(const Packet* packets, size_t n) {
           surv_rank[survivors] = elem_rank[i];
           const uint32_t ref = slab_ref_[rows[i]];
           if (IsList(ref)) {
-            // First line and, once the list reaches it, the second; no loop.
+            // The first line and, once the list reaches it, the second
+            // — or the middle one, where a long list's binary search
+            // starts; no loop.
             const char* list = reinterpret_cast<const char*>(SlotWords(ref));
+            const size_t bytes = meta * position_bytes_;
+            const size_t second = RefClass(ref) < long_class_
+                                      ? std::min<size_t>(bytes, 64)
+                                      : bytes / 2;
             __builtin_prefetch(list, 1, 3);
-            __builtin_prefetch(
-                list + std::min<size_t>(meta * position_bytes_, 64), 1, 3);
+            __builtin_prefetch(list + second, 1, 3);
           } else {
             const size_t pos = FastRange64(elem_lo[i], config_.num_bits);
             __builtin_prefetch(BitmapWords(ref) + (pos >> 6), 1, 3);
@@ -818,6 +936,31 @@ std::optional<ArenaSmbEngine::FlowState> ArenaSmbEngine::Inspect(
   return state;
 }
 
+bool ArenaSmbEngine::ListsWellFormed() const {
+  std::vector<uint32_t> positions;
+  for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
+    const uint32_t ref = slab_ref_[row];
+    if (ref == kDeadRef || !IsList(ref)) continue;
+    positions.resize(meta_[row]);
+    for (uint32_t i = 0; i < meta_[row]; ++i) {
+      positions[i] =
+          position_bytes_ == 2
+              ? reinterpret_cast<const uint16_t*>(SlotWords(ref))[i]
+              : reinterpret_cast<const uint32_t*>(SlotWords(ref))[i];
+    }
+    if (RefClass(ref) < long_class_) {
+      std::sort(positions.begin(), positions.end());
+    }
+    for (size_t i = 0; i < positions.size(); ++i) {
+      if (positions[i] >= config_.num_bits ||
+          (i > 0 && positions[i - 1] >= positions[i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 namespace {
 
 // Snapshot image: the FLW1 layout (codec/flw1_layout.h), one record per
@@ -906,7 +1049,7 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::Deserialize(
   return engine;
 }
 
-std::vector<uint8_t> ArenaSmbEngine::SerializeFlows(
+std::vector<uint32_t> ArenaSmbEngine::ListedRows(
     std::span<const uint64_t> flows) const {
   // Callers may list a flow more than once; a duplicate record would make
   // the image fail Deserialize()'s duplicate-key check. Keep the first
@@ -921,6 +1064,12 @@ std::vector<uint8_t> ArenaSmbEngine::SerializeFlows(
     listed[probe.slot] = true;
     rows.push_back(probe.slot);
   }
+  return rows;
+}
+
+std::vector<uint8_t> ArenaSmbEngine::SerializeFlows(
+    std::span<const uint64_t> flows) const {
+  const std::vector<uint32_t> rows = ListedRows(flows);
   std::vector<uint8_t> out =
       BeginSnapshot(config_, rows.size(), words_per_slot_);
   std::vector<uint64_t> scratch(words_per_slot_);
@@ -930,6 +1079,189 @@ std::vector<uint8_t> ArenaSmbEngine::SerializeFlows(
   }
   SealSnapshot(&out);
   return out;
+}
+
+namespace {
+
+// Walks the records of an SMBZ1 container whose framing ReadContainer
+// passed: decodes each into `words`, checks it with the one reachability
+// rule (the decoder vouches for the tail and counts the set bits), and
+// hands (key, packed meta) to fn, which returns false to stop.
+// False at the first defect, bytes after the last record included.
+template <typename Fn>
+bool ForEachSmbz1Record(std::span<const uint8_t> records,
+                        const codec::ContainerHeader& header,
+                        std::span<uint64_t> words, Fn fn) {
+  size_t pos = 0;
+  for (uint64_t f = 0; f < header.num_flows; ++f) {
+    uint64_t key = 0;
+    codec::DecodedSlot slot;
+    if (!ReadU64(records, &pos, &key) ||
+        !codec::DecodeSlot(records, &pos, header.num_bits, &slot, words) ||
+        !SmbStateReachableCounts(header.num_bits, header.threshold,
+                                 slot.round, slot.ones, slot.set_bits) ||
+        !fn(key, (slot.round << kRoundShift) | slot.ones)) {
+      return false;
+    }
+  }
+  return pos == records.size();
+}
+
+// codec::EncodeSparseSlot for a list row of n positions: a long list is
+// ascending in place, a short one is sorted into a copy first.
+template <typename Pos>
+bool EncodeListRecord(uint64_t num_bits, const uint64_t* slot, uint32_t n,
+                      bool ascending, std::vector<uint8_t>* out) {
+  const Pos* list = reinterpret_cast<const Pos*>(slot);
+  if (ascending) {
+    return codec::EncodeSparseSlot(num_bits, std::span<const Pos>(list, n),
+                                   out);
+  }
+  std::array<Pos, kShortListBytes / sizeof(Pos)> sorted;
+  SMB_DCHECK(n <= sorted.size());
+  std::copy(list, list + n, sorted.begin());
+  std::sort(sorted.begin(), sorted.begin() + n);
+  return codec::EncodeSparseSlot(num_bits,
+                                 std::span<const Pos>(sorted.data(), n), out);
+}
+
+codec::ContainerHeader Smbz1Header(const ArenaSmbEngine::Config& config,
+                                   size_t num_flows, size_t words_per_slot) {
+  return {config.num_bits, config.threshold, config.base_seed, num_flows,
+          words_per_slot};
+}
+
+}  // namespace
+
+void ArenaSmbEngine::AppendSmbz1Record(uint32_t row,
+                                       std::vector<uint64_t>* scratch,
+                                       std::vector<uint8_t>* out) const {
+  AppendU64(out, flow_keys_[row]);
+  const uint32_t ref = slab_ref_[row];
+  const uint32_t meta = meta_[row];
+  if (IsList(ref)) {
+    // A list row is round 0 with `meta` positions.
+    const bool ascending = RefClass(ref) >= long_class_;
+    const bool sparse =
+        position_bytes_ == 2
+            ? EncodeListRecord<uint16_t>(config_.num_bits, SlotWords(ref),
+                                         meta, ascending, out)
+            : EncodeListRecord<uint32_t>(config_.num_bits, SlotWords(ref),
+                                         meta, ascending, out);
+    if (sparse) return;
+  }
+  codec::SlotState state;
+  state.round = meta >> kRoundShift;
+  state.ones = meta & kFillMask;
+  state.words = MaterializedWords(row, scratch);
+  codec::EncodeSlot(config_.num_bits, state, out);
+}
+
+std::vector<uint8_t> ArenaSmbEngine::SerializeSmbz1() const {
+  // The same records in the same order as Serialize(): live rows, then
+  // frozen flows by ascending key.
+  const std::vector<uint64_t> cold_flows =
+      cold_ != nullptr ? cold_->SortedFlows() : std::vector<uint64_t>();
+  std::vector<uint8_t> out;
+  codec::BeginContainer(
+      Smbz1Header(config_, NumFlows() + cold_flows.size(), words_per_slot_),
+      &out);
+  std::vector<uint64_t> scratch(words_per_slot_);
+  for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
+    if (slab_ref_[row] != kDeadRef) AppendSmbz1Record(row, &scratch, &out);
+  }
+  for (const uint64_t flow : cold_flows) {
+    codec::SlotState state;
+    cold_->ReadState(flow, &state.round, &state.ones, scratch);
+    state.words = scratch;
+    AppendU64(&out, flow);
+    codec::EncodeSlot(config_.num_bits, state, &out);
+  }
+  codec::SealContainer(&out);
+  return out;
+}
+
+std::vector<uint8_t> ArenaSmbEngine::SerializeSmbz1(
+    std::span<const uint64_t> flows) const {
+  const std::vector<uint32_t> rows = ListedRows(flows);
+  std::vector<uint8_t> out;
+  codec::BeginContainer(Smbz1Header(config_, rows.size(), words_per_slot_),
+                        &out);
+  std::vector<uint64_t> scratch(words_per_slot_);
+  for (const uint32_t row : rows) AppendSmbz1Record(row, &scratch, &out);
+  codec::SealContainer(&out);
+  return out;
+}
+
+std::optional<ArenaSmbEngine> ArenaSmbEngine::DeserializeSmbz1(
+    std::span<const uint8_t> bytes, const ArenaTuning& tuning) {
+  std::span<const uint8_t> records;
+  const std::optional<codec::ContainerHeader> header =
+      codec::ReadContainer(bytes, &records);
+  if (!header.has_value() || !Supports(header->num_bits, header->threshold)) {
+    return std::nullopt;
+  }
+  Config config;
+  config.num_bits = header->num_bits;
+  config.threshold = header->threshold;
+  config.base_seed = header->base_seed;
+  config.tuning = tuning;
+  ArenaSmbEngine engine(config);
+  std::vector<uint64_t> words(engine.words_per_slot_);
+  const bool ok = ForEachSmbz1Record(
+      records, *header, words, [&](uint64_t key, uint32_t meta) {
+        bool created = false;
+        const uint32_t row =
+            engine.FindOrCreateRow(key, FlowTable::BucketHash(key), &created);
+        if (!created) return false;  // duplicate flow key
+        engine.StoreState(row, meta, words);
+        return true;
+      });
+  if (!ok) return std::nullopt;
+  // The snapshot may hold more state than the restored budget allows.
+  engine.SettleBoundary();
+  return engine;
+}
+
+bool ArenaSmbEngine::ApplySmbz1(std::span<const uint8_t> bytes) {
+  std::span<const uint8_t> records;
+  const std::optional<codec::ContainerHeader> header =
+      codec::ReadContainer(bytes, &records);
+  if (!header.has_value() || header->num_bits != config_.num_bits ||
+      header->threshold != config_.threshold ||
+      header->base_seed != config_.base_seed) {
+    return false;
+  }
+  // Validate every record, and that no key repeats, before any row is
+  // touched; the apply pass then decodes each record again.
+  std::vector<uint64_t> words(words_per_slot_);
+  std::vector<uint64_t> keys;
+  keys.reserve(static_cast<size_t>(header->num_flows));
+  if (!ForEachSmbz1Record(records, *header, words,
+                          [&](uint64_t key, uint32_t) {
+                            keys.push_back(key);
+                            return true;
+                          })) {
+    return false;
+  }
+  std::sort(keys.begin(), keys.end());
+  if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
+    return false;
+  }
+  // UpsertFlowState settles after every flow; that matters only when a
+  // budget can evict between two upserts.
+  const bool evicting = config_.tuning.memory_budget_bytes > 0 &&
+                        config_.tuning.eviction != ArenaEviction::kOff;
+  ForEachSmbz1Record(records, *header, words,
+                     [&](uint64_t key, uint32_t meta) {
+                       StoreState(FindOrCreateRow(key,
+                                                  FlowTable::BucketHash(key)),
+                                  meta, words);
+                       if (evicting) SettleBoundary();
+                       return true;
+                     });
+  SettleBoundary();
+  return true;
 }
 
 bool ArenaSmbEngine::UpsertFlowState(uint64_t flow, uint32_t round,

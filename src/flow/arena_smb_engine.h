@@ -34,9 +34,21 @@
 // exactly when it is round 0 with a fill below the last class's capacity
 // and below T, on the smallest class holding its fill; it moves to a
 // bitmap slot the moment the fill reaches that capacity or would morph.
-// Readers of bits go through MaterializedWords(); writers of a whole
-// state (restore, upsert, merge, thaw) through StoreState(), which picks
-// the class from (r, v) alone.
+// Short lists (slots of at most 128 bytes) keep insertion order and are
+// probed by a whole-list compare; longer lists are strictly ascending —
+// a list entering the first long class is sorted once — and probed by
+// a binary search, and an insert shifts their tail. Readers of bits go
+// through MaterializedWords(); writers of a whole state (restore,
+// upsert, merge, thaw) through StoreState(), which picks the class from
+// (r, v) alone and writes lists ascending.
+//
+// Snapshots leave the engine as SMBZ1 (DESIGN.md §12, §17):
+// SerializeSmbz1 writes each list row's sparse record straight from its
+// positions (a short list sorted into a copy first) and bitmap and
+// frozen rows through codec::EncodeSlot; DeserializeSmbz1 and the
+// all-or-nothing ApplySmbz1 decode each record into scratch words,
+// check it with SmbStateReachable and StoreState it. No FLW1 image is
+// built on that path; Serialize/Deserialize keep the FLW1 image.
 //
 // Memory budget + eviction (DESIGN.md §15): crossing the budget evicts
 // cold flows — CLOCK second-chance over a per-row reference byte
@@ -255,9 +267,9 @@ class ArenaSmbEngine {
 
   // Replication (DESIGN.md §16) --------------------------------------------
   // FLW1 snapshot restricted to `flows` (identical layout to Serialize();
-  // listed flows not currently live are skipped). This is the replication
-  // delta payload: a child serializes its dirty flows, and the parent
-  // validates the image with the full Deserialize() rules before applying.
+  // listed flows not currently live are skipped, a repeated flow keeps
+  // its first position). A replication delta is this state as SMBZ1,
+  // written by SerializeSmbz1(flows) without the image.
   std::vector<uint8_t> SerializeFlows(std::span<const uint64_t> flows) const;
 
   // Replacement-semantics upsert of one flow's complete state: the row is
@@ -287,6 +299,9 @@ class ArenaSmbEngine {
     std::span<const uint64_t> words;
   };
   std::optional<FlowState> Inspect(uint64_t flow) const;
+  // Residency-suite introspection: every list row holds distinct
+  // positions below num_bits, strictly ascending on the long classes.
+  bool ListsWellFormed() const;
 
   // Serialization ---------------------------------------------------------
   // Compact binary snapshot of the whole engine (config + every live
@@ -303,6 +318,28 @@ class ArenaSmbEngine {
   // restored engine (snapshots carry no tuning).
   static std::optional<ArenaSmbEngine> Deserialize(
       const std::vector<uint8_t>& bytes, const ArenaTuning& tuning = {});
+
+  // SMBZ1 (codec/smbz1.h) without an FLW1 image ---------------------------
+  // What leaves a process: CompressFlw1Image(Serialize()) and
+  // CompressFlw1Image(SerializeFlows(flows)), byte for byte, written
+  // straight from the rows. A list row's sparse record comes from its
+  // ascending positions (codec::EncodeSparseSlot); bitmap and frozen
+  // rows, and any list the sparse mode would not win, go through
+  // codec::EncodeSlot.
+  std::vector<uint8_t> SerializeSmbz1() const;
+  std::vector<uint8_t> SerializeSmbz1(std::span<const uint64_t> flows) const;
+  // Deserialize(*DecompressToFlw1Image(bytes), tuning), decoding each
+  // record into scratch words: accepts and rejects exactly the same
+  // inputs and restores the same engine.
+  static std::optional<ArenaSmbEngine> DeserializeSmbz1(
+      std::span<const uint8_t> bytes, const ArenaTuning& tuning = {});
+  // The replication apply: upserts every flow of an SMBZ1 snapshot (a
+  // delta) with UpsertFlowState's replacement semantics, in payload
+  // order — or nothing. The whole payload is validated first: framing
+  // and CRC, geometry equal to this engine's (CanMergeWith), each
+  // record's decode and SmbStateReachable, no duplicate key, no bytes
+  // after the last record. False leaves the engine untouched.
+  bool ApplySmbz1(std::span<const uint8_t> bytes);
 
  private:
   // slab_ref_ encoding: the top 5 bits are the residency class (list
@@ -377,6 +414,14 @@ class ArenaSmbEngine {
   bool EvictOneRow();
   void PublishResidency() const;
 
+  // The live rows of `flows`, first occurrence of each, unknown flows
+  // skipped: the records SerializeFlows and SerializeSmbz1(flows) write.
+  std::vector<uint32_t> ListedRows(std::span<const uint64_t> flows) const;
+  // Appends the row's SMBZ1 record (flow key, then slot record).
+  // `scratch` holds words_per_slot_ words.
+  void AppendSmbz1Record(uint32_t row, std::vector<uint64_t>* scratch,
+                         std::vector<uint8_t>* out) const;
+
   // The row's bitmap words: bitmap rows in place, list rows
   // materialized into *scratch (valid until its next use or a mutation).
   std::span<const uint64_t> MaterializedWords(
@@ -405,6 +450,9 @@ class ArenaSmbEngine {
   size_t words_per_slot_;
   size_t position_bytes_;   // 2 when m <= 65536, else 4
   uint32_t bitmap_class_;   // == number of list classes
+  // The first long list class (kept ascending); the classes below it
+  // hold short lists in insertion order. bitmap_class_ when none.
+  uint32_t long_class_;
   // A round-0 list row graduates when its fill reaches this: the last
   // list class's capacity, or T when that is lower (0: lists off).
   uint32_t graduate_at_;

@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <optional>
 
 #include "codec/smbz1.h"
 #include "common/macros.h"
@@ -54,18 +53,13 @@ ChildReplicator::ChildReplicator(const ArenaSmbEngine* engine,
 
 ChildReplicator::CutStatus ChildReplicator::CutDelta(std::string* error) {
   if (dirty_.empty()) return CutStatus::kEmpty;
-  const std::vector<uint64_t> flows = SortedFlows(dirty_);
-  const std::vector<uint8_t> raw = engine_->SerializeFlows(flows);
-  // Spool compressed: the spool shrinks with the wire, and a delta is
-  // compressed once per cut, not once per (re)transmission.
-  const std::optional<std::vector<uint8_t>> payload =
-      codec::CompressFlw1Image(raw);
-  if (!payload.has_value()) {
-    *error = "SMBZ1 compression of a delta failed";
-    return CutStatus::kError;
-  }
+  // Spooled as SMBZ1, written straight from the engine's rows: the spool
+  // shrinks with the wire, and a delta is encoded once per cut, not once
+  // per (re)transmission.
+  const std::vector<uint8_t> payload =
+      engine_->SerializeSmbz1(SortedFlows(dirty_));
   const DeltaSpool::AppendStatus status =
-      spool_.Append(next_seq_, *payload, error);
+      spool_.Append(next_seq_, payload, error);
   switch (status) {
     case DeltaSpool::AppendStatus::kOk:
       break;
@@ -77,6 +71,7 @@ ChildReplicator::CutStatus ChildReplicator::CutDelta(std::string* error) {
         telemetry::MetricsRegistry::Global()
             .GetCounter("repl_child_deltas_shed_total")
             ->Add();
+        CheckIdentity();
         return CutStatus::kShed;
       }
       ++stats_.deltas_deferred;
@@ -87,22 +82,35 @@ ChildReplicator::CutStatus ChildReplicator::CutDelta(std::string* error) {
   const uint64_t seq = next_seq_++;
   dirty_.clear();
   ++stats_.deltas_cut;
-  stats_.delta_raw_bytes += raw.size();
-  stats_.delta_stored_bytes += payload->size();
+  // The FLW1-equivalent size, so the ratio keeps its meaning.
+  const uint64_t raw_bytes = codec::Flw1EquivalentBytes(payload);
+  stats_.delta_raw_bytes += raw_bytes;
+  stats_.delta_stored_bytes += payload.size();
   {
     auto& registry = telemetry::MetricsRegistry::Global();
-    registry.GetCounter("repl_child_delta_raw_bytes_total")
-        ->Add(raw.size());
-    registry.GetCounter("repl_child_delta_bytes_total")
-        ->Add(payload->size());
+    registry.GetCounter("repl_child_delta_raw_bytes_total")->Add(raw_bytes);
+    registry.GetCounter("repl_child_delta_bytes_total")->Add(payload.size());
     if (stats_.delta_stored_bytes > 0) {
       registry.GetGauge("repl_wire_compression_ratio_milli")
           ->Set(static_cast<int64_t>(stats_.delta_raw_bytes * 1000 /
                                      stats_.delta_stored_bytes));
     }
   }
+  CheckIdentity();
   if (state_ == State::kStreaming) send_queue_.push_back(seq);
   return CutStatus::kCut;
+}
+
+void ChildReplicator::CheckIdentity() const {
+  const bool ok = stats_.deltas_cut == stats_.deltas_delivered +
+                                           spool_.PendingCount() +
+                                           stats_.deltas_shed;
+  if (SMB_UNLIKELY(!ok)) {
+    telemetry::MetricsRegistry::Global()
+        .GetCounter("repl_invariant_violations_total")
+        ->Add();
+  }
+  SMB_DCHECK(ok);
 }
 
 void ChildReplicator::EnterBackoff(uint64_t now_ms) {
@@ -254,6 +262,7 @@ void ChildReplicator::HandleAck(uint64_t high_water) {
   while (!send_queue_.empty() && send_queue_.front() <= high_water) {
     send_queue_.pop_front();
   }
+  CheckIdentity();
 }
 
 void ChildReplicator::HandleIncoming(uint64_t now_ms) {

@@ -3,11 +3,11 @@
 //
 // The child records through its own ArenaSmbEngine as usual and tells
 // the replicator which flows changed (NoteRecorded). CutDelta() then
-// snapshots the dirty set into one FLW1 image (SerializeFlows),
-// compresses it to SMBZ1, assigns it the next sequence number, and
-// spools it to disk BEFORE it is ever offered to the socket — the spool is the retransmit buffer, so a
-// parent outage degrades to local buffering and a child restart resumes
-// from disk.
+// writes the dirty set's states as one SMBZ1 snapshot straight from the
+// engine's rows (ArenaSmbEngine::SerializeSmbz1), assigns it the next
+// sequence number, and spools it to disk BEFORE it is ever offered to
+// the socket — the spool is the retransmit buffer, so a parent outage
+// degrades to local buffering and a child restart resumes from disk.
 //
 // Tick(now_ms) drives a single-threaded, nonblocking state machine:
 //
@@ -30,7 +30,9 @@
 // (cut = accepted into the spool or definitively dropped; delivered =
 // trimmed by acks; spooled = still pending; shed = dropped by the
 // kDropNew budget policy. The kRetry policy never sheds — it refuses
-// the cut, keeps the dirty set, and counts a deferral instead.)
+// the cut, keeps the dirty set, and counts a deferral instead.) It is
+// re-checked after every cut and every ack; a failure counts in the
+// always-on repl_invariant_violations_total (and aborts a debug build).
 //
 // Failpoints exercised here:
 //   repl.conn.reset   streaming connection torn down mid-flight
@@ -103,7 +105,7 @@ class ChildReplicator {
     kEmpty,      // no dirty flows, nothing to cut
     kShed,       // budget refused; delta dropped (kDropNew)
     kDeferred,   // budget refused; dirty set retained (kRetry)
-    kError,      // spool IO failure or compression failure
+    kError,      // spool IO failure
   };
 
   struct Stats {
@@ -119,8 +121,8 @@ class ChildReplicator {
     // Spool view (the "spooled" term of the accounting identity).
     size_t spooled_deltas = 0;
     size_t spooled_bytes = 0;
-    // Codec accounting over every cut delta: FLW1 bytes before the
-    // codec vs SMBZ1 bytes actually spooled.
+    // Codec accounting over every cut delta: the FLW1-equivalent size
+    // (flw1::ImageBytes of its flow count) vs SMBZ1 bytes spooled.
     uint64_t delta_raw_bytes = 0;
     uint64_t delta_stored_bytes = 0;
   };
@@ -162,6 +164,9 @@ class ChildReplicator {
   const Options& options() const { return options_; }
 
  private:
+  // Checks the delivery accounting identity (above); every cut that
+  // counts and every ack calls it.
+  void CheckIdentity() const;
   void EnterBackoff(uint64_t now_ms);
   void StartConnecting(uint64_t now_ms);
   void OnConnected(uint64_t now_ms);

@@ -20,7 +20,7 @@ constexpr size_t kKeepCheckpoints = 2;
 // Parent checkpoint payload (inside the CheckpointStore's CRC framing):
 //   magic "SMBRPAR1" (8 bytes) | u64 num_children
 //   per child: u64 child_id | u64 high_water | u64 snapshot_len
-//              | snapshot bytes (replica FLW1 image, SMBZ1-compressed)
+//              | snapshot bytes (ArenaSmbEngine::SerializeSmbz1)
 constexpr char kParentMagic[8] = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
 
 // The recording geometry two engines must share to merge.
@@ -93,9 +93,7 @@ void ReplicationSink::RecoverFromCheckpoint() {
     // Replicas are stored SMBZ1 only. Anything else (a raw FLW1 image
     // included) is not a checkpoint this sink wrote: start clean, the
     // same as for a geometry mismatch below.
-    const auto raw = codec::DecompressToFlw1Image(snapshot);
-    if (!raw.has_value()) return;
-    auto replica = ArenaSmbEngine::Deserialize(*raw);
+    auto replica = ArenaSmbEngine::DeserializeSmbz1(snapshot);
     // A replica recorded under another geometry could never merge with
     // this sink's config or its children's deltas: start clean instead.
     if (!replica.has_value() ||
@@ -132,20 +130,13 @@ bool ReplicationSink::MaybeCheckpoint() {
   uint64_t snapshot_raw_bytes = 0;
   uint64_t snapshot_stored_bytes = 0;
   for (const auto& [child_id, child] : children_) {
-    const std::vector<uint8_t> raw = child.replica->Serialize();
-    const auto snapshot = codec::CompressFlw1Image(raw);
-    if (!snapshot.has_value()) {
-      // Never expected for our own Serialize output; hold acks back
-      // rather than persist a replica in any other encoding.
-      ++stats_.checkpoint_failures;
-      return false;
-    }
-    snapshot_raw_bytes += raw.size();
-    snapshot_stored_bytes += snapshot->size();
+    const std::vector<uint8_t> snapshot = child.replica->SerializeSmbz1();
+    snapshot_raw_bytes += codec::Flw1EquivalentBytes(snapshot);
+    snapshot_stored_bytes += snapshot.size();
     AppendU64(&payload, child_id);
     AppendU64(&payload, child.sequencer->high_water());
-    AppendU64(&payload, snapshot->size());
-    payload.insert(payload.end(), snapshot->begin(), snapshot->end());
+    AppendU64(&payload, snapshot.size());
+    payload.insert(payload.end(), snapshot.begin(), snapshot.end());
   }
   const io::CheckpointStore::WriteResult result =
       checkpoints_->Write(payload);
@@ -174,24 +165,12 @@ bool ReplicationSink::MaybeCheckpoint() {
 
 bool ReplicationSink::ApplyDeltaPayload(
     ChildState& child, const std::vector<uint8_t>& payload) {
-  // Deltas travel SMBZ1 only: a payload that does not decompress (a raw
-  // FLW1 image included) is rejected. The FLW1 image it decodes to then
-  // clears full validation (checksum, reachability, popcount identity)
-  // before any replica row is touched.
-  const auto raw = codec::DecompressToFlw1Image(payload);
-  if (!raw.has_value()) return false;
-  auto delta = ArenaSmbEngine::Deserialize(*raw);
-  if (!delta.has_value()) return false;
-  if (!child.replica->CanMergeWith(*delta)) return false;
-  bool ok = true;
-  delta->ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
-                              std::span<const uint64_t> words) {
-    // Replacement semantics: the delta carries each dirty flow's FULL
-    // state, so upsert makes the replica converge on the child's state
-    // no matter how many times the delta is re-applied.
-    ok = child.replica->UpsertFlowState(flow, round, ones, words) && ok;
-  });
-  return ok;
+  // Deltas travel SMBZ1 only: anything else (a raw FLW1 image included)
+  // is rejected. The replica applies the delta whole or not at all: the
+  // CRC, the geometry, every record's reachability and key uniqueness
+  // are checked before any row is touched. Replacement semantics — each
+  // dirty flow's FULL state — make a re-applied delta a no-op.
+  return child.replica->ApplySmbz1(payload);
 }
 
 void ReplicationSink::ApplyReady(ChildState& child) {

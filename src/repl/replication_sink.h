@@ -12,9 +12,10 @@
 //
 // Robustness contract:
 //   * every frame clears two CRC layers (wire framing) and every delta
-//     payload must be an SMBZ1 image that decodes to an FLW1 image
-//     clearing the full FLW1 validation rules before any replica is
-//     touched — a torn/corrupt/implausible delivery
+//     payload must be an SMBZ1 snapshot whose every record decodes and
+//     clears the reachability rules, with no repeated key and the
+//     sink's geometry, before any replica row is touched
+//     (ArenaSmbEngine::ApplySmbz1) — a torn/corrupt/implausible delivery
 //     recycles the connection without poisoning merged state;
 //   * per-child strict in-order apply over a DeltaSequencer: duplicates
 //     are dropped and re-acked, small reorderings are buffered, large
@@ -85,7 +86,7 @@ class ReplicationSink {
     uint64_t deltas_applied = 0;
     uint64_t dup_dropped = 0;
     uint64_t rejected_frames = 0;    // decoder-poisoning deliveries
-    uint64_t rejected_payloads = 0;  // framed fine, not valid SMBZ1/FLW1
+    uint64_t rejected_payloads = 0;  // framed fine, not a valid SMBZ1 delta
     uint64_t rejected_hellos = 0;    // geometry mismatch
     uint64_t acks_sent = 0;
     uint64_t acks_dropped = 0;       // repl.ack.drop

@@ -25,10 +25,9 @@
 //               PERSISTED high-water for this child (acks never outrun
 //               the checkpoint, so a parent kill + restart loses no
 //               acked delta).
-//   kDelta      child -> parent. payload = SMBZ1 image of the FLW1
-//               snapshot of the delta's dirty flows
-//               (ArenaSmbEngine::SerializeFlows); seq = the delta's
-//               sequence number, consecutive per child.
+//   kDelta      child -> parent. payload = SMBZ1 snapshot of the
+//               delta's dirty flows (ArenaSmbEngine::SerializeSmbz1);
+//               seq = the delta's sequence number, consecutive per child.
 //   kAck        parent -> child. seq = persisted high-water; cumulative,
 //               so a lost ack is repaired by the next one.
 //   kHeartbeat  child -> parent, idle keepalive. seq = newest assigned
@@ -90,7 +89,7 @@ bool DecodeFingerprint(std::span<const uint8_t> payload,
 
 // The delta payload encoding (DESIGN.md §17). SMBZ1 is the only form in
 // which per-flow state crosses the wire: every kDelta payload is an
-// SMBZ1 image of FLW1 records, and a parent rejects anything else. The
+// SMBZ1 snapshot, and a parent rejects anything else. The
 // constant survives only as the value of ChildReplicator::Options::
 // codec_mask, which callers may still set but not to anything else.
 inline constexpr uint64_t kCodecSmbz1 = uint64_t{1} << 0;

@@ -5,8 +5,10 @@
 // (nursery_capacity = 0) fed the same input — FLW1 bytes equal, estimates
 // equal bit for bit — across every class boundary, a morph straight out
 // of a list, mixed residencies inside one 256-packet block, and the
-// restore, upsert, merge and cold-tier paths. Each runs with uint16
-// positions (m <= 65536) and with the uint32 fallback (m > 65536).
+// restore, upsert, merge and cold-tier paths, and every list it leaves
+// holds distinct positions, ascending on the long classes. Each runs
+// with uint16 positions (m <= 65536) and with the uint32 fallback
+// (m > 65536).
 
 #include <gtest/gtest.h>
 
@@ -60,6 +62,15 @@ void ExpectSameState(const ArenaSmbEngine& a, const ArenaSmbEngine& b,
   ASSERT_EQ(Bits(a.Query(flow)), Bits(b.Query(flow))) << flow;
 }
 
+// The list invariant the probes and the SMBZ1 writer rely on: distinct
+// positions below num_bits, strictly ascending on the long classes.
+template <typename... Engines>
+void ExpectListsWellFormed(const Engines&... engines) {
+  for (const ArenaSmbEngine* engine : {&engines...}) {
+    EXPECT_TRUE(engine->ListsWellFormed());
+  }
+}
+
 // The index (into Stats().classes) of the one class holding a flow.
 size_t ClassOfOnlyFlow(const ArenaSmbEngine& engine) {
   const auto classes = engine.Stats().classes;
@@ -103,6 +114,7 @@ TEST_P(ResidencyClassTest, OneFlowCrossesEveryClassBoundaryToTheBitmap) {
     lists.Record(7, e);
     fixed.Record(7, e);
     ExpectSameState(lists, fixed, 7);
+    ASSERT_TRUE(lists.ListsWellFormed()) << "after " << e + 1 << " elements";
     const auto state = lists.Inspect(7);
     // The class is a pure function of (r, v): the smallest list class
     // whose capacity exceeds the fill, while round 0 and below the last
@@ -126,6 +138,7 @@ TEST_P(ResidencyClassTest, OneFlowCrossesEveryClassBoundaryToTheBitmap) {
   EXPECT_EQ(moves, bitmap);
   EXPECT_EQ(lists.Stats().promoted_flows, 1u);
   EXPECT_EQ(lists.Serialize(), fixed.Serialize());
+  ExpectListsWellFormed(lists, fixed);
 }
 
 TEST_P(ResidencyClassTest, MorphStraightOutOfAList) {
@@ -155,6 +168,7 @@ TEST_P(ResidencyClassTest, MorphStraightOutOfAList) {
   }
   ExpectSameState(lists, fixed, 9);
   EXPECT_EQ(lists.Serialize(), fixed.Serialize());
+  ExpectListsWellFormed(lists, fixed);
 }
 
 TEST_P(ResidencyClassTest, MixedResidenciesAndRepeatsInOneBlock) {
@@ -203,6 +217,7 @@ TEST_P(ResidencyClassTest, MixedResidenciesAndRepeatsInOneBlock) {
   for (uint64_t flow : {uint64_t{1}, uint64_t{2}, uint64_t{150}}) {
     ExpectSameState(batched, fixed, flow);
   }
+  ExpectListsWellFormed(batched, scalar, fixed);
 }
 
 TEST_P(ResidencyClassTest, RestoreLandsEachRowInItsClass) {
@@ -228,6 +243,7 @@ TEST_P(ResidencyClassTest, RestoreLandsEachRowInItsClass) {
   ASSERT_TRUE(flat.has_value());
   EXPECT_EQ(flat->Stats().nursery_flows, 0u);
   EXPECT_EQ(flat->Serialize(), image);
+  ExpectListsWellFormed(lists, fixed, *restored, *flat);
 }
 
 TEST_P(ResidencyClassTest, UpsertMovesRowsBetweenClasses) {
@@ -265,6 +281,7 @@ TEST_P(ResidencyClassTest, UpsertMovesRowsBetweenClasses) {
       static_cast<uint32_t>(original->ones_in_round), words));
   EXPECT_EQ(lists.Stats().main_flows, main_before);
   EXPECT_EQ(lists.Serialize(), fixed.Serialize());
+  ExpectListsWellFormed(lists, fixed);
 }
 
 TEST_P(ResidencyClassTest, MergeAndQueryMergedMatchFixedStride) {
@@ -296,6 +313,7 @@ TEST_P(ResidencyClassTest, MergeAndQueryMergedMatchFixedStride) {
               Bits(merged_fixed->Query(flow)))
         << flow;
   }
+  ExpectListsWellFormed(a, b, *merged, *merged_fixed);
 }
 
 TEST_P(ResidencyClassTest, ColdTierFreezesAndThawsListRows) {
@@ -317,6 +335,7 @@ TEST_P(ResidencyClassTest, ColdTierFreezesAndThawsListRows) {
     ExpectSameState(engine, oracle, flow);
   }
   EXPECT_EQ(engine.Serialize().size(), oracle.Serialize().size());
+  ExpectListsWellFormed(engine, oracle, unbudgeted);
 }
 
 TEST_P(ResidencyClassTest, ThawedRoundZeroFlowReturnsToAList) {
@@ -349,6 +368,7 @@ TEST_P(ResidencyClassTest, ThawedRoundZeroFlowReturnsToAList) {
   for (uint64_t flow = 0; flow < 13; ++flow) {
     ExpectSameState(engine, oracle, flow);
   }
+  ExpectListsWellFormed(engine, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -28,6 +28,7 @@
 #include "flow/arena_smb_engine.h"
 #include "repl/child_replicator.h"
 #include "repl/replication_sink.h"
+#include "repl_test_util.h"
 
 namespace smb::repl {
 namespace {
@@ -266,6 +267,9 @@ TEST(ReplicationChaosTest, HundredSeededCyclesConvergeBitIdentically) {
   EXPECT_GT(tallies.child_retransmits, 0u) << "no delta was retransmitted";
   EXPECT_GT(tallies.child_conn_resets, 0u) << "no connection reset fired";
   EXPECT_GT(tallies.parent_restarts, 0u) << "no parent kill was staged";
+  // The identity held after every cut and every ack, not only at the
+  // end of each cycle.
+  EXPECT_EQ(ReplInvariantViolations(), 0u);
 }
 
 // A focused lens on the durability claim, separate from the big loop so
@@ -346,6 +350,7 @@ TEST(ReplicationChaosTest, AcksHoldBackWhileCheckpointsFail) {
   }
   EXPECT_TRUE(child.replicator->Drained());
   EXPECT_EQ(child.replicator->stats().deltas_delivered, 3u);
+  EXPECT_EQ(ReplInvariantViolations(), 0u);
 
   fs::remove_all(dir);
 }

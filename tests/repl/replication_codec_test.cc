@@ -15,12 +15,15 @@
 #include "codec/smbz1.h"
 #include "common/le_bytes.h"
 #include "common/random.h"
+#include "hash/murmur3.h"
 #include "flow/arena_smb_engine.h"
 #include "io/checkpoint_store.h"
+#include "io/crc32c.h"
 #include "repl/child_replicator.h"
 #include "repl/replication_sink.h"
 #include "repl/uds_socket.h"
 #include "repl/wire_format.h"
+#include "telemetry/metrics_registry.h"
 
 namespace smb::repl {
 namespace {
@@ -272,6 +275,167 @@ TEST_F(ReplicationCodecTest, RawFlw1DeltaIsARejectedPayload) {
   ASSERT_EQ(infos.size(), 1u);
   EXPECT_EQ(infos[0].applied_seq, 1u);
   EXPECT_EQ(infos[0].rejected, 1u);
+}
+
+// Recomputes an SMBZ1 container's trailing CRC-32C after an edit, so the
+// edit reaches the record decoder instead of dying at the CRC.
+std::vector<uint8_t> Reseal(std::vector<uint8_t> bytes) {
+  const uint32_t crc = io::Crc32c(bytes.data(), bytes.size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(crc >> (8 * i));
+  }
+  return bytes;
+}
+
+// An FLW1 image of `engine` with `edit` applied to its bytes and the
+// checksum recomputed, compressed: SMBZ1 that clears the CRC but carries
+// whatever defect the edit planted in the records.
+template <typename Edit>
+std::vector<uint8_t> EditedDelta(const ArenaSmbEngine& engine, Edit edit) {
+  std::vector<uint8_t> image = engine.Serialize();
+  edit(&image);
+  image.resize(image.size() - 8);
+  AppendU64(&image, Murmur3_128(image.data(), image.size(), 0x464C5731u).lo);
+  auto packed = codec::CompressFlw1Image(image);
+  EXPECT_TRUE(packed.has_value());
+  return packed.value_or(std::vector<uint8_t>{});
+}
+
+// A delta is applied whole or not at all: each defect below — in the
+// LAST record where a record defect is planted, so a record-by-record
+// apply would already have touched the replica — is a rejected payload
+// that leaves the replica FLW1-identical to what the last good delta
+// left. Each bad delta recycles the connection, so each gets its own.
+TEST_F(ReplicationCodecTest, DefectiveDeltasAreRejectedWhole) {
+  ReplicationSink sink(SinkOptions());
+  std::string error;
+  ASSERT_TRUE(sink.Listen(&error)) << error;
+  const ArenaSmbEngine::Config config = SmallConfig();
+  const auto connect = [&] {
+    UdsFd conn;
+    EXPECT_EQ(StartConnect(SocketPath(), &conn, &error),
+              ConnectStart::kConnected)
+        << error;
+    return conn;
+  };
+  const auto send = [&](const UdsFd& conn, FrameType type, uint64_t seq,
+                        std::vector<uint8_t> payload) {
+    Frame frame;
+    frame.type = type;
+    frame.child_id = 1;
+    frame.seq = seq;
+    frame.payload = std::move(payload);
+    const std::vector<uint8_t> bytes = EncodeFrame(frame);
+    size_t taken = 0;
+    ASSERT_EQ(SendSome(conn.fd(), bytes, &taken, &error), IoStatus::kOk)
+        << error;
+    ASSERT_EQ(taken, bytes.size());
+  };
+  const auto hello = [&](const UdsFd& conn) {
+    send(conn, FrameType::kHello, 1,
+         EncodeFingerprint(
+             {config.num_bits, config.threshold, config.base_seed}));
+  };
+  const auto poll_until = [&](const auto& done) {
+    for (int i = 0; i < 100 && !done(); ++i) sink.PollOnce(now_ms_, 10);
+  };
+
+  ArenaSmbEngine child(config);
+  for (uint64_t e = 0; e < 60; ++e) child.Record(1 + e % 4, e);
+  {
+    const UdsFd conn = connect();
+    hello(conn);
+    send(conn, FrameType::kDelta, 1, child.SerializeSmbz1());
+    poll_until([&] { return sink.stats().deltas_applied == 1; });
+  }
+  ASSERT_EQ(sink.stats().deltas_applied, 1u);
+  const std::vector<uint8_t> applied = sink.MergedEngine().Serialize();
+
+  // The next delta changes every flow, so a partial apply would show.
+  for (uint64_t e = 60; e < 200; ++e) child.Record(1 + e % 4, e);
+  const size_t words = (config.num_bits + 63) / 64;
+  const size_t record_bytes = (2 + words) * 8;
+  const size_t last_record = 44 + (child.NumFlows() - 1) * record_bytes;
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> bad;
+  {
+    std::vector<uint8_t> crc = child.SerializeSmbz1();
+    crc[crc.size() / 2] ^= 0x10;
+    bad.emplace_back("bad CRC", crc);
+  }
+  bad.emplace_back("unreachable state",
+                   EditedDelta(child, [&](std::vector<uint8_t>* image) {
+                     (*image)[last_record + 8] ^= 1;  // ones off by one
+                   }));
+  bad.emplace_back("duplicate key",
+                   EditedDelta(child, [&](std::vector<uint8_t>* image) {
+                     std::copy_n(image->begin() + 44, 8,
+                                 image->begin() +
+                                     static_cast<std::ptrdiff_t>(last_record));
+                   }));
+  {
+    ArenaSmbEngine::Config other = config;
+    other.base_seed ^= 1;
+    ArenaSmbEngine stranger(other);
+    for (uint64_t e = 0; e < 200; ++e) stranger.Record(1 + e % 4, e);
+    bad.emplace_back("geometry mismatch", stranger.SerializeSmbz1());
+  }
+  {
+    std::vector<uint8_t> trailing = child.SerializeSmbz1();
+    trailing.insert(trailing.end() - 4, uint8_t{0});
+    bad.emplace_back("trailing bytes", Reseal(trailing));
+  }
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(bad[i].first);
+    const UdsFd conn = connect();
+    hello(conn);
+    send(conn, FrameType::kDelta, 2, bad[i].second);
+    poll_until([&] { return sink.stats().rejected_payloads == i + 1; });
+    EXPECT_EQ(sink.stats().rejected_payloads, i + 1);
+    EXPECT_EQ(sink.stats().deltas_applied, 1u);
+    EXPECT_EQ(sink.MergedEngine().Serialize(), applied);
+  }
+
+  // The same delta, undamaged, applies.
+  const UdsFd conn = connect();
+  hello(conn);
+  send(conn, FrameType::kDelta, 2, child.SerializeSmbz1());
+  poll_until([&] { return sink.stats().deltas_applied == 2; });
+  EXPECT_EQ(sink.stats().deltas_applied, 2u);
+  EXPECT_EQ(Fingerprint(sink.MergedEngine()), Fingerprint(child));
+}
+
+// The raw-byte figures keep the meaning they had when every delta and
+// replica snapshot was an FLW1 image first: the child's delta_raw_bytes
+// is the size SerializeFlows gives the cut flows, and the parent's
+// snapshot gauge the size Serialize gives its replicas.
+TEST_F(ReplicationCodecTest, RawByteFiguresAreFlw1ImageSizes) {
+  ReplicationSink sink(SinkOptions(/*durable=*/true));
+  std::string error;
+  ASSERT_TRUE(sink.Listen(&error)) << error;
+  std::vector<Child> children;
+  children.push_back(MakeChild(1));
+  Child& child = children[0];
+  Xoshiro256 rng(0xB17E);
+  uint64_t flw1_bytes = 0;
+  for (size_t cut = 0; cut < 3; ++cut) {
+    std::vector<uint64_t> dirty;
+    for (uint64_t flow = 1 + cut; flow <= 9; flow += 2) {
+      RecordBurst(child, flow, 1 + rng.NextBounded(80), rng);
+      dirty.push_back(flow);
+    }
+    flw1_bytes += child.engine->SerializeFlows(dirty).size();
+    ASSERT_EQ(child.replicator->CutDelta(&error),
+              ChildReplicator::CutStatus::kCut)
+        << error;
+    EXPECT_EQ(child.replicator->stats().delta_raw_bytes, flw1_bytes);
+  }
+  DrainAll(&sink, children);
+  ASSERT_GT(sink.stats().checkpoints_written, 0u);
+  EXPECT_EQ(telemetry::MetricsRegistry::Global()
+                .GetGauge("repl_parent_snapshot_raw_bytes")
+                ->Value(),
+            static_cast<int64_t>(child.engine->Serialize().size()));
 }
 
 // The sink stores replicas SMBZ1 only, so a checkpoint holding a raw FLW1

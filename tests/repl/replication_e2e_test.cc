@@ -26,6 +26,7 @@
 #include "io/checkpoint_store.h"
 #include "repl/child_replicator.h"
 #include "repl/replication_sink.h"
+#include "repl_test_util.h"
 #include "telemetry/metrics_registry.h"
 
 namespace smb::repl {
@@ -105,7 +106,10 @@ class ReplicationE2eTest : public ::testing::Test {
     fs::create_directories(dir_);
     now_ms_ = 1000;
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fs::remove_all(dir_);
+    EXPECT_EQ(ReplInvariantViolations(), 0u);
+  }
 
   std::string SocketPath() const { return (dir_ / "parent.sock").string(); }
 

@@ -72,10 +72,11 @@ int RunPerFlow(const CliOptions& options) {
   };
 
   // Batch packets so SMB specs go down the arena engine's keyed SIMD
-  // pipeline instead of packet-at-a-time. Per-flow health rides the
-  // metrics snapshot: it is published here, between batches — after the
-  // first, then once per --metrics-interval — so the periodic writer
-  // never reads the engine.
+  // pipeline instead of packet-at-a-time; a batch still partial at a
+  // stdin deadline (FeedAllInputs) is recorded then. Per-flow health
+  // rides the metrics snapshot: it is published here, between batches —
+  // after the first, then once per --metrics-interval — so the periodic
+  // writer never reads the engine.
   const ArenaSmbEngine* arena = monitor.arena_engine();
   Interval health_interval(arena != nullptr ? options.metrics_interval_s : 0,
                            /*due_now=*/true);
@@ -121,6 +122,8 @@ int RunPerFlow(const CliOptions& options) {
       cut_delta();  // kDeferred keeps the dirty set for a later cut
       replicator->Tick(NowMs());
     }
+  }, [&] {
+    if (!parse_failed) flush_pending();
   });
   if (parse_failed) {
     std::fprintf(stderr, "input line %llu is not a flow,element pair\n",

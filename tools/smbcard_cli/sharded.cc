@@ -63,10 +63,11 @@ int RunSharded(const CliOptions& options) {
   ShardPipeline<ShardedEstimator> pipeline(&*estimator, pipeline_options);
 
   // Input is recorded slice by slice as it arrives, so a live stream's
-  // metrics move while it runs and memory holds one slice of keys.
-  // Periodic checkpoints happen between slices — the pipeline owns the
-  // estimator while a slice runs, so the slice size bounds how stale a
-  // checkpoint can get.
+  // metrics move while it runs and memory holds one slice of keys; a
+  // slice still partial at a stdin deadline (FeedAllInputs) is recorded
+  // then. Periodic checkpoints happen between slices — the pipeline owns
+  // the estimator while a slice runs, so the slice size bounds how stale
+  // a checkpoint can get.
   constexpr size_t kSliceItems = size_t{1} << 16;
   std::vector<uint64_t> keys;
   keys.reserve(kSliceItems);
@@ -76,10 +77,15 @@ int RunSharded(const CliOptions& options) {
     keys.clear();
     if (checkpoints.Due()) checkpoints.Write(estimator->Serialize());
   };
-  const uint64_t lines = FeedAllInputs(options, [&](const std::string& s) {
-    keys.push_back(Murmur3_64(s));
-    if (keys.size() == kSliceItems) record_slice();
-  });
+  const uint64_t lines = FeedAllInputs(
+      options,
+      [&](const std::string& s) {
+        keys.push_back(Murmur3_64(s));
+        if (keys.size() == kSliceItems) record_slice();
+      },
+      [&] {
+        if (!keys.empty()) record_slice();
+      });
   if (!keys.empty()) record_slice();
   if (stats.items_dropped > 0) {
     std::fprintf(stderr,

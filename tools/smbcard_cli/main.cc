@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 

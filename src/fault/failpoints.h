@@ -17,7 +17,7 @@
 // Configuration is programmatic (FailpointRegistry::Set) or via the
 // SMBCARD_FAILPOINTS environment string, parsed on first registry use:
 //
-//   SMBCARD_FAILPOINTS="checkpoint.rename=error;checkpoint.write.partial=partial(17):p=0.5:skip=1:limit=3"
+//   SMBCARD_FAILPOINTS="checkpoint.rename.error=error;checkpoint.write.partial=partial(17):p=0.5:skip=1:limit=3"
 //   SMBCARD_FAILPOINTS_SEED=42
 //
 //   entry  := <point>=<action>{:<modifier>}
@@ -29,6 +29,14 @@
 // with global_seed ^ Murmur3_64(point name), so a fire pattern depends
 // only on the seed and that point's own evaluation order — never on
 // thread interleaving across points — and CI repros are exact.
+//
+// Sites (DESIGN.md §11 says what each does when fired): checkpoint.write.
+// {error,partial,corrupt} and checkpoint.read.error in io/checkpoint_store;
+// <prefix>.fsync.error and <prefix>.rename.error in io::ReplaceFile, for
+// the prefixes checkpoint, spool and metrics (metrics is never fsynced);
+// repl.send.{short,corrupt,dup,reorder}, repl.frame.delay and
+// repl.conn.reset in repl/child_replicator; repl.ack.drop in
+// repl/replication_sink.
 //
 // Overhead policy: an unarmed evaluation is one mutex-guarded map miss.
 // Sites sit at checkpoint, spool and frame granularity, never on the

@@ -1,9 +1,5 @@
 #include "io/checkpoint_store.h"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <string_view>
 #include <utility>
@@ -22,6 +18,8 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr char kMagic[8] = {'S', 'M', 'B', 'C', 'K', 'P', 'T', '1'};
+constexpr std::string_view kFilePrefix = "ckpt-";
+constexpr std::string_view kFileSuffix = ".smbckpt";
 
 // Recovery skip reasons double as telemetry label values so operators can
 // tell chronic bit rot apart from torn writes without scraping logs.
@@ -31,38 +29,21 @@ telemetry::Counter* SkipCounter(const char* reason) {
       "checkpoint_recover_skipped_total", labels);
 }
 
-std::string GenerationFileName(uint64_t generation) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "ckpt-%016llx.smbckpt",
-                static_cast<unsigned long long>(generation));
-  return name;
+// Undoes the content codec in place when `payload` carries it; false when
+// a recognized payload fails to decode.
+bool UndoContentCodec(const CheckpointStore::ContentCodec& codec,
+                      std::vector<uint8_t>* payload) {
+  if (!codec.recognize || !codec.decode || !codec.recognize(*payload)) {
+    return true;
+  }
+  std::optional<std::vector<uint8_t>> raw = codec.decode(*payload);
+  if (!raw.has_value()) return false;
+  *payload = std::move(*raw);
+  return true;
 }
 
-// Inverse of GenerationFileName; false for anything else in the directory.
-bool ParseGenerationFileName(const std::string& name, uint64_t* generation) {
-  constexpr std::string_view kPrefix = "ckpt-";
-  constexpr std::string_view kSuffix = ".smbckpt";
-  if (name.size() != kPrefix.size() + 16 + kSuffix.size() ||
-      name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-      name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = kPrefix.size(); i < kPrefix.size() + 16; ++i) {
-    const char c = name[i];
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *generation = value;
-  return true;
+std::string GenerationPath(const std::string& dir, uint64_t generation) {
+  return dir + "/" + NumberedFileName(kFilePrefix, generation, kFileSuffix);
 }
 
 }  // namespace
@@ -78,26 +59,12 @@ CheckpointStore::CheckpointStore(const Options& options) : options_(options) {
   // Best-effort here; Write() re-attempts with error reporting.
   std::error_code ec;
   fs::create_directories(options_.directory, ec);
-  uint64_t newest = 0;
-  for (const uint64_t gen : ListGenerations()) {
-    newest = gen > newest ? gen : newest;
-  }
-  next_generation_ = newest + 1;
+  const std::vector<uint64_t> generations = ListGenerations();
+  next_generation_ = generations.empty() ? 1 : generations.back() + 1;
 }
 
 std::vector<uint64_t> CheckpointStore::ListGenerations() const {
-  std::vector<uint64_t> generations;
-  std::error_code ec;
-  fs::directory_iterator it(options_.directory, ec);
-  if (ec) return generations;
-  for (const auto& entry : it) {
-    uint64_t gen = 0;
-    if (ParseGenerationFileName(entry.path().filename().string(), &gen)) {
-      generations.push_back(gen);
-    }
-  }
-  std::sort(generations.begin(), generations.end());
-  return generations;
+  return ListNumberedFiles(options_.directory, kFilePrefix, kFileSuffix);
 }
 
 CheckpointStore::WriteResult CheckpointStore::Write(
@@ -158,8 +125,7 @@ CheckpointStore::WriteResult CheckpointStore::Write(
   }
 
   const std::string final_path =
-      options_.directory + "/" + GenerationFileName(next_generation_);
-  const std::string tmp_path = final_path + ".tmp";
+      GenerationPath(options_.directory, next_generation_);
 
   // Injected torn write: emulate a power cut on a filesystem that did not
   // honor write ordering — a truncated file appears at the FINAL name.
@@ -175,45 +141,14 @@ CheckpointStore::WriteResult CheckpointStore::Write(
   }
 
   // Sweep stale temp files (crash leftovers from previous processes).
-  fs::directory_iterator sweep(options_.directory, ec);
-  if (!ec) {
-    for (const auto& entry : sweep) {
-      if (entry.path().extension() == ".tmp") {
-        fs::remove(entry.path(), ec);
-        telemetry::MetricsRegistry::Global()
-            .GetCounter("checkpoint_stale_tmp_swept_total")
-            ->Add();
-      }
-    }
+  if (const size_t swept = SweepTempFiles(options_.directory); swept > 0) {
+    telemetry::MetricsRegistry::Global()
+        .GetCounter("checkpoint_stale_tmp_swept_total")
+        ->Add(swept);
   }
-
-  if (!WriteFileBytes(tmp_path, image.data(), image.size(),
-                      &result.error)) {
-    fs::remove(tmp_path, ec);
+  if (!ReplaceFile(final_path, image, options_.sync, "checkpoint",
+                   &result.error)) {
     return result;
-  }
-  if (options_.sync) {
-    const auto fsync_fail = SMB_FAILPOINT("checkpoint.fsync.error");
-    std::string fsync_error;
-    if (fsync_fail.fired || !FsyncPath(tmp_path, &fsync_error)) {
-      result.error = fsync_fail.fired ? "injected fsync error" : fsync_error;
-      fs::remove(tmp_path, ec);
-      return result;
-    }
-  }
-  const auto rename_fail = SMB_FAILPOINT("checkpoint.rename.error");
-  if (rename_fail.fired ||
-      ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    result.error = rename_fail.fired
-                       ? "injected rename error"
-                       : std::string("rename failed: ") +
-                             std::strerror(errno);
-    fs::remove(tmp_path, ec);
-    return result;
-  }
-  if (options_.sync) {
-    std::string dir_error;
-    FsyncPath(options_.directory, &dir_error);  // best effort
   }
 
   trace::FlightRecorder::Global().Record(
@@ -225,8 +160,7 @@ CheckpointStore::WriteResult CheckpointStore::Write(
   if (generations.size() > options_.keep_generations) {
     const size_t excess = generations.size() - options_.keep_generations;
     for (size_t i = 0; i < excess; ++i) {
-      fs::remove(
-          options_.directory + "/" + GenerationFileName(generations[i]), ec);
+      fs::remove(GenerationPath(options_.directory, generations[i]), ec);
     }
   }
   result.ok = true;
@@ -242,52 +176,27 @@ CheckpointStore::RecoverResult CheckpointStore::RecoverLatest() {
     return result;
   }
   for (auto it = generations.rbegin(); it != generations.rend(); ++it) {
-    const std::string name = GenerationFileName(*it);
-    const std::string path = options_.directory + "/" + name;
+    const std::string name = NumberedFileName(kFilePrefix, *it, kFileSuffix);
     std::string reason;
     const char* reason_class = "read_error";
-    const auto read_fail = SMB_FAILPOINT("checkpoint.read.error");
-    std::vector<uint8_t> image;
-    if (read_fail.fired) {
+    FrameDefect defect = FrameDefect::kNone;
+    if (SMB_FAILPOINT("checkpoint.read.error").fired) {
       reason = "injected read error";
-    } else if (ReadWholeFile(path, &image, &reason)) {
-      uint64_t stored_generation = 0;
-      FrameDefect defect = FrameDefect::kNone;
-      if (ParseFramedImage(kMagic, image, &stored_generation,
-                           &result.payload, &reason, &defect)) {
-        if (stored_generation == *it) {
-          // Frame layer validated; undo the content codec when the
-          // payload carries one. A recognized payload that fails to
-          // decode is as corrupt as a bad CRC — skip the generation.
-          bool content_ok = true;
-          if (options_.codec.recognize && options_.codec.decode &&
-              options_.codec.recognize(result.payload)) {
-            if (std::optional<std::vector<uint8_t>> raw =
-                    options_.codec.decode(result.payload);
-                raw.has_value()) {
-              result.payload = std::move(*raw);
-            } else {
-              content_ok = false;
-              reason = options_.codec.name + " content failed to decode";
-              reason_class = "codec";
-            }
-          }
-          if (content_ok) {
-            result.ok = true;
-            result.generation = *it;
-            trace::FlightRecorder::Global().Record(
-                trace::FlightEventType::kCheckpointRecover,
-                result.generation, result.payload.size(),
-                result.skipped.size());
-            return result;
-          }
-        } else {
-          reason = "generation header does not match file name";
-          reason_class = "stale_generation";
-        }
-      } else {
-        reason_class = FrameDefectName(defect);
-      }
+    } else if (!ReadFramedFile(options_.directory + "/" + name, kMagic, *it,
+                               &result.payload, &reason, &defect)) {
+      reason_class = FrameDefectName(defect);
+    } else if (!UndoContentCodec(options_.codec, &result.payload)) {
+      // A recognized payload that fails to decode is as corrupt as a bad
+      // CRC — skip the generation.
+      reason = options_.codec.name + " content failed to decode";
+      reason_class = "codec";
+    } else {
+      result.ok = true;
+      result.generation = *it;
+      trace::FlightRecorder::Global().Record(
+          trace::FlightEventType::kCheckpointRecover, result.generation,
+          result.payload.size(), result.skipped.size());
+      return result;
     }
     SkipCounter(reason_class)->Add();
     result.skipped.push_back(name + ": " + reason);
@@ -301,11 +210,9 @@ CheckpointStore::RecoverResult CheckpointStore::RecoverLatest() {
 
 bool CheckpointStore::ValidateFile(const std::string& path,
                                    std::string* error) {
-  std::vector<uint8_t> image;
   std::string local_error;
-  std::string* err = error ? error : &local_error;
-  if (!ReadWholeFile(path, &image, err)) return false;
-  return ParseFramedImage(kMagic, image, nullptr, nullptr, err);
+  return ReadFramedFile(path, kMagic, std::nullopt, nullptr,
+                        error ? error : &local_error);
 }
 
 }  // namespace smb::io

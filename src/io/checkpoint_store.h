@@ -6,28 +6,16 @@
 // without interpreting them. What it adds is the durability layer those
 // in-memory formats cannot provide on their own:
 //
-//   * chunked, CRC-32C-framed file layout — a torn write, a truncated
-//     file, or a flipped bit is detected chunk-precisely at recovery;
-//   * temp-file + fsync + atomic-rename writes — a crash mid-write can
-//     only ever leave a stale .tmp (swept on the next write), never a
-//     half-new final file, on a filesystem with atomic rename;
+//   * ckpt-%016llx.smbckpt files in the io/frame_codec layout (magic
+//     "SMBCKPT1", tag = generation) — a torn write, a truncated file, or
+//     a flipped bit is detected chunk-precisely at recovery;
+//   * temp-file + fsync + atomic-rename writes (io::ReplaceFile) — a
+//     crash mid-write can only ever leave a stale .tmp (swept on the next
+//     write), never a half-new final file;
 //   * monotonic generation numbers with keep-last-K rotation;
 //   * a recovery path that walks generations newest-first and returns
 //     the newest one that validates, reporting (not silently skipping)
 //     every corrupt candidate it stepped over.
-//
-// File layout (all integers little-endian):
-//
-//   header   magic "SMBCKPT1" | generation u64 | payload_size u64
-//            | chunk_size u64 | header_crc u32 (CRC-32C of the 32 bytes
-//            before it)
-//   chunks   ceil(payload_size / chunk_size) frames of
-//            length u32 | chunk_crc u32 | bytes[length]
-//            where length == chunk_size except for the final chunk
-//
-// A file validates iff the magic and both CRC layers match and the file
-// size is exactly header + framed payload — trailing garbage is rejected,
-// matching the snapshot formats' policy.
 //
 // Every failure branch is driven by the src/fault/ failpoint framework in
 // tests: checkpoint.write.error, checkpoint.write.partial (torn final

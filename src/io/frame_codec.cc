@@ -13,6 +13,8 @@ const char* FrameDefectName(FrameDefect defect) {
     case FrameDefect::kBadHeader: return "header";
     case FrameDefect::kTorn: return "torn";
     case FrameDefect::kBitFlip: return "bit_flip";
+    case FrameDefect::kUnreadable: return "read_error";
+    case FrameDefect::kWrongTag: return "stale_generation";
   }
   return "unknown";
 }

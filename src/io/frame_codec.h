@@ -43,10 +43,13 @@ enum class FrameDefect : uint8_t {
   kBadHeader,  // wrong magic, short header, header CRC, absurd geometry
   kTorn,       // size does not match the header, or a chunk length lies
   kBitFlip,    // chunk CRC mismatch over a structurally intact image
+  // Set only by ReadFramedFile (io/file_util.h):
+  kUnreadable,  // the file could not be read at all
+  kWrongTag,    // a valid image whose tag is not the one its name carries
 };
 
-// Human-readable reason slug for a defect ("header" / "torn" / "bit_flip");
-// used as a telemetry label value.
+// Human-readable reason slug for a defect ("header" / "torn" / "bit_flip"
+// / "read_error" / "stale_generation"); used as a telemetry label value.
 const char* FrameDefectName(FrameDefect defect);
 
 // The full framed image of one payload.

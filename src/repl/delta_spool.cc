@@ -1,6 +1,6 @@
 #include "repl/delta_spool.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <filesystem>
 #include <string_view>
 
@@ -16,39 +16,8 @@ namespace fs = std::filesystem;
 constexpr char kSpoolMagic[8] = {'S', 'M', 'B', 'S', 'P', 'O', 'O', 'L'};
 constexpr size_t kSpoolChunkBytes = 64 * 1024;
 constexpr std::string_view kMarkerName = "acked.smbspoolmark";
-
-std::string SeqFileName(uint64_t seq) {
-  char name[40];
-  std::snprintf(name, sizeof(name), "delta-%016llx.smbspool",
-                static_cast<unsigned long long>(seq));
-  return name;
-}
-
-bool ParseSeqFileName(const std::string& name, uint64_t* seq) {
-  constexpr std::string_view kPrefix = "delta-";
-  constexpr std::string_view kSuffix = ".smbspool";
-  if (name.size() != kPrefix.size() + 16 + kSuffix.size() ||
-      name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-      name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-          0) {
-    return false;
-  }
-  uint64_t value = 0;
-  for (size_t i = kPrefix.size(); i < kPrefix.size() + 16; ++i) {
-    const char c = name[i];
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = (value << 4) | static_cast<uint64_t>(digit);
-  }
-  *seq = value;
-  return true;
-}
+constexpr std::string_view kFilePrefix = "delta-";
+constexpr std::string_view kFileSuffix = ".smbspool";
 
 }  // namespace
 
@@ -60,7 +29,8 @@ DeltaSpool::DeltaSpool(const Options& options) : options_(options) {
 }
 
 std::string DeltaSpool::DeltaPath(uint64_t seq) const {
-  return options_.directory + "/" + SeqFileName(seq);
+  return options_.directory + "/" +
+         io::NumberedFileName(kFilePrefix, seq, kFileSuffix);
 }
 
 std::string DeltaSpool::MarkerPath() const {
@@ -72,49 +42,41 @@ void DeltaSpool::Recover() {
   pending_bytes_ = 0;
   trimmed_high_water_ = 0;
   std::error_code ec;
+  // Staged files a crash left behind never reached their final names.
+  io::SweepTempFiles(options_.directory);
 
   // Trim marker first: files at or below it are leftovers of a trim that
-  // died between unlink and nothing (trim is idempotent).
-  std::vector<uint8_t> marker_image;
+  // died between marker persist and unlink (trim is idempotent).
   std::string error;
-  if (io::ReadWholeFile(MarkerPath(), &marker_image, &error)) {
-    uint64_t tag = 0;
-    if (io::ParseFramedImage(kSpoolMagic, marker_image, &tag, nullptr,
-                             &error)) {
-      trimmed_high_water_ = tag;
-    } else {
-      fs::remove(MarkerPath(), ec);
-    }
+  io::FrameDefect defect = io::FrameDefect::kNone;
+  if (!io::ReadFramedFile(MarkerPath(), kSpoolMagic, std::nullopt, nullptr,
+                          &error, &defect, &trimmed_high_water_) &&
+      defect != io::FrameDefect::kUnreadable) {
+    fs::remove(MarkerPath(), ec);
   }
 
-  fs::directory_iterator it(options_.directory, ec);
-  if (ec) return;
-  for (const auto& entry : it) {
-    uint64_t seq = 0;
-    if (!ParseSeqFileName(entry.path().filename().string(), &seq)) continue;
+  for (const uint64_t seq :
+       io::ListNumberedFiles(options_.directory, kFilePrefix, kFileSuffix)) {
+    const std::string path = DeltaPath(seq);
+    const uintmax_t size = fs::file_size(path, ec);
     if (seq <= trimmed_high_water_) {
       // A fully-acked segment left behind by a trim that died between
       // marker persist and unlink: reclaiming it now is the same
       // reclamation, just a restart late.
-      const uintmax_t size = fs::file_size(entry.path(), ec);
       if (!ec) reclaimed_bytes_ += static_cast<uint64_t>(size);
-      fs::remove(entry.path(), ec);
+      fs::remove(path, ec);
       continue;
     }
     // A spool file must round-trip the codec with the right tag; a torn
     // or rotted file is dropped here (it would be rejected by the parent
     // anyway) and its data is simply lost from the retransmit window.
-    std::vector<uint8_t> image;
-    uint64_t tag = 0;
-    if (!io::ReadWholeFile(entry.path().string(), &image, &error) ||
-        !io::ParseFramedImage(kSpoolMagic, image, &tag, nullptr, &error) ||
-        tag != seq) {
-      fs::remove(entry.path(), ec);
+    if (ec || !io::ReadFramedFile(path, kSpoolMagic, seq, nullptr, &error)) {
+      fs::remove(path, ec);
       ++corrupt_dropped_;
       continue;
     }
-    index_[seq] = image.size();
-    pending_bytes_ += image.size();
+    index_[seq] = static_cast<size_t>(size);
+    pending_bytes_ += static_cast<size_t>(size);
   }
 }
 
@@ -127,25 +89,11 @@ DeltaSpool::AppendStatus DeltaSpool::Append(uint64_t seq,
       pending_bytes_ + image.size() > options_.budget_bytes) {
     return AppendStatus::kBudget;
   }
-  const std::string path = DeltaPath(seq);
-  const std::string tmp = path + ".tmp";
-  if (!io::WriteFileBytes(tmp, image.data(), image.size(), error)) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
+  if (!io::ReplaceFile(DeltaPath(seq), image, options_.sync, "spool",
+                       error)) {
     return AppendStatus::kError;
   }
-  if (options_.sync) {
-    std::string sync_error;
-    io::FsyncPath(tmp, &sync_error);  // best effort
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    *error = "rename failed for " + path;
-    std::error_code ec;
-    fs::remove(tmp, ec);
-    return AppendStatus::kError;
-  }
-  auto [it, inserted] = index_.insert_or_assign(seq, image.size());
-  (void)it;
+  const bool inserted = index_.emplace(seq, image.size()).second;
   SMB_CHECK_MSG(inserted, "DeltaSpool seq reuse");
   pending_bytes_ += image.size();
   return AppendStatus::kOk;
@@ -158,23 +106,24 @@ bool DeltaSpool::Read(uint64_t seq, std::vector<uint8_t>* payload,
     *error = "seq not spooled";
     return false;
   }
-  std::vector<uint8_t> image;
-  if (!io::ReadWholeFile(DeltaPath(seq), &image, error)) return false;
-  uint64_t tag = 0;
-  if (!io::ParseFramedImage(kSpoolMagic, image, &tag, payload, error)) {
-    return false;
-  }
-  if (tag != seq) {
-    *error = "spool file tag does not match its name";
-    return false;
-  }
-  return true;
+  return io::ReadFramedFile(DeltaPath(seq), kSpoolMagic, seq, payload,
+                            error);
 }
 
 void DeltaSpool::TrimThrough(uint64_t high_water) {
   if (high_water <= trimmed_high_water_) return;
+  // The marker must be durable before any acked file goes: without it a
+  // restart would resume below `high_water` and reuse sequence numbers
+  // the parent already applied. When it cannot be written nothing is
+  // trimmed; the next cumulative ack (or heartbeat re-ack) retries.
+  const std::vector<uint8_t> marker =
+      io::BuildFramedImage(kSpoolMagic, high_water, {}, kSpoolChunkBytes);
+  std::string error;
+  if (!io::ReplaceFile(MarkerPath(), marker, options_.sync, "spool",
+                       &error)) {
+    return;
+  }
   trimmed_high_water_ = high_water;
-  PersistMarker();
   std::error_code ec;
   auto it = index_.begin();
   while (it != index_.end() && it->first <= high_water) {
@@ -188,33 +137,14 @@ void DeltaSpool::TrimThrough(uint64_t high_water) {
 std::vector<uint64_t> DeltaSpool::PendingSeqs() const {
   std::vector<uint64_t> seqs;
   seqs.reserve(index_.size());
-  for (const auto& [seq, size] : index_) {
-    (void)size;
-    seqs.push_back(seq);
-  }
+  for (const auto& entry : index_) seqs.push_back(entry.first);
   return seqs;
 }
 
 uint64_t DeltaSpool::NextSeqFloor() const {
-  uint64_t floor = trimmed_high_water_ + 1;
-  if (!index_.empty()) {
-    const uint64_t past_spool = index_.rbegin()->first + 1;
-    floor = past_spool > floor ? past_spool : floor;
-  }
-  return floor;
-}
-
-void DeltaSpool::PersistMarker() {
-  const std::vector<uint8_t> image = io::BuildFramedImage(
-      kSpoolMagic, trimmed_high_water_, {}, kSpoolChunkBytes);
-  const std::string tmp = MarkerPath() + ".tmp";
-  std::string error;
-  if (!io::WriteFileBytes(tmp, image.data(), image.size(), &error)) return;
-  if (options_.sync) io::FsyncPath(tmp, &error);
-  if (::rename(tmp.c_str(), MarkerPath().c_str()) != 0) {
-    std::error_code ec;
-    fs::remove(tmp, ec);
-  }
+  const uint64_t newest_spooled =
+      index_.empty() ? 0 : index_.rbegin()->first;
+  return std::max(trimmed_high_water_, newest_spooled) + 1;
 }
 
 }  // namespace smb::repl

@@ -19,6 +19,10 @@
 // the next sequence resumes past both the marker and any spooled file,
 // so a reused sequence number can never collide with one the parent
 // already applied.
+//
+// Files are written through io::ReplaceFile (failpoint prefix "spool"):
+// a failed delta write consumes no sequence number, a failed marker
+// write trims nothing, and Recover() sweeps a crash's staged .tmp files.
 
 #ifndef SMBCARD_REPL_DELTA_SPOOL_H_
 #define SMBCARD_REPL_DELTA_SPOOL_H_
@@ -40,9 +44,10 @@ class DeltaSpool {
     std::string directory;
     // Byte ceiling over all spooled delta files; 0 = unlimited.
     size_t budget_bytes = 0;
-    // fsync spool files (tests disable to spare IO; the spool is a
-    // retransmit buffer, not the system of record, so losing it to a
-    // crash only widens the re-send window).
+    // fsync spool files and the directory (tests disable to spare IO;
+    // the spool is a retransmit buffer, not the system of record, so
+    // losing it to a crash only widens the re-send window). A failed
+    // file fsync fails the write.
     bool sync = false;
   };
 
@@ -57,9 +62,10 @@ class DeltaSpool {
   DeltaSpool(const DeltaSpool&) = delete;
   DeltaSpool& operator=(const DeltaSpool&) = delete;
 
-  // Scans the directory: rebuilds the pending index from valid spool
-  // files (corrupt ones are deleted and counted) and loads the trim
-  // marker. Called by the constructor; exposed for tests.
+  // Scans the directory: sweeps stale .tmp files, rebuilds the pending
+  // index from valid spool files (corrupt ones are deleted and counted)
+  // and loads the trim marker. Called by the constructor; exposed for
+  // tests.
   void Recover();
 
   // Spools `payload` under `seq`. Refuses (kBudget) when the framed file
@@ -71,8 +77,10 @@ class DeltaSpool {
   bool Read(uint64_t seq, std::vector<uint8_t>* payload,
             std::string* error) const;
 
-  // Deletes every spooled delta with seq <= high_water and persists the
-  // marker. Lower marker values are ignored (trim is monotonic).
+  // Persists the marker, then deletes every spooled delta with
+  // seq <= high_water. When the marker cannot be written nothing is
+  // trimmed (a later call retries). Lower marker values are ignored
+  // (trim is monotonic).
   void TrimThrough(uint64_t high_water);
 
   // Pending (unacked) sequence numbers, ascending.
@@ -98,7 +106,6 @@ class DeltaSpool {
  private:
   std::string DeltaPath(uint64_t seq) const;
   std::string MarkerPath() const;
-  void PersistMarker();
 
   Options options_;
   // seq -> framed file size (budget accounting).

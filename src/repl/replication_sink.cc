@@ -52,17 +52,25 @@ void ReplicationSink::Close() {
   listener_ = UdsListener();
 }
 
+ReplicationSink::ChildState ReplicationSink::MakeChild(
+    ArenaSmbEngine replica, uint64_t high_water) const {
+  ChildState state;
+  state.replica = std::make_unique<ArenaSmbEngine>(std::move(replica));
+  DeltaSequencer::Options seq_options;
+  seq_options.reorder_window = options_.reorder_window;
+  seq_options.initial_high_water = high_water;
+  state.sequencer = std::make_unique<DeltaSequencer>(seq_options);
+  state.persisted_high_water = high_water;
+  return state;
+}
+
 ReplicationSink::ChildState& ReplicationSink::ChildFor(uint64_t child_id) {
   auto it = children_.find(child_id);
   if (it == children_.end()) {
-    ChildState state;
-    state.replica =
-        std::make_unique<ArenaSmbEngine>(options_.engine_config);
-    DeltaSequencer::Options seq_options;
-    seq_options.reorder_window = options_.reorder_window;
-    seq_options.initial_high_water = 0;
-    state.sequencer = std::make_unique<DeltaSequencer>(seq_options);
-    it = children_.emplace(child_id, std::move(state)).first;
+    it = children_
+             .emplace(child_id,
+                      MakeChild(ArenaSmbEngine(options_.engine_config), 0))
+             .first;
   }
   return it->second;
 }
@@ -92,8 +100,11 @@ void ReplicationSink::RecoverFromCheckpoint() {
     pos += snap_len;
     // Replicas are stored SMBZ1 only. Anything else (a raw FLW1 image
     // included) is not a checkpoint this sink wrote: start clean, the
-    // same as for a geometry mismatch below.
-    auto replica = ArenaSmbEngine::DeserializeSmbz1(snapshot);
+    // same as for a geometry mismatch below. The snapshot carries the
+    // geometry; budget, eviction and cold tier come from this sink's
+    // config, as for a replica ChildFor builds.
+    auto replica = ArenaSmbEngine::DeserializeSmbz1(
+        snapshot, options_.engine_config.tuning);
     // A replica recorded under another geometry could never merge with
     // this sink's config or its children's deltas: start clean instead.
     if (!replica.has_value() ||
@@ -101,29 +112,27 @@ void ReplicationSink::RecoverFromCheckpoint() {
             FingerprintOf(options_.engine_config)) {
       return;
     }
-    ChildState state;
-    state.replica = std::make_unique<ArenaSmbEngine>(std::move(*replica));
-    DeltaSequencer::Options seq_options;
-    seq_options.reorder_window = options_.reorder_window;
-    seq_options.initial_high_water = high_water;
-    state.sequencer = std::make_unique<DeltaSequencer>(seq_options);
-    state.persisted_high_water = high_water;
-    recovered.emplace(child_id, std::move(state));
+    recovered.emplace(child_id, MakeChild(std::move(*replica), high_water));
   }
   children_ = std::move(recovered);
 }
 
 bool ReplicationSink::MaybeCheckpoint() {
   if (!dirty_since_checkpoint_) return true;
-  if (!checkpoints_) {
-    // No durability configured: acks track the in-memory apply.
-    for (auto& [id, child] : children_) {
-      (void)id;
-      child.persisted_high_water = child.sequencer->high_water();
-    }
-    dirty_since_checkpoint_ = false;
-    return true;
+  // Without durability configured, acks track the in-memory apply.
+  if (checkpoints_ && !WriteCheckpoint()) {
+    ++stats_.checkpoint_failures;
+    return false;  // persisted marks unchanged — acks stay held back
   }
+  for (auto& [id, child] : children_) {
+    (void)id;
+    child.persisted_high_water = child.sequencer->high_water();
+  }
+  dirty_since_checkpoint_ = false;
+  return true;
+}
+
+bool ReplicationSink::WriteCheckpoint() {
   std::vector<uint8_t> payload;
   for (char c : kParentMagic) payload.push_back(static_cast<uint8_t>(c));
   AppendU64(&payload, children_.size());
@@ -140,10 +149,7 @@ bool ReplicationSink::MaybeCheckpoint() {
   }
   const io::CheckpointStore::WriteResult result =
       checkpoints_->Write(payload);
-  if (!result.ok) {
-    ++stats_.checkpoint_failures;
-    return false;  // persisted marks unchanged — acks stay held back
-  }
+  if (!result.ok) return false;
   ++stats_.checkpoints_written;
   if (snapshot_stored_bytes > 0) {
     auto& registry = telemetry::MetricsRegistry::Global();
@@ -155,29 +161,18 @@ bool ReplicationSink::MaybeCheckpoint() {
         ->Set(static_cast<int64_t>(snapshot_raw_bytes * 1000 /
                                    snapshot_stored_bytes));
   }
-  for (auto& [id, child] : children_) {
-    (void)id;
-    child.persisted_high_water = child.sequencer->high_water();
-  }
-  dirty_since_checkpoint_ = false;
   return true;
-}
-
-bool ReplicationSink::ApplyDeltaPayload(
-    ChildState& child, const std::vector<uint8_t>& payload) {
-  // Deltas travel SMBZ1 only: anything else (a raw FLW1 image included)
-  // is rejected. The replica applies the delta whole or not at all: the
-  // CRC, the geometry, every record's reachability and key uniqueness
-  // are checked before any row is touched. Replacement semantics — each
-  // dirty flow's FULL state — make a re-applied delta a no-op.
-  return child.replica->ApplySmbz1(payload);
 }
 
 void ReplicationSink::ApplyReady(ChildState& child) {
   uint64_t seq = 0;
   const std::vector<uint8_t>* payload = nullptr;
   while (child.sequencer->NextReady(&seq, &payload)) {
-    if (ApplyDeltaPayload(child, *payload)) {
+    // Deltas travel SMBZ1 only, and the replica applies one whole or not
+    // at all (CRC, geometry, every record's reachability and key
+    // uniqueness are checked first). Replacement semantics — each dirty
+    // flow's FULL state — make a re-applied delta a no-op.
+    if (child.replica->ApplySmbz1(*payload)) {
       child.sequencer->Commit();
       ++child.deltas_applied;
       ++stats_.deltas_applied;
@@ -444,6 +439,11 @@ double ReplicationSink::MergedQuery(uint64_t flow) const {
     replicas.push_back(child.replica.get());
   }
   return ArenaSmbEngine::QueryMerged(replicas, flow);
+}
+
+const ArenaSmbEngine* ReplicationSink::Replica(uint64_t child_id) const {
+  const auto it = children_.find(child_id);
+  return it == children_.end() ? nullptr : it->second.replica.get();
 }
 
 std::vector<ReplicationSink::ChildInfo> ReplicationSink::Children(

@@ -129,6 +129,8 @@ class ReplicationSink {
   double MergedQuery(uint64_t flow) const;
 
   std::vector<ChildInfo> Children(uint64_t now_ms) const;
+  // Child `child_id`'s replica (read-only), or null for an unknown child.
+  const ArenaSmbEngine* Replica(uint64_t child_id) const;
   size_t NumChildren() const { return children_.size(); }
   const Stats& stats() const { return stats_; }
   const Options& options() const { return options_; }
@@ -154,18 +156,21 @@ class ReplicationSink {
     bool closing = false;
   };
 
+  // A child's replica plus a sequencer (and persisted mark) at
+  // `high_water`; the one place a ChildState is built.
+  ChildState MakeChild(ArenaSmbEngine replica, uint64_t high_water) const;
   ChildState& ChildFor(uint64_t child_id);
   void HandleFrame(size_t conn_index, Frame frame, uint64_t now_ms);
   void ApplyReady(ChildState& child);
-  bool ApplyDeltaPayload(ChildState& child,
-                         const std::vector<uint8_t>& payload);
   void SendAck(size_t conn_index, uint64_t child_id, uint64_t high_water,
                FrameType type);
   void DropConn(size_t conn_index);
   void FlushConn(size_t conn_index);
-  // Persists every replica + high-water; on success advances the
-  // persisted (ackable) marks.
+  // Persists every replica + high-water (WriteCheckpoint, when a
+  // checkpoint_dir is set); on success advances the persisted (ackable)
+  // marks.
   bool MaybeCheckpoint();
+  bool WriteCheckpoint();
   void RecoverFromCheckpoint();
   void PublishChildTelemetry(uint64_t now_ms);
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/stats.h"
@@ -97,6 +98,8 @@ TEST(PaperClaimsTest, SmbRecordingWorkDropsWithStreamSize) {
 // Claim 4 (Table V mechanism): SMB query time does not grow with m, unlike
 // register-scan estimators whose query walks all t registers. We assert
 // the *ratio* of measured query costs, which is robust to machine speed.
+// Each cost is the fastest of several repetitions, so one repetition a
+// busy host preempts cannot set a ratio.
 TEST(PaperClaimsTest, SmbQueryCostIndependentOfMemory) {
   auto measure = [](EstimatorKind kind, size_t m) {
     EstimatorSpec spec;
@@ -108,11 +111,17 @@ TEST(PaperClaimsTest, SmbQueryCostIndependentOfMemory) {
       estimator->Add(item);
     }
     constexpr int kQueries = 20000;
-    WallTimer timer;
-    double sink = 0;
-    for (int q = 0; q < kQueries; ++q) sink += estimator->Estimate();
-    DoNotOptimize(sink);
-    return timer.ElapsedSeconds() / kQueries;
+    constexpr int kRepetitions = 5;
+    double best = 0;
+    for (int rep = 0; rep < kRepetitions; ++rep) {
+      WallTimer timer;
+      double sink = 0;
+      for (int q = 0; q < kQueries; ++q) sink += estimator->Estimate();
+      DoNotOptimize(sink);
+      const double per_query = timer.ElapsedSeconds() / kQueries;
+      best = rep == 0 ? per_query : std::min(best, per_query);
+    }
+    return best;
   };
   const double smb_small = measure(EstimatorKind::kSmb, 1000);
   const double smb_large = measure(EstimatorKind::kSmb, 64000);

@@ -186,6 +186,52 @@ TEST_F(DeltaSpoolTest, UnlimitedBudgetNeverRefuses) {
   EXPECT_EQ(spool.PendingCount(), 32u);
 }
 
+TEST_F(DeltaSpoolTest, RecoverSweepsStaleTempFiles) {
+  // Staged files of a crashed append and a crashed marker write.
+  fs::create_directories(dir_);
+  const fs::path staged_delta = dir_ / "delta-0000000000000007.smbspool.tmp";
+  const fs::path staged_marker = dir_ / "acked.smbspoolmark.tmp";
+  std::ofstream(staged_delta) << "crash leftover";
+  std::ofstream(staged_marker) << "crash leftover";
+  DeltaSpool spool(SpoolOptions());
+  EXPECT_FALSE(fs::exists(staged_delta));
+  EXPECT_FALSE(fs::exists(staged_marker));
+  EXPECT_EQ(spool.PendingCount(), 0u);
+  EXPECT_EQ(spool.NextSeqFloor(), 1u);
+}
+
+TEST_F(DeltaSpoolTest, TrimKeepsEverythingWhenTheMarkerCannotBeWritten) {
+  std::string error;
+  {
+    DeltaSpool spool(SpoolOptions());
+    for (uint64_t seq = 1; seq <= 3; ++seq) {
+      ASSERT_EQ(spool.Append(seq, Payload(seq, 64), &error),
+                DeltaSpool::AppendStatus::kOk);
+    }
+    // A directory where the marker goes: its rename cannot land.
+    fs::create_directories(dir_ / "acked.smbspoolmark");
+    const size_t bytes = spool.PendingBytes();
+    spool.TrimThrough(3);
+    EXPECT_EQ(spool.PendingSeqs(), (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_EQ(spool.PendingBytes(), bytes);
+    EXPECT_EQ(spool.TrimmedHighWater(), 0u);
+    EXPECT_EQ(spool.ReclaimedBytes(), 0u);
+  }
+  // A restart must not resume at or below the acked sequence.
+  {
+    DeltaSpool reborn(SpoolOptions());
+    EXPECT_EQ(reborn.PendingSeqs(), (std::vector<uint64_t>{1, 2, 3}));
+    EXPECT_GT(reborn.NextSeqFloor(), 3u);
+  }
+  // Once the marker can be written, the same ack trims.
+  fs::remove(dir_ / "acked.smbspoolmark");
+  DeltaSpool reborn(SpoolOptions());
+  reborn.TrimThrough(3);
+  EXPECT_EQ(reborn.PendingCount(), 0u);
+  EXPECT_EQ(reborn.TrimmedHighWater(), 3u);
+  EXPECT_EQ(DeltaSpool(SpoolOptions()).NextSeqFloor(), 4u);
+}
+
 // --------------------------------------------------------------------------
 // Spool reclaim accounting.
 

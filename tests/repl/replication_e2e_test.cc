@@ -557,5 +557,63 @@ TEST_F(ReplicationE2eTest, RecoveryStartsCleanOnGeometryMismatch) {
   EXPECT_GT(sink.MergedQuery(0), 0.0);
 }
 
+// A restarted parent rebuilds its replicas under its own tuning, the way
+// ChildFor builds them in a live run: a checkpoint written without a
+// budget must come back budgeted, CLOCK-evicting and with the cold tier,
+// and the evicted flows must still answer exactly.
+TEST_F(ReplicationE2eTest, RecoveryKeepsTheConfiguredTuning) {
+  ReplicationSink::Options options = SinkOptions(/*durable=*/true);
+  std::vector<ArenaSmbEngine> sources;
+  std::vector<uint8_t> payload = {'S', 'M', 'B', 'R', 'P', 'A', 'R', '1'};
+  AppendU64(&payload, 2);  // num_children
+  Xoshiro256 rng(31);
+  for (uint64_t child_id = 1; child_id <= 2; ++child_id) {
+    ArenaSmbEngine& source = sources.emplace_back(SmallConfig());
+    for (uint64_t flow = 0; flow < 300; ++flow) {
+      const uint64_t key = child_id * 1000 + flow;
+      for (uint64_t e = 0; e < 1 + flow % 40; ++e) {
+        source.Record(key, rng.Next());
+      }
+    }
+    const std::vector<uint8_t> snapshot = source.SerializeSmbz1();
+    AppendU64(&payload, child_id);
+    AppendU64(&payload, 5);  // high_water
+    AppendU64(&payload, snapshot.size());
+    payload.insert(payload.end(), snapshot.begin(), snapshot.end());
+  }
+  {
+    io::CheckpointStore::Options store_options;
+    store_options.directory = options.checkpoint_dir;
+    store_options.sync = false;
+    io::CheckpointStore store(store_options);
+    ASSERT_TRUE(store.Write(payload).ok);
+  }
+  const size_t budget = sources[0].LiveBytes() / 4;
+  options.engine_config.tuning.memory_budget_bytes = budget;
+  options.engine_config.tuning.eviction = ArenaEviction::kClock;
+  options.engine_config.tuning.cold_tier = true;
+
+  ReplicationSink sink(options);
+  ASSERT_EQ(sink.NumChildren(), 2u);
+  for (uint64_t child_id = 1; child_id <= 2; ++child_id) {
+    const ArenaSmbEngine* replica = sink.Replica(child_id);
+    ASSERT_NE(replica, nullptr);
+    const ArenaTuning& tuning = replica->config().tuning;
+    EXPECT_EQ(tuning.memory_budget_bytes, budget);
+    EXPECT_EQ(tuning.eviction, ArenaEviction::kClock);
+    EXPECT_TRUE(tuning.cold_tier);
+    EXPECT_LE(replica->LiveBytes(), budget) << "child " << child_id;
+    for (uint64_t flow = 0; flow < 300; ++flow) {
+      const uint64_t key = child_id * 1000 + flow;
+      EXPECT_EQ(std::bit_cast<uint64_t>(sink.MergedQuery(key)),
+                std::bit_cast<uint64_t>(sources[child_id - 1].Query(key)))
+          << "flow " << key;
+    }
+  }
+  for (const auto& info : sink.Children(now_ms_)) {
+    EXPECT_EQ(info.acked_seq, 5u);
+  }
+}
+
 }  // namespace
 }  // namespace smb::repl

@@ -26,29 +26,19 @@
 namespace smb::cli {
 namespace {
 
-// Where a --metrics-out snapshot is staged before it is renamed over the
-// target: same directory, so the rename is atomic.
-std::string MetricsStagingPath(const std::string& path) {
-  return path + ".tmp";
-}
-
 // Serializes the global registry into `path` as Prometheus text, whatever
-// the extension. The snapshot is staged and renamed into place, so a
-// reader (smbtop) sees either the previous snapshot or the new one, never
-// a prefix. Returns false when the file cannot be (fully) written.
+// the extension. The snapshot is staged and renamed into place
+// (io::ReplaceFile, failpoint metrics.rename.error), so a reader (smbtop)
+// sees either the previous snapshot or the new one, never a prefix.
+// Returns false when the file cannot be (fully) written.
 bool WriteMetricsSnapshot(const std::string& path) {
   const std::string text = telemetry::ToPrometheusText(
       telemetry::MetricsRegistry::Global().Snapshot());
-  const std::string staging = MetricsStagingPath(path);
   std::string error;
-  if (!io::WriteFileBytes(staging,
-                          reinterpret_cast<const uint8_t*>(text.data()),
-                          text.size(), &error) ||
-      std::rename(staging.c_str(), path.c_str()) != 0) {
-    std::remove(staging.c_str());
-    return false;
-  }
-  return true;
+  return io::ReplaceFile(
+      path,
+      std::span(reinterpret_cast<const uint8_t*>(text.data()), text.size()),
+      /*sync=*/false, "metrics", &error);
 }
 
 // Rewrites --metrics-out every interval while a runner runs. Final
@@ -114,7 +104,7 @@ bool ProbeOutputs(const CliOptions& options) {
   if (!options.metrics_out.empty()) {
     std::error_code ec;
     const fs::file_status target = fs::status(options.metrics_out, ec);
-    const std::string staging = MetricsStagingPath(options.metrics_out);
+    const std::string staging = io::StagingPath(options.metrics_out);
     const bool writable =
         (!fs::exists(target) || fs::is_regular_file(target)) &&
         static_cast<bool>(std::ofstream(staging));

@@ -2,8 +2,6 @@
 // checkpointed), snapshot (one SMB saved to or loaded from a file) and
 // all (every algorithm side by side).
 
-#include <fstream>
-
 #include "common/table_printer.h"
 #include "core/self_morphing_bitmap.h"
 #include "io/file_util.h"
@@ -72,14 +70,12 @@ int RunSnapshot(const CliOptions& options) {
   }
   std::optional<SelfMorphingBitmap> estimator;
   if (!options.load_path.empty()) {
-    std::ifstream file(options.load_path, std::ios::binary);
-    if (!file) {
+    std::vector<uint8_t> bytes;
+    std::string error;
+    if (!io::ReadWholeFile(options.load_path, &bytes, &error)) {
       std::fprintf(stderr, "cannot open %s\n", options.load_path.c_str());
       return 1;
     }
-    const std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(file)),
-        std::istreambuf_iterator<char>());
     estimator = SelfMorphingBitmap::Deserialize(bytes);
     if (!estimator.has_value()) {
       std::fprintf(stderr, "%s is not a valid SMB snapshot\n",

@@ -34,6 +34,7 @@
 // {error,partial,corrupt} and checkpoint.read.error in io/checkpoint_store;
 // <prefix>.fsync.error and <prefix>.rename.error in io::ReplaceFile, for
 // the prefixes checkpoint, spool and metrics (metrics is never fsynced);
+// spool.read.error in repl/delta_spool;
 // repl.send.{short,corrupt,dup,reorder}, repl.frame.delay and
 // repl.conn.reset in repl/child_replicator; repl.ack.drop in
 // repl/replication_sink.

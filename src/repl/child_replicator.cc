@@ -37,6 +37,7 @@ ChildReplicator::ChildReplicator(const ArenaSmbEngine* engine,
   // A restarted child must never reuse a sequence number the parent may
   // already hold: resume past everything the spool has seen.
   next_seq_ = spool_.NextSeqFloor();
+  own_floor_ = next_seq_;
   // Process-lifetime accounting starts from what the spool recovered, so
   // the identity holds from the first Tick after a restart too.
   stats_.deltas_cut = spool_.PendingCount();
@@ -170,16 +171,10 @@ void ChildReplicator::QueueFrame(const Frame& frame) {
   outbox_.insert(outbox_.end(), bytes.begin(), bytes.end());
 }
 
-void ChildReplicator::QueueDeltaFrame(uint64_t seq, uint64_t now_ms) {
+bool ChildReplicator::QueueDeltaFrame(uint64_t seq, uint64_t now_ms) {
   std::vector<uint8_t> payload;
   std::string error;
-  if (!spool_.Read(seq, &payload, &error)) {
-    // Spool rot under the streamer's feet: nothing to send for this seq;
-    // the parent's reorder window will stall and force a reconnect, and
-    // the accounting keeps the loss visible via the spool recovery drop
-    // counter. Extremely cold path (requires on-disk corruption mid-run).
-    return;
-  }
+  if (!spool_.Read(seq, &payload, &error)) return false;
   Frame frame;
   frame.type = FrameType::kDelta;
   frame.child_id = options_.child_id;
@@ -233,6 +228,7 @@ void ChildReplicator::QueueDeltaFrame(uint64_t seq, uint64_t now_ms) {
     const uint64_t hold = delay.arg == 0 ? 1 : delay.arg;
     delay_until_ms_ = now_ms + hold;
   }
+  return true;
 }
 
 void ChildReplicator::RebuildSendQueue() {
@@ -240,6 +236,23 @@ void ChildReplicator::RebuildSendQueue() {
   for (const uint64_t seq : spool_.PendingSeqs()) {
     send_queue_.push_back(seq);
   }
+}
+
+bool ChildReplicator::SettleOwnDeltas(uint64_t mark) {
+  if (own_floor_ == 0) return true;
+  // The spool recovered a floor at or below the parent's mark (its trim
+  // marker was lost), so this process's first deltas reuse numbers the
+  // parent already applied: move them, in order, to just past the mark.
+  const std::vector<uint64_t> pending = spool_.PendingSeqs();
+  const auto own = std::lower_bound(pending.begin(), pending.end(),
+                                    own_floor_);
+  if (own != pending.end() && *own <= mark) {
+    next_seq_ = mark + 1 + static_cast<uint64_t>(pending.end() - own);
+    std::string error;
+    if (!spool_.Renumber(own_floor_, mark + 1, &error)) return false;
+  }
+  own_floor_ = 0;
+  return true;
 }
 
 void ChildReplicator::HandleAck(uint64_t high_water) {
@@ -285,6 +298,10 @@ void ChildReplicator::HandleIncoming(uint64_t now_ms) {
     switch (frame.type) {
       case FrameType::kHelloAck:
         if (state_ == State::kAwaitHelloAck) {
+          if (!SettleOwnDeltas(frame.seq)) {
+            EnterBackoff(now_ms);
+            return;
+          }
           HandleAck(frame.seq);
           // The parent may know a higher floor than the spool does
           // (e.g. the spool directory was lost): never step back into
@@ -327,7 +344,13 @@ void ChildReplicator::PumpSend(uint64_t now_ms) {
     }
     const uint64_t seq = send_queue_.front();
     send_queue_.pop_front();
-    QueueDeltaFrame(seq, now_ms);
+    if (!QueueDeltaFrame(seq, now_ms)) {
+      // The spooled delta could not be read back. Sending the next one
+      // would open a gap the parent refuses, so reconnect: the hello-ack
+      // retransmits in order from the acked mark.
+      EnterBackoff(now_ms);
+      return;
+    }
   }
   if (outbox_.empty() && state_ == State::kStreaming &&
       now_ms - last_send_ms_ >= options_.heartbeat_interval_ms) {

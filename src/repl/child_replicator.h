@@ -18,7 +18,11 @@
 //
 // kStreaming retransmits every spooled delta above the parent's acked
 // high-water in order, heartbeats when idle, and trims the spool as
-// cumulative acks arrive. Deadlines bound connect, hello-ack and send
+// cumulative acks arrive. The parent applies strictly in order, so a
+// delta the spool cannot read back drops the session rather than being
+// skipped, and the first hello-ack renumbers deltas this process cut
+// under numbers the parent already holds (a lost trim marker) to just
+// past its mark. Deadlines bound connect, hello-ack and send
 // progress; every failure lands in kBackoff with jittered exponential
 // delay. Time is injected by the caller, so tests drive the whole
 // machine deterministically with a fake clock.
@@ -40,7 +44,9 @@
 //                     connection is closed (a torn frame on the wire)
 //   repl.send.corrupt frame bit `arg` flipped before sending
 //   repl.send.dup     frame transmitted twice
-//   repl.send.reorder adjacent spooled deltas swapped before sending
+//   repl.send.reorder adjacent spooled deltas swapped before sending (the
+//                     parent refuses the early one and the session
+//                     recycles)
 //   repl.frame.delay  sending paused for `arg` milliseconds
 
 #ifndef SMBCARD_REPL_CHILD_REPLICATOR_H_
@@ -173,8 +179,12 @@ class ChildReplicator {
   void HandleIncoming(uint64_t now_ms);
   void HandleAck(uint64_t high_water);
   void PumpSend(uint64_t now_ms);
+  // At the first hello-ack: renumbers this process's deltas past the
+  // parent's `mark` when they collide with it; false on a spool failure.
+  bool SettleOwnDeltas(uint64_t mark);
   void QueueFrame(const Frame& frame);
-  void QueueDeltaFrame(uint64_t seq, uint64_t now_ms);
+  // Frames spooled delta `seq`; false when the spool cannot read it.
+  bool QueueDeltaFrame(uint64_t seq, uint64_t now_ms);
   void RebuildSendQueue();
 
   const ArenaSmbEngine* engine_;
@@ -182,6 +192,9 @@ class ChildReplicator {
   DeltaSpool spool_;
   std::unordered_set<uint64_t> dirty_;
   uint64_t next_seq_ = 1;
+  // The first sequence number this process cut; 0 once a hello-ack has
+  // settled its deltas against the parent's mark.
+  uint64_t own_floor_ = 0;
 
   State state_ = State::kBackoff;
   UdsFd conn_;

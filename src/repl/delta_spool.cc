@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/macros.h"
+#include "fault/failpoints.h"
 #include "io/file_util.h"
 #include "io/frame_codec.h"
 
@@ -89,14 +90,19 @@ DeltaSpool::AppendStatus DeltaSpool::Append(uint64_t seq,
       pending_bytes_ + image.size() > options_.budget_bytes) {
     return AppendStatus::kBudget;
   }
+  return Store(seq, image, error) ? AppendStatus::kOk : AppendStatus::kError;
+}
+
+bool DeltaSpool::Store(uint64_t seq, std::span<const uint8_t> image,
+                       std::string* error) {
   if (!io::ReplaceFile(DeltaPath(seq), image, options_.sync, "spool",
                        error)) {
-    return AppendStatus::kError;
+    return false;
   }
   const bool inserted = index_.emplace(seq, image.size()).second;
   SMB_CHECK_MSG(inserted, "DeltaSpool seq reuse");
   pending_bytes_ += image.size();
-  return AppendStatus::kOk;
+  return true;
 }
 
 bool DeltaSpool::Read(uint64_t seq, std::vector<uint8_t>* payload,
@@ -106,8 +112,41 @@ bool DeltaSpool::Read(uint64_t seq, std::vector<uint8_t>* payload,
     *error = "seq not spooled";
     return false;
   }
+  if (SMB_FAILPOINT("spool.read.error").fired) {
+    *error = "injected read error";
+    return false;
+  }
   return io::ReadFramedFile(DeltaPath(seq), kSpoolMagic, seq, payload,
                             error);
+}
+
+bool DeltaSpool::Renumber(uint64_t first, uint64_t target,
+                          std::string* error) {
+  std::vector<uint64_t> seqs;
+  for (auto it = index_.lower_bound(first); it != index_.end(); ++it) {
+    seqs.push_back(it->first);
+  }
+  // Newest first: every delta moves up or stays, so none lands on a
+  // number still in use.
+  for (size_t i = seqs.size(); i-- > 0;) {
+    const uint64_t from = seqs[i];
+    const uint64_t to = target + i;
+    if (from == to) continue;
+    SMB_CHECK_MSG(from < to, "DeltaSpool::Renumber moves deltas up only");
+    std::vector<uint8_t> payload;
+    if (!Read(from, &payload, error) ||
+        !Store(to,
+               io::BuildFramedImage(kSpoolMagic, to, payload,
+                                    kSpoolChunkBytes),
+               error)) {
+      return false;
+    }
+    std::error_code ec;
+    fs::remove(DeltaPath(from), ec);
+    pending_bytes_ -= index_[from];
+    index_.erase(from);
+  }
+  return true;
 }
 
 void DeltaSpool::TrimThrough(uint64_t high_water) {

@@ -18,7 +18,9 @@
 // persists the newest trimmed (acked) sequence. After a child restart
 // the next sequence resumes past both the marker and any spooled file,
 // so a reused sequence number can never collide with one the parent
-// already applied.
+// already applied. A marker that fails its CRC is dropped; the child
+// then renumbers its new deltas past the parent's mark (Renumber) at
+// its first hello-ack.
 //
 // Files are written through io::ReplaceFile (failpoint prefix "spool"):
 // a failed delta write consumes no sequence number, a failed marker
@@ -74,8 +76,16 @@ class DeltaSpool {
                       std::string* error);
 
   // Reads one spooled delta back; false when missing or corrupt.
+  // Failpoint: spool.read.error.
   bool Read(uint64_t seq, std::vector<uint8_t>* payload,
             std::string* error) const;
+
+  // Moves every pending delta with seq >= first, in order, to the
+  // consecutive sequence numbers target, target + 1, ...; no delta may
+  // move down (checked). Each file is written under its new number
+  // before the old one goes, so a failure (false, error filled) loses
+  // nothing, and calling again finishes the move.
+  bool Renumber(uint64_t first, uint64_t target, std::string* error);
 
   // Persists the marker, then deletes every spooled delta with
   // seq <= high_water. When the marker cannot be written nothing is
@@ -106,6 +116,9 @@ class DeltaSpool {
  private:
   std::string DeltaPath(uint64_t seq) const;
   std::string MarkerPath() const;
+  // Writes a framed delta image under `seq` and indexes it.
+  bool Store(uint64_t seq, std::span<const uint8_t> image,
+             std::string* error);
 
   Options options_;
   // seq -> framed file size (budget accounting).

@@ -56,10 +56,7 @@ ReplicationSink::ChildState ReplicationSink::MakeChild(
     ArenaSmbEngine replica, uint64_t high_water) const {
   ChildState state;
   state.replica = std::make_unique<ArenaSmbEngine>(std::move(replica));
-  DeltaSequencer::Options seq_options;
-  seq_options.reorder_window = options_.reorder_window;
-  seq_options.initial_high_water = high_water;
-  state.sequencer = std::make_unique<DeltaSequencer>(seq_options);
+  state.applied_high_water = high_water;
   state.persisted_high_water = high_water;
   return state;
 }
@@ -124,9 +121,13 @@ bool ReplicationSink::MaybeCheckpoint() {
     ++stats_.checkpoint_failures;
     return false;  // persisted marks unchanged — acks stay held back
   }
-  for (auto& [id, child] : children_) {
-    (void)id;
-    child.persisted_high_water = child.sequencer->high_water();
+  for (auto& [child_id, child] : children_) {
+    if (child.applied_high_water == child.persisted_high_water) continue;
+    child.persisted_high_water = child.applied_high_water;
+    if (child.conn_index >= 0) {
+      SendAck(static_cast<size_t>(child.conn_index), child_id,
+              child.persisted_high_water, FrameType::kAck);
+    }
   }
   dirty_since_checkpoint_ = false;
   return true;
@@ -143,7 +144,7 @@ bool ReplicationSink::WriteCheckpoint() {
     snapshot_raw_bytes += codec::Flw1EquivalentBytes(snapshot);
     snapshot_stored_bytes += snapshot.size();
     AppendU64(&payload, child_id);
-    AppendU64(&payload, child.sequencer->high_water());
+    AppendU64(&payload, child.applied_high_water);
     AppendU64(&payload, snapshot.size());
     payload.insert(payload.end(), snapshot.begin(), snapshot.end());
   }
@@ -162,39 +163,6 @@ bool ReplicationSink::WriteCheckpoint() {
                                    snapshot_stored_bytes));
   }
   return true;
-}
-
-void ReplicationSink::ApplyReady(ChildState& child) {
-  uint64_t seq = 0;
-  const std::vector<uint8_t>* payload = nullptr;
-  while (child.sequencer->NextReady(&seq, &payload)) {
-    // Deltas travel SMBZ1 only, and the replica applies one whole or not
-    // at all (CRC, geometry, every record's reachability and key
-    // uniqueness are checked first). Replacement semantics — each dirty
-    // flow's FULL state — make a re-applied delta a no-op.
-    if (child.replica->ApplySmbz1(*payload)) {
-      child.sequencer->Commit();
-      ++child.deltas_applied;
-      ++stats_.deltas_applied;
-      dirty_since_checkpoint_ = true;
-      telemetry::MetricsRegistry::Global()
-          .GetCounter("repl_parent_deltas_applied_total")
-          ->Add();
-    } else {
-      // Corrupt past the wire CRCs (or geometry drift): refuse without
-      // advancing; the child retransmits after its connection recycles.
-      child.sequencer->Reject();
-      ++child.rejected;
-      ++stats_.rejected_payloads;
-      telemetry::MetricsRegistry::Global()
-          .GetCounter("repl_parent_rejected_payloads_total")
-          ->Add();
-      if (child.conn_index >= 0) {
-        DropConn(static_cast<size_t>(child.conn_index));
-      }
-      return;
-    }
-  }
 }
 
 void ReplicationSink::SendAck(size_t conn_index, uint64_t child_id,
@@ -280,25 +248,42 @@ void ReplicationSink::HandleFrame(size_t conn_index, Frame frame,
   child.last_seen_ms = now_ms;
   switch (frame.type) {
     case FrameType::kDelta: {
-      const DeltaSequencer::Offer offer =
-          child.sequencer->OfferDelta(frame.seq, std::move(frame.payload));
-      if (offer == DeltaSequencer::Offer::kDuplicate) {
+      auto& registry = telemetry::MetricsRegistry::Global();
+      if (frame.seq <= child.applied_high_water) {
         // At-least-once delivery: drop and re-ack so the sender trims.
-        telemetry::MetricsRegistry::Global()
-            .GetCounter("repl_parent_dup_dropped_total")
-            ->Add();
+        registry.GetCounter("repl_parent_dup_dropped_total")->Add();
+        ++child.dup_dropped;
         ++stats_.dup_dropped;
         SendAck(conn_index, frame.child_id, child.persisted_high_water,
                 FrameType::kAck);
         return;
       }
-      if (offer == DeltaSequencer::Offer::kOverflow) {
-        // Too far out of order to buffer: recycle the connection and let
-        // retransmission re-deliver in order.
+      if (frame.seq != child.applied_high_water + 1) {
+        // Past a gap: each delta replaces whole flow states, so it cannot
+        // apply before the one it follows. Apply nothing and recycle the
+        // connection; the child retransmits in order from the ack.
+        registry.GetCounter("repl_parent_out_of_order_total")->Add();
+        ++stats_.out_of_order;
         DropConn(conn_index);
         return;
       }
-      ApplyReady(child);
+      // Deltas travel SMBZ1 only, and the replica applies one whole or not
+      // at all (CRC, geometry, every record's reachability and key
+      // uniqueness are checked first).
+      if (!child.replica->ApplySmbz1(frame.payload)) {
+        // Corrupt past the wire CRCs (or geometry drift): refuse without
+        // advancing; the child retransmits after the connection recycles.
+        registry.GetCounter("repl_parent_rejected_payloads_total")->Add();
+        ++child.rejected;
+        ++stats_.rejected_payloads;
+        DropConn(conn_index);
+        return;
+      }
+      registry.GetCounter("repl_parent_deltas_applied_total")->Add();
+      child.applied_high_water = frame.seq;
+      ++child.deltas_applied;
+      ++stats_.deltas_applied;
+      dirty_since_checkpoint_ = true;
       return;
     }
     case FrameType::kHeartbeat:
@@ -378,22 +363,7 @@ size_t ReplicationSink::PollOnce(uint64_t now_ms, int timeout_ms) {
   }
   // Persist whatever advanced, then ack it. A failed checkpoint simply
   // holds acks back — children keep their spools and retry later.
-  const std::map<uint64_t, uint64_t> before = [&] {
-    std::map<uint64_t, uint64_t> marks;
-    for (const auto& [id, child] : children_) {
-      marks[id] = child.persisted_high_water;
-    }
-    return marks;
-  }();
   MaybeCheckpoint();
-  for (auto& [child_id, child] : children_) {
-    const auto it = before.find(child_id);
-    const uint64_t old_mark = it == before.end() ? 0 : it->second;
-    if (child.persisted_high_water > old_mark && child.conn_index >= 0) {
-      SendAck(static_cast<size_t>(child.conn_index), child_id,
-              child.persisted_high_water, FrameType::kAck);
-    }
-  }
   for (size_t i = 0; i < conns_.size(); ++i) FlushConn(i);
   // Compact closed connections (and re-point the child bindings).
   std::vector<Conn> live;
@@ -457,10 +427,9 @@ std::vector<ReplicationSink::ChildInfo> ReplicationSink::Children(
     info.alive = child.last_seen_ms != 0 &&
                  now_ms - child.last_seen_ms <= options_.child_timeout_ms;
     info.acked_seq = child.persisted_high_water;
-    info.applied_seq = child.sequencer->high_water();
+    info.applied_seq = child.applied_high_water;
     info.deltas_applied = child.deltas_applied;
-    info.dup_dropped = child.sequencer->duplicates();
-    info.reordered = child.sequencer->reordered();
+    info.dup_dropped = child.dup_dropped;
     info.rejected = child.rejected;
     info.last_seen_ms = child.last_seen_ms;
     info.replica_flows = child.replica->NumFlows();

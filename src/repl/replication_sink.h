@@ -17,9 +17,10 @@
 //     sink's geometry, before any replica row is touched
 //     (ArenaSmbEngine::ApplySmbz1) — a torn/corrupt/implausible delivery
 //     recycles the connection without poisoning merged state;
-//   * per-child strict in-order apply over a DeltaSequencer: duplicates
-//     are dropped and re-acked, small reorderings are buffered, large
-//     ones recycle the connection (retransmit re-delivers in order);
+//   * per-child strict in-order apply over one applied high-water: a
+//     delta at or below it is a duplicate (dropped and re-acked), the
+//     next one applies, and one past a gap applies nothing and recycles
+//     the connection (the child retransmits in order from the ack);
 //   * acks advance only to the CHECKPOINTED high-water: replica state
 //     and per-child high-waters persist through a CheckpointStore, so a
 //     parent kill + restart loses nothing it ever acked — children
@@ -44,7 +45,6 @@
 
 #include "flow/arena_smb_engine.h"
 #include "io/checkpoint_store.h"
-#include "repl/delta_sequencer.h"
 #include "repl/uds_socket.h"
 #include "repl/wire_format.h"
 
@@ -61,8 +61,6 @@ class ReplicationSink {
     // and a parent restart starts empty — test/bench use only).
     std::string checkpoint_dir;
     bool checkpoint_sync = false;
-    // Per-child reorder buffer (DeltaSequencer window).
-    size_t reorder_window = 64;
     // A child with no frame for this long is reported not-alive.
     uint64_t child_timeout_ms = 2000;
   };
@@ -75,7 +73,6 @@ class ReplicationSink {
     uint64_t applied_seq = 0;    // in-memory high-water
     uint64_t deltas_applied = 0;
     uint64_t dup_dropped = 0;
-    uint64_t reordered = 0;
     uint64_t rejected = 0;       // corrupt/implausible deliveries
     uint64_t last_seen_ms = 0;
     size_t replica_flows = 0;
@@ -85,6 +82,7 @@ class ReplicationSink {
     uint64_t frames_received = 0;
     uint64_t deltas_applied = 0;
     uint64_t dup_dropped = 0;
+    uint64_t out_of_order = 0;       // deltas past a gap, refused
     uint64_t rejected_frames = 0;    // decoder-poisoning deliveries
     uint64_t rejected_payloads = 0;  // framed fine, not a valid SMBZ1 delta
     uint64_t rejected_hellos = 0;    // geometry mismatch
@@ -139,10 +137,11 @@ class ReplicationSink {
  private:
   struct ChildState {
     std::unique_ptr<ArenaSmbEngine> replica;
-    std::unique_ptr<DeltaSequencer> sequencer;
-    uint64_t persisted_high_water = 0;
+    uint64_t applied_high_water = 0;    // newest delta applied in memory
+    uint64_t persisted_high_water = 0;  // newest checkpointed: what we ack
     uint64_t last_seen_ms = 0;
     uint64_t deltas_applied = 0;
+    uint64_t dup_dropped = 0;
     uint64_t rejected = 0;
     int conn_index = -1;  // index into conns_, -1 when disconnected
   };
@@ -156,19 +155,18 @@ class ReplicationSink {
     bool closing = false;
   };
 
-  // A child's replica plus a sequencer (and persisted mark) at
+  // A child's replica with its applied and persisted marks at
   // `high_water`; the one place a ChildState is built.
   ChildState MakeChild(ArenaSmbEngine replica, uint64_t high_water) const;
   ChildState& ChildFor(uint64_t child_id);
   void HandleFrame(size_t conn_index, Frame frame, uint64_t now_ms);
-  void ApplyReady(ChildState& child);
   void SendAck(size_t conn_index, uint64_t child_id, uint64_t high_water,
                FrameType type);
   void DropConn(size_t conn_index);
   void FlushConn(size_t conn_index);
   // Persists every replica + high-water (WriteCheckpoint, when a
-  // checkpoint_dir is set); on success advances the persisted (ackable)
-  // marks.
+  // checkpoint_dir is set); on success advances the persisted marks and
+  // acks each one that moved to its connected child.
   bool MaybeCheckpoint();
   bool WriteCheckpoint();
   void RecoverFromCheckpoint();

@@ -1,6 +1,6 @@
 // DeltaSpool: append/read round trips, budget refusal without sequence
 // consumption, monotonic trim + marker persistence, restart recovery,
-// corrupt-file quarantine, and reclaimed-bytes accounting.
+// corrupt-file quarantine, renumbering, and reclaimed-bytes accounting.
 
 #include "repl/delta_spool.h"
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "fault/failpoints.h"
 
 namespace smb::repl {
 namespace {
@@ -230,6 +231,38 @@ TEST_F(DeltaSpoolTest, TrimKeepsEverythingWhenTheMarkerCannotBeWritten) {
   EXPECT_EQ(reborn.PendingCount(), 0u);
   EXPECT_EQ(reborn.TrimmedHighWater(), 3u);
   EXPECT_EQ(DeltaSpool(SpoolOptions()).NextSeqFloor(), 4u);
+}
+
+TEST_F(DeltaSpoolTest, RenumberThatFailsMidwayFinishesOnRetry) {
+  DeltaSpool spool(SpoolOptions());
+  std::string error;
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    ASSERT_EQ(spool.Append(seq, Payload(seq, 64 * seq), &error),
+              DeltaSpool::AppendStatus::kOk);
+  }
+  const size_t bytes = spool.PendingBytes();
+  // The second move (2 -> 6) cannot read its delta: 3 already sits at 7.
+  fault::FailpointSpec spec;
+  spec.action = fault::FailpointAction::kReturnError;
+  spec.skip = 1;
+  spec.limit = 1;
+  fault::FailpointRegistry::Global().Set("spool.read.error", spec);
+  EXPECT_FALSE(spool.Renumber(1, 5, &error));
+  fault::FailpointRegistry::Global().ClearAll();
+  EXPECT_EQ(spool.PendingSeqs(), (std::vector<uint64_t>{1, 2, 7}));
+
+  ASSERT_TRUE(spool.Renumber(1, 5, &error)) << error;
+  EXPECT_EQ(spool.PendingSeqs(), (std::vector<uint64_t>{5, 6, 7}));
+  EXPECT_EQ(spool.PendingBytes(), bytes);
+  std::vector<uint8_t> payload;
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    ASSERT_TRUE(spool.Read(seq + 4, &payload, &error)) << error;
+    EXPECT_EQ(payload, Payload(seq, 64 * seq));
+  }
+  // The files on disk carry the new numbers too.
+  DeltaSpool reborn(SpoolOptions());
+  EXPECT_EQ(reborn.PendingSeqs(), (std::vector<uint64_t>{5, 6, 7}));
+  EXPECT_EQ(reborn.corrupt_dropped(), 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -103,7 +103,7 @@ struct CycleTallies {
   uint64_t rejected_frames = 0;
   uint64_t rejected_payloads = 0;
   uint64_t dup_dropped = 0;
-  uint64_t reordered = 0;
+  uint64_t out_of_order = 0;
   uint64_t acks_dropped = 0;
   uint64_t conns_dropped = 0;
   uint64_t child_retransmits = 0;
@@ -111,17 +111,14 @@ struct CycleTallies {
   uint64_t parent_restarts = 0;
 };
 
-void Accumulate(const ReplicationSink& sink, uint64_t now_ms,
-                CycleTallies* tallies) {
+void Accumulate(const ReplicationSink& sink, CycleTallies* tallies) {
   const auto& stats = sink.stats();
   tallies->rejected_frames += stats.rejected_frames;
   tallies->rejected_payloads += stats.rejected_payloads;
   tallies->dup_dropped += stats.dup_dropped;
+  tallies->out_of_order += stats.out_of_order;
   tallies->acks_dropped += stats.acks_dropped;
   tallies->conns_dropped += stats.conns_dropped;
-  for (const auto& info : sink.Children(now_ms)) {
-    tallies->reordered += info.reordered;
-  }
 }
 
 // One full chaos cycle; asserts convergence + accounting at the end and
@@ -139,7 +136,6 @@ void RunChaosCycle(uint64_t cycle, CycleTallies* tallies) {
   sink_options.engine_config = SmallConfig();
   sink_options.checkpoint_dir = (dir / "ckpt").string();
   sink_options.checkpoint_sync = false;
-  sink_options.reorder_window = 16;
 
   ArmChaosFailpoints(cycle);
 
@@ -197,7 +193,7 @@ void RunChaosCycle(uint64_t cycle, CycleTallies* tallies) {
       // Parent dies mid-stream (no goodbye) and restarts from its
       // checkpoint directory. Everything it ever acked must survive;
       // children reconnect and retransmit the rest from their spools.
-      Accumulate(*sink, now_ms, tallies);
+      Accumulate(*sink, tallies);
       sink.reset();
       for (int i = 0; i < 6; ++i) step();  // children notice + back off
       sink = std::make_unique<ReplicationSink>(sink_options);
@@ -239,7 +235,7 @@ void RunChaosCycle(uint64_t cycle, CycleTallies* tallies) {
     tallies->child_retransmits += stats.retransmits;
     tallies->child_conn_resets += stats.conn_resets;
   }
-  Accumulate(*sink, now_ms, tallies);
+  Accumulate(*sink, tallies);
 
   sink.reset();
   children.clear();
@@ -261,7 +257,8 @@ TEST(ReplicationChaosTest, HundredSeededCyclesConvergeBitIdentically) {
   EXPECT_GT(tallies.rejected_frames, 0u)
       << "no torn/corrupt frame ever reached the parent decoder";
   EXPECT_GT(tallies.dup_dropped, 0u) << "no duplicate delivery was dropped";
-  EXPECT_GT(tallies.reordered, 0u) << "no reordered delta was buffered";
+  EXPECT_GT(tallies.out_of_order, 0u)
+      << "no out-of-order delta was refused";
   EXPECT_GT(tallies.acks_dropped, 0u) << "no ack was ever dropped";
   EXPECT_GT(tallies.conns_dropped, 0u) << "no connection was ever recycled";
   EXPECT_GT(tallies.child_retransmits, 0u) << "no delta was retransmitted";

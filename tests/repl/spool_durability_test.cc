@@ -1,13 +1,16 @@
 // Spool durability failures seen through ChildReplicator: a failed spool
 // fsync fails the cut without consuming a sequence number or the dirty
-// set, and a trim marker that cannot be written trims nothing, so a
-// restarted child never reuses a sequence number the parent applied.
-// Both keep deltas_cut == delivered + spooled + shed.
+// set; a trim marker that cannot be written trims nothing, and one that
+// rotted is repaired at the first hello-ack, so a restarted child never
+// reuses a sequence number the parent applied; a spooled delta that
+// cannot be read back is resent in order, never skipped. All keep
+// deltas_cut == delivered + spooled + shed.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,6 +114,37 @@ class SpoolDurabilityTest : public ::testing::Test {
     });
   }
 
+  // Cuts three deltas, makes the spool fail to read back delta
+  // `unreadable_seq` once, and expects the child to drain anyway with the
+  // parent bit-identical to the child (the oracle merge of one child).
+  void ExpectUnreadableDeltaResent(uint64_t unreadable_seq) {
+    auto sink = MakeSink();
+    auto replicator = MakeReplicator(/*spool_sync=*/false);
+    std::string error;
+    for (uint64_t flow = 1; flow <= 3; ++flow) {
+      RecordBurst(*replicator, flow);
+      RecordBurst(*replicator, 9);  // one flow in every delta
+      ASSERT_EQ(replicator->CutDelta(&error),
+                ChildReplicator::CutStatus::kCut);
+    }
+    fault::FailpointSpec spec;
+    spec.action = fault::FailpointAction::kReturnError;
+    spec.skip = unreadable_seq - 1;  // spool reads go 1, 2, 3 in order
+    spec.limit = 1;
+    fault::FailpointRegistry::Global().Set("spool.read.error", spec);
+    Pump(*replicator, *sink, 400);
+    EXPECT_EQ(fault::FailpointRegistry::Global().FireCount("spool.read.error"),
+              1u);
+    ASSERT_TRUE(replicator->Drained());
+    EXPECT_EQ(replicator->acked_seq(), 3u);
+    EXPECT_EQ(replicator->stats().deltas_delivered, 3u);
+    ExpectIdentity(*replicator);
+    ArenaSmbEngine oracle(SmallConfig());
+    oracle.MergeFrom(engine_);
+    EXPECT_EQ(sink->MergedEngine().Serialize(), oracle.Serialize());
+    ExpectParentHoldsChildState(*sink);
+  }
+
   fs::path dir_;
   ArenaSmbEngine engine_{SmallConfig()};
   Xoshiro256 rng_{17};
@@ -184,6 +218,55 @@ TEST_F(SpoolDurabilityTest, MarkerFailureTrimsNothingAndRestartSkipsAcked) {
   Pump(*replicator, *sink, 200);
   ASSERT_TRUE(replicator->Drained());
   EXPECT_EQ(replicator->acked_seq(), 4u);
+  ExpectIdentity(*replicator);
+  ExpectParentHoldsChildState(*sink);
+}
+
+TEST_F(SpoolDurabilityTest, UnreadableMiddleDeltaIsResentInOrder) {
+  ExpectUnreadableDeltaResent(2);
+}
+
+TEST_F(SpoolDurabilityTest, UnreadableLastDeltaIsResentInOrder) {
+  ExpectUnreadableDeltaResent(3);
+}
+
+TEST_F(SpoolDurabilityTest, CorruptMarkerRestartRenumbersPastTheParentMark) {
+  auto sink = MakeSink();
+  auto replicator = MakeReplicator(/*spool_sync=*/false);
+  std::string error;
+  for (uint64_t flow = 1; flow <= 3; ++flow) {
+    RecordBurst(*replicator, flow);
+    ASSERT_EQ(replicator->CutDelta(&error), ChildReplicator::CutStatus::kCut);
+  }
+  Pump(*replicator, *sink, 200);
+  ASSERT_TRUE(replicator->Drained());
+  ASSERT_EQ(replicator->acked_seq(), 3u);
+
+  // Bit rot in the trim marker, with every acked delta trimmed: the
+  // restarted spool drops the marker and its floor falls back to 1.
+  replicator.reset();
+  const fs::path marker = fs::path(SpoolDir()) / "acked.smbspoolmark";
+  {
+    std::fstream file(marker, std::ios::in | std::ios::out |
+                                  std::ios::binary);
+    file.seekp(-1, std::ios::end);
+    file.put('\x5a');
+  }
+  replicator = MakeReplicator(/*spool_sync=*/false);
+  ASSERT_EQ(replicator->next_seq(), 1u);
+
+  // Two deltas cut before the hello-ack, both touching flow 1, so the
+  // parent ends right only if they keep their order.
+  RecordBurst(*replicator, 4);
+  RecordBurst(*replicator, 1);
+  ASSERT_EQ(replicator->CutDelta(&error), ChildReplicator::CutStatus::kCut);
+  RecordBurst(*replicator, 1);
+  ASSERT_EQ(replicator->CutDelta(&error), ChildReplicator::CutStatus::kCut);
+  Pump(*replicator, *sink, 200);
+  ASSERT_TRUE(replicator->Drained());
+  EXPECT_EQ(replicator->acked_seq(), 5u);
+  EXPECT_EQ(replicator->next_seq(), 6u);
+  EXPECT_EQ(replicator->stats().deltas_delivered, 2u);
   ExpectIdentity(*replicator);
   ExpectParentHoldsChildState(*sink);
 }

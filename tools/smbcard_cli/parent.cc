@@ -81,11 +81,12 @@ int RunParent(const CliOptions& options) {
   const auto& stats = sink.stats();
   std::fprintf(stderr,
                "%zu child(ren), %llu deltas applied, %llu duplicates "
-               "dropped, %llu frames + %llu payloads + %llu hellos "
-               "rejected, %llu checkpoints (%llu failed)%s\n",
+               "dropped, %llu out of order, %llu frames + %llu payloads + "
+               "%llu hellos rejected, %llu checkpoints (%llu failed)%s\n",
                sink.NumChildren(),
                static_cast<unsigned long long>(stats.deltas_applied),
                static_cast<unsigned long long>(stats.dup_dropped),
+               static_cast<unsigned long long>(stats.out_of_order),
                static_cast<unsigned long long>(stats.rejected_frames),
                static_cast<unsigned long long>(stats.rejected_payloads),
                static_cast<unsigned long long>(stats.rejected_hellos),

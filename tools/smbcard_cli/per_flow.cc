@@ -147,7 +147,13 @@ int RunPerFlow(const CliOptions& options) {
         // the refused cut while draining.
         status = cut_delta();
       }
-      if (replicator->Drained() && replicator->dirty_flows() == 0) break;
+      // A failed spool write keeps its dirty set, and nothing here cuts
+      // again: wait for the spooled deltas only (exit 1 follows).
+      if (replicator->Drained() &&
+          (replicator->dirty_flows() == 0 ||
+           status == repl::ChildReplicator::CutStatus::kError)) {
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     replicator->Shutdown();

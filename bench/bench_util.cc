@@ -109,6 +109,13 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_direct_encode_ratio = std::strtod(
           argv[i] + sizeof(kDirectEncodeRatioFlag) - 1, nullptr);
     }
+    constexpr const char kDirectDecodeRatioFlag[] =
+        "--assert-direct-decode-ratio=";
+    if (std::strncmp(argv[i], kDirectDecodeRatioFlag,
+                     sizeof(kDirectDecodeRatioFlag) - 1) == 0) {
+      scale.assert_direct_decode_ratio = std::strtod(
+          argv[i] + sizeof(kDirectDecodeRatioFlag) - 1, nullptr);
+    }
     constexpr const char kTraceOutFlag[] = "--trace-out=";
     if (std::strncmp(argv[i], kTraceOutFlag, sizeof(kTraceOutFlag) - 1) ==
         0) {

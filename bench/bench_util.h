@@ -54,6 +54,9 @@ struct BenchScale {
   // sparse fixture's engine and on a long-list engine, is below X on
   // either (0 disables).
   double assert_direct_encode_ratio = 0.0;
+  // --assert-direct-decode-ratio=X: the same for restoring,
+  // Deserialize(DecompressToFlw1Image()) over DeserializeSmbz1().
+  double assert_direct_decode_ratio = 0.0;
   // --trace-out=PATH captures the span tracer across the measured runs
   // and writes Chrome trace-event JSON to PATH.
   std::string trace_out;

@@ -25,6 +25,10 @@
 // (CompressFlw1Image(Serialize())): the smaller of the ratios on the
 // sparse fixture's engine (short lists, sorted into a copy) and on a
 // long-list engine (256-511 positions per flow, written in place).
+// --assert-direct-decode-ratio gates the reverse on the same two
+// engines: how much faster DeserializeSmbz1 restores an engine, list
+// records straight from their positions, than
+// Deserialize(DecompressToFlw1Image()).
 
 #include <algorithm>
 #include <cinttypes>
@@ -218,6 +222,40 @@ double DirectEncodeRatio(const ArenaSmbEngine& engine, double min_seconds,
   return ratios[ratios.size() / 2];
 }
 
+// The time of Deserialize(DecompressToFlw1Image()) over the time of
+// DeserializeSmbz1() on one engine's SMBZ1 snapshot: the same restored
+// engine (checked first), timed as above.
+double DirectDecodeRatio(const ArenaSmbEngine& engine, double min_seconds,
+                         bool* ok) {
+  const std::vector<uint8_t> smbz1 = engine.SerializeSmbz1();
+  const auto via_image = [&smbz1] {
+    return ArenaSmbEngine::Deserialize(*codec::DecompressToFlw1Image(smbz1));
+  };
+  const auto direct = ArenaSmbEngine::DeserializeSmbz1(smbz1);
+  const auto image = via_image();
+  if (!direct.has_value() || !image.has_value() ||
+      direct->Serialize() != image->Serialize()) {
+    std::fprintf(stderr,
+                 "FAIL: DeserializeSmbz1 differs from the image path\n");
+    *ok = false;
+    return 0.0;
+  }
+  std::vector<double> ratios;
+  double elapsed = 0.0;
+  while (ratios.size() < 5 || elapsed < min_seconds) {
+    WallTimer image_timer;
+    DoNotOptimize(via_image());
+    const double image_s = image_timer.ElapsedSeconds();
+    WallTimer direct_timer;
+    DoNotOptimize(ArenaSmbEngine::DeserializeSmbz1(smbz1));
+    const double direct_s = direct_timer.ElapsedSeconds();
+    ratios.push_back(image_s / direct_s);
+    elapsed += image_s + direct_s;
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[ratios.size() / 2];
+}
+
 double EncodeToCrcRatio(const Fixture& fixture, double min_seconds) {
   std::vector<double> ratios;
   double elapsed = 0.0;
@@ -284,10 +322,15 @@ int Run(const BenchScale& scale) {
   for (size_t i = 0; i < 3; ++i) {
     points[i] = MeasureCodec(fixtures[i], min_seconds, &ok);
   }
+  const ArenaSmbEngine long_list_engine = LongListEngine(long_list_flows);
   const double sparse_direct_ratio =
       DirectEncodeRatio(sparse_engine, min_seconds, &ok);
   const double long_list_direct_ratio =
-      DirectEncodeRatio(LongListEngine(long_list_flows), min_seconds, &ok);
+      DirectEncodeRatio(long_list_engine, min_seconds, &ok);
+  const double sparse_decode_ratio =
+      DirectDecodeRatio(sparse_engine, min_seconds, &ok);
+  const double long_list_decode_ratio =
+      DirectDecodeRatio(long_list_engine, min_seconds, &ok);
   if (!ok) return 1;
   const double encode_crc_ratio = EncodeToCrcRatio(fixtures[0], min_seconds);
 
@@ -313,6 +356,10 @@ int Run(const BenchScale& scale) {
       "Serialize + CompressFlw1Image time / SerializeSmbz1 time: sparse "
       "engine %.2f, long-list engine %.2f\n",
       sparse_direct_ratio, long_list_direct_ratio);
+  std::printf(
+      "DecompressToFlw1Image + Deserialize time / DeserializeSmbz1 time: "
+      "sparse engine %.2f, long-list engine %.2f\n",
+      sparse_decode_ratio, long_list_decode_ratio);
 
   JsonWriter json(JsonWriter::kPretty);
   json.BeginObject();
@@ -328,6 +375,10 @@ int Run(const BenchScale& scale) {
   json.Double(sparse_direct_ratio, 3);
   json.Key("long_list_image_to_direct_encode_time_ratio");
   json.Double(long_list_direct_ratio, 3);
+  json.Key("sparse_image_to_direct_decode_time_ratio");
+  json.Double(sparse_decode_ratio, 3);
+  json.Key("long_list_image_to_direct_decode_time_ratio");
+  json.Double(long_list_decode_ratio, 3);
   json.Key("environment");
   WriteEnvironmentJson(&json);
   json.EndObject();
@@ -365,6 +416,10 @@ int Run(const BenchScale& scale) {
   ok = GateAtLeast("image / direct encode time",
                    std::min(sparse_direct_ratio, long_list_direct_ratio),
                    scale.assert_direct_encode_ratio) &&
+       ok;
+  ok = GateAtLeast("image / direct decode time",
+                   std::min(sparse_decode_ratio, long_list_decode_ratio),
+                   scale.assert_direct_decode_ratio) &&
        ok;
   return ok ? 0 : 1;
 }

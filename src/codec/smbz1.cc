@@ -39,22 +39,6 @@ uint8_t* PutVarint(uint8_t* p, uint64_t v) {
   return p;
 }
 
-bool ReadVarint(std::span<const uint8_t> in, size_t* pos, uint64_t* v) {
-  uint64_t out = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (*pos >= in.size()) return false;
-    const uint8_t byte = in[(*pos)++];
-    out |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      // The tenth byte may only carry the single remaining bit.
-      if (shift == 63 && byte > 1) return false;
-      *v = out;
-      return true;
-    }
-  }
-  return false;
-}
-
 size_t WordsForBits(uint64_t num_bits) {
   return static_cast<size_t>((num_bits + 63) / 64);
 }
@@ -212,6 +196,22 @@ void WriteRecord(SlotMode mode, uint64_t num_bits, const SlotState& state,
 
 }  // namespace
 
+bool ReadVarint(std::span<const uint8_t> in, size_t* pos, uint64_t* v) {
+  uint64_t out = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    if (*pos >= in.size()) return false;
+    const uint8_t byte = in[(*pos)++];
+    out |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) {
+      // The tenth byte may only carry the single remaining bit.
+      if (shift == 63 && byte > 1) return false;
+      *v = out;
+      return true;
+    }
+  }
+  return false;
+}
+
 void EncodeSlot(uint64_t num_bits, const SlotState& state,
                 std::vector<uint8_t>* out, CodecStats* stats) {
   const size_t raw_size = state.words.size_bytes();
@@ -335,26 +335,38 @@ bool EncodeSparseSlot(uint64_t num_bits, std::span<const uint32_t> positions,
   return EncodeSparseSlotOf(num_bits, positions, out);
 }
 
-bool DecodeSlot(std::span<const uint8_t> in, size_t* pos, uint64_t num_bits,
-                DecodedSlot* slot, std::span<uint64_t> words) {
-  const size_t words_per_slot = WordsForBits(num_bits);
-  if (words.size() != words_per_slot) return false;
+bool ReadSlotHeader(std::span<const uint8_t> in, size_t* pos,
+                    SlotHeader* header) {
   if (*pos >= in.size()) return false;
   const uint8_t mode_byte = in[(*pos)++];
   if ((mode_byte & 0xF8) != 0) return false;
   const uint8_t mode_bits = mode_byte & 0x03;
-  const bool invert = (mode_byte & 0x04) != 0;
   if (mode_bits > 2) return false;
-  const SlotMode mode = static_cast<SlotMode>(mode_bits);
-  if (invert && mode != SlotMode::kSparse) return false;
+  header->mode = static_cast<SlotMode>(mode_bits);
+  header->zeros_listed = (mode_byte & 0x04) != 0;
+  if (header->zeros_listed && header->mode != SlotMode::kSparse) {
+    return false;
+  }
   uint64_t round = 0;
   uint64_t ones = 0;
   if (!ReadVarint(in, pos, &round) || round > flw1::kMaxRound) return false;
   if (!ReadVarint(in, pos, &ones) || ones > flw1::kFillMask) return false;
-  slot->round = static_cast<uint32_t>(round);
-  slot->ones = static_cast<uint32_t>(ones);
-  slot->mode = mode;
-  switch (mode) {
+  header->round = static_cast<uint32_t>(round);
+  header->ones = static_cast<uint32_t>(ones);
+  return true;
+}
+
+bool ReadSparseCount(std::span<const uint8_t> in, size_t* pos,
+                     uint64_t num_bits, uint64_t* count) {
+  return ReadVarint(in, pos, count) && *count <= num_bits;
+}
+
+bool DecodeSlot(std::span<const uint8_t> in, size_t* pos, uint64_t num_bits,
+                DecodedSlot* slot, std::span<uint64_t> words) {
+  const size_t words_per_slot = WordsForBits(num_bits);
+  if (words.size() != words_per_slot) return false;
+  if (!ReadSlotHeader(in, pos, slot)) return false;
+  switch (slot->mode) {
     case SlotMode::kRaw: {
       if (in.size() - *pos < words_per_slot * 8) return false;
       std::memcpy(words.data(), in.data() + *pos, words_per_slot * 8);
@@ -369,42 +381,31 @@ bool DecodeSlot(std::span<const uint8_t> in, size_t* pos, uint64_t num_bits,
     }
     case SlotMode::kSparse: {
       uint64_t count = 0;
-      if (!ReadVarint(in, pos, &count) || count > num_bits) return false;
-      if (invert) {
+      if (!ReadSparseCount(in, pos, num_bits, &count)) return false;
+      if (slot->zeros_listed) {
         std::fill(words.begin(), words.end(), ~uint64_t{0});
         words.back() &= TailMask(num_bits);
       } else {
         std::fill(words.begin(), words.end(), uint64_t{0});
       }
-      // Each gap moves past the previous position, so the listed
-      // positions are distinct (the count is the popcount's share) and
-      // ascending: one word's bits gather in a register and toggle the
-      // fill once. The cursor stays in a local too, since `words` could
-      // alias *pos.
-      size_t at = *pos;
-      uint64_t next = 0;  // one past the previous position
+      // The listed positions are distinct (the count is the popcount's
+      // share) and ascending: one word's bits gather in a register and
+      // toggle the fill once.
       size_t word = 0;
       uint64_t toggled = 0;
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t gap = 0;
-        if (at < in.size() && in[at] < 0x80) {
-          gap = in[at++];  // the one-byte gap, read inline
-        } else if (!ReadVarint(in, &at, &gap)) {
-          return false;
-        }
-        if (gap >= num_bits - next) return false;
-        const uint64_t position = next + gap;
-        next = position + 1;
-        if (position / 64 != word) {
-          words[word] ^= toggled;
-          word = static_cast<size_t>(position / 64);
-          toggled = 0;
-        }
-        toggled |= uint64_t{1} << (position % 64);
+      if (!ReadSparsePositions(in, pos, num_bits, count,
+                               [&](uint64_t position) {
+                                 if (position / 64 != word) {
+                                   words[word] ^= toggled;
+                                   word = static_cast<size_t>(position / 64);
+                                   toggled = 0;
+                                 }
+                                 toggled |= uint64_t{1} << (position % 64);
+                               })) {
+        return false;
       }
       words[word] ^= toggled;
-      *pos = at;
-      slot->set_bits = invert ? num_bits - count : count;
+      slot->set_bits = slot->zeros_listed ? num_bits - count : count;
       return true;
     }
     case SlotMode::kRle: {

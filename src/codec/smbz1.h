@@ -50,6 +50,7 @@
 #ifndef SMBCARD_CODEC_SMBZ1_H_
 #define SMBCARD_CODEC_SMBZ1_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -71,10 +72,15 @@ struct SlotState {
   std::span<const uint64_t> words;
 };
 
-struct DecodedSlot {
+// A slot record's mode byte and morph metadata.
+struct SlotHeader {
   uint32_t round = 0;
   uint32_t ones = 0;
   SlotMode mode = SlotMode::kRaw;
+  bool zeros_listed = false;  // sparse polarity bit
+};
+
+struct DecodedSlot : SlotHeader {
   uint64_t set_bits = 0;  // popcount of the decoded words
 };
 
@@ -110,6 +116,57 @@ bool EncodeSlotAs(SlotMode mode, uint64_t num_bits, const SlotState& state,
 // SmbStateReachableCounts without another pass over the words.
 bool DecodeSlot(std::span<const uint8_t> in, size_t* pos, uint64_t num_bits,
                 DecodedSlot* slot, std::span<uint64_t> words);
+
+// The sparse reader, in the pieces DecodeSlot's sparse branch is made
+// of; a reader that wants a sparse record's positions rather than its
+// words calls them itself, with DecodeSlot's checks.
+//
+// Reads the mode byte and (round, ones) at *pos, advancing past them.
+// False on truncation, an invalid mode byte (reserved bits, mode 3, the
+// polarity bit outside sparse), a round above 63 or a fill above 26
+// bits.
+bool ReadSlotHeader(std::span<const uint8_t> in, size_t* pos,
+                    SlotHeader* header);
+// Reads a sparse payload's position count at *pos; false on truncation
+// or a count above num_bits.
+bool ReadSparseCount(std::span<const uint8_t> in, size_t* pos,
+                     uint64_t num_bits, uint64_t* count);
+// Reads one LEB128 varint at *pos (at most ten bytes, the tenth holding
+// one bit); false on truncation or overflow.
+bool ReadVarint(std::span<const uint8_t> in, size_t* pos, uint64_t* v);
+// Reads the `count` positions after a sparse count at *pos and calls
+// fn(position) for each: strictly ascending, each below num_bits. False
+// (fn may have seen a prefix) on truncation or a position at or past
+// num_bits; *pos advances only on success.
+template <typename Fn>
+bool ReadSparsePositions(std::span<const uint8_t> in, size_t* pos,
+                         uint64_t num_bits, uint64_t count, Fn fn) {
+  // The cursor stays in a local: fn may write through memory that
+  // aliases *pos.
+  size_t at = *pos;
+  uint64_t next = 0;  // one past the previous position
+  for (uint64_t i = 0; i < count; ++i) {
+    // One- and two-byte gaps (below 2^14) are read inline without a
+    // branch on their length, which is close to random.
+    uint64_t gap = 0;
+    if (in.size() - at >= 2 && (in[at] & in[at + 1] & 0x80) == 0) {
+      const uint64_t b0 = in[at];
+      const uint64_t b1 = in[at + 1];
+      const uint64_t two = b0 >> 7;  // a second byte follows
+      const uint64_t mask = 0 - two;
+      gap = (b0 & ~(mask & 0x80)) | ((b1 << 7) & mask);
+      at += 1 + two;
+    } else if (!ReadVarint(in, &at, &gap)) {
+      return false;
+    }
+    if (gap >= num_bits - next) return false;
+    const uint64_t position = next + gap;
+    next = position + 1;
+    fn(position);
+  }
+  *pos = at;
+  return true;
+}
 
 // Appends the record EncodeSlot would write for the round-0 state whose
 // set bits are exactly `positions` (strictly ascending, each below

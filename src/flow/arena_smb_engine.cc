@@ -409,9 +409,7 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
   return row;
 }
 
-void ArenaSmbEngine::StoreState(uint32_t row, uint32_t meta,
-                                std::span<const uint64_t> words) {
-  const uint32_t cls = ClassFor(meta);
+uint32_t ArenaSmbEngine::SlotIn(uint32_t row, uint32_t cls) {
   uint32_t ref = slab_ref_[row];
   if (RefClass(ref) != cls) {
     FreeRef(ref);
@@ -419,10 +417,41 @@ void ArenaSmbEngine::StoreState(uint32_t row, uint32_t meta,
     slab_ref_[row] = ref;
     residency_changed_ = true;
   }
+  return ref;
+}
+
+void ArenaSmbEngine::StoreState(uint32_t row, uint32_t meta,
+                                std::span<const uint64_t> words) {
+  const uint32_t cls = ClassFor(meta);
+  const uint32_t ref = SlotIn(row, cls);
   if (cls == bitmap_class_) {
     std::copy(words.begin(), words.end(), SlotWords(ref));
   } else {
     WordsToList(words, position_bytes_, SlotWords(ref));
+  }
+  meta_[row] = meta;
+}
+
+template <typename Pos>
+void ArenaSmbEngine::StoreState(uint32_t row, uint32_t meta,
+                                std::span<const Pos> positions) {
+  const uint32_t cls = ClassFor(meta);
+  // A list row is round 0: its fill is its position count.
+  SMB_DCHECK(cls == bitmap_class_ || meta == positions.size());
+  uint64_t* slot = SlotWords(SlotIn(row, cls));
+  if (cls == bitmap_class_) {
+    std::fill_n(slot, words_per_slot_, uint64_t{0});
+    for (const Pos pos : positions) {
+      slot[pos >> 6] |= uint64_t{1} << (pos & 63);
+    }
+  } else if (position_bytes_ == 2) {
+    std::transform(positions.begin(), positions.end(),
+                   reinterpret_cast<uint16_t*>(slot),
+                   [](Pos pos) { return static_cast<uint16_t>(pos); });
+  } else {
+    std::transform(positions.begin(), positions.end(),
+                   reinterpret_cast<uint32_t*>(slot),
+                   [](Pos pos) { return static_cast<uint32_t>(pos); });
   }
   meta_[row] = meta;
 }
@@ -799,22 +828,18 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
   SMB_CHECK_MSG(CanMergeWith(other),
                 "arena merge requires identical (num_bits, threshold, "
                 "base_seed)");
-  std::vector<uint64_t> replay(words_per_slot_), merged(words_per_slot_);
-  const auto merge_one = [&](uint64_t flow,
-                             std::span<const uint64_t> src_words,
-                             uint32_t src_meta) {
-    const uint64_t bucket_hash = FlowTable::BucketHash(flow);
-    // A frozen flow counts as known: FindOrCreateRow thaws it, so the
-    // replay path below merges against its revived state.
-    const bool existed = table_.Find(flow, bucket_hash).found ||
-                         (cold_ != nullptr && cold_->Contains(flow));
+  std::vector<uint64_t> replay(words_per_slot_), merged(words_per_slot_),
+      scratch(words_per_slot_);
+  // A frozen flow counts as held: FindOrCreateRow thaws it, so the replay
+  // below merges against its revived state.
+  const auto held = [&](uint64_t flow, uint64_t bucket_hash) {
+    return table_.Find(flow, bucket_hash).found ||
+           (cold_ != nullptr && cold_->Contains(flow));
+  };
+  const auto merge_held = [&](uint64_t flow, uint64_t bucket_hash,
+                              std::span<const uint64_t> src_words,
+                              uint32_t src_meta) {
     const uint32_t row = FindOrCreateRow(flow, bucket_hash);
-    if (!existed) {
-      // Flow unknown here: adopt the source state verbatim (the
-      // merge-with-empty identity, without the replay detour).
-      StoreState(row, src_meta, src_words);
-      return;
-    }
     const uint32_t ref = slab_ref_[row];
     if (!IsList(ref)) {
       // A merge never shrinks a state, so a bitmap row stays one: merge
@@ -829,12 +854,55 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
     MergeFlowState(flow, merged, &meta, src_words, src_meta, replay);
     StoreState(row, meta, merged);
   };
-  // Every source flow, live or frozen, materialized — the merge replay
-  // works on real bitmap words on both sides.
-  other.ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
-                             std::span<const uint64_t> words) {
-    merge_one(flow, words, (round << kRoundShift) | ones);
-  });
+  // Live source rows in row order. A flow unknown here is adopted
+  // verbatim (the merge-with-empty identity) straight from the source
+  // slot: a list's positions, a bitmap's words.
+  for (uint32_t src = 0; src < other.flow_keys_.size(); ++src) {
+    const uint32_t ref = other.slab_ref_[src];
+    if (ref == kDeadRef) continue;
+    const uint64_t flow = other.flow_keys_[src];
+    const uint32_t meta = other.meta_[src];
+    const uint64_t bucket_hash = FlowTable::BucketHash(flow);
+    if (held(flow, bucket_hash)) {
+      merge_held(flow, bucket_hash, other.MaterializedWords(src, &scratch),
+                 meta);
+      continue;
+    }
+    const uint32_t row = FindOrCreateRow(flow, bucket_hash);
+    const uint64_t* slot = other.SlotWords(ref);
+    if (!other.IsList(ref)) {
+      StoreState(row, meta, {slot, words_per_slot_});
+      continue;
+    }
+    // A short list is in insertion order, which only a short class may
+    // keep, and it lands in no other list class under any tuning: the
+    // class picked for its fill holds at most the next power of two
+    // above it, a short capacity (or the fill goes to the bitmap).
+    SMB_DCHECK(RefClass(ref) >= other.long_class_ ||
+               ClassFor(meta) < long_class_ ||
+               ClassFor(meta) == bitmap_class_);
+    if (position_bytes_ == 2) {
+      StoreState(row, meta, std::span<const uint16_t>(
+                                reinterpret_cast<const uint16_t*>(slot), meta));
+    } else {
+      StoreState(row, meta, std::span<const uint32_t>(
+                                reinterpret_cast<const uint32_t*>(slot), meta));
+    }
+  }
+  // Frozen source flows, materialized from the source's cold tier.
+  if (other.cold_ != nullptr) {
+    for (const uint64_t flow : other.cold_->SortedFlows()) {
+      uint32_t round = 0, ones = 0;
+      other.cold_->ReadState(flow, &round, &ones, scratch);
+      const uint32_t meta = (round << kRoundShift) | ones;
+      const uint64_t bucket_hash = FlowTable::BucketHash(flow);
+      if (held(flow, bucket_hash)) {
+        merge_held(flow, bucket_hash, scratch, meta);
+      } else {
+        StoreState(FindOrCreateRow(flow, bucket_hash), meta, scratch);
+      }
+    }
+  }
   // Adopted flows may have pushed past the budget; reclaim at the merge
   // boundary (no cached row ids here).
   SettleBoundary();
@@ -1084,23 +1152,60 @@ std::vector<uint8_t> ArenaSmbEngine::SerializeFlows(
 namespace {
 
 // Walks the records of an SMBZ1 container whose framing ReadContainer
-// passed: decodes each into `words`, checks it with the one reachability
-// rule (the decoder vouches for the tail and counts the set bits), and
-// hands (key, packed meta) to fn, which returns false to stop.
-// False at the first defect, bytes after the last record included.
-template <typename Fn>
+// passed, checking each with the one reachability rule, and hands it on;
+// false at the first defect (a callback returning false included), and
+// when bytes follow the last record. A sparse record over the set bits
+// is read as its positions, appended to *positions, never as words:
+// on_positions(key, meta, count), the record's positions being the last
+// `count` of *positions. Every other record — raw, rle, sparse over the
+// zero bits — is decoded into `words` (the decoder vouches for the tail
+// and counts the set bits): on_words(key, meta, offset of its slot
+// record in `records`).
+template <typename PositionsFn, typename WordsFn>
 bool ForEachSmbz1Record(std::span<const uint8_t> records,
                         const codec::ContainerHeader& header,
-                        std::span<uint64_t> words, Fn fn) {
+                        std::vector<uint32_t>* positions,
+                        std::span<uint64_t> words, PositionsFn on_positions,
+                        WordsFn on_words) {
   size_t pos = 0;
   for (uint64_t f = 0; f < header.num_flows; ++f) {
     uint64_t key = 0;
-    codec::DecodedSlot slot;
-    if (!ReadU64(records, &pos, &key) ||
-        !codec::DecodeSlot(records, &pos, header.num_bits, &slot, words) ||
+    if (!ReadU64(records, &pos, &key)) return false;
+    const size_t record = pos;
+    codec::SlotHeader slot;
+    if (!codec::ReadSlotHeader(records, &pos, &slot)) return false;
+    const uint32_t meta = (slot.round << kRoundShift) | slot.ones;
+    if (slot.mode == codec::SlotMode::kSparse && !slot.zeros_listed) {
+      // The count is the popcount, so reachability is settled before a
+      // position is read (and a list-class state's positions fit its
+      // class). Each position takes at least a byte, so a count the
+      // bytes left cannot hold fails here, before anything is sized
+      // from it.
+      uint64_t count = 0;
+      if (!codec::ReadSparseCount(records, &pos, header.num_bits, &count) ||
+          count > records.size() - pos ||
+          !SmbStateReachableCounts(header.num_bits, header.threshold,
+                                   slot.round, slot.ones, count)) {
+        return false;
+      }
+      const size_t base = positions->size();
+      positions->resize(base + static_cast<size_t>(count));
+      uint32_t* out = positions->data() + base;
+      if (!codec::ReadSparsePositions(
+              records, &pos, header.num_bits, count,
+              [&](uint64_t p) { *out++ = static_cast<uint32_t>(p); }) ||
+          !on_positions(key, meta, static_cast<uint32_t>(count))) {
+        return false;
+      }
+      continue;
+    }
+    pos = record;
+    codec::DecodedSlot decoded;
+    if (!codec::DecodeSlot(records, &pos, header.num_bits, &decoded, words) ||
         !SmbStateReachableCounts(header.num_bits, header.threshold,
-                                 slot.round, slot.ones, slot.set_bits) ||
-        !fn(key, (slot.round << kRoundShift) | slot.ones)) {
+                                 decoded.round, decoded.ones,
+                                 decoded.set_bits) ||
+        !on_words(key, meta, record)) {
       return false;
     }
   }
@@ -1207,13 +1312,26 @@ std::optional<ArenaSmbEngine> ArenaSmbEngine::DeserializeSmbz1(
   config.base_seed = header->base_seed;
   config.tuning = tuning;
   ArenaSmbEngine engine(config);
+  std::vector<uint32_t> positions;
   std::vector<uint64_t> words(engine.words_per_slot_);
+  // A new row per record; a key seen before is a duplicate.
+  const auto new_row = [&](uint64_t key, uint32_t* row) {
+    bool created = false;
+    *row = engine.FindOrCreateRow(key, FlowTable::BucketHash(key), &created);
+    return created;
+  };
   const bool ok = ForEachSmbz1Record(
-      records, *header, words, [&](uint64_t key, uint32_t meta) {
-        bool created = false;
-        const uint32_t row =
-            engine.FindOrCreateRow(key, FlowTable::BucketHash(key), &created);
-        if (!created) return false;  // duplicate flow key
+      records, *header, &positions, words,
+      [&](uint64_t key, uint32_t meta, uint32_t) {
+        uint32_t row = 0;
+        if (!new_row(key, &row)) return false;
+        engine.StoreState(row, meta, std::span<const uint32_t>(positions));
+        positions.clear();
+        return true;
+      },
+      [&](uint64_t key, uint32_t meta, size_t) {
+        uint32_t row = 0;
+        if (!new_row(key, &row)) return false;
         engine.StoreState(row, meta, words);
         return true;
       });
@@ -1233,17 +1351,37 @@ bool ArenaSmbEngine::ApplySmbz1(std::span<const uint8_t> bytes) {
     return false;
   }
   // Validate every record, and that no key repeats, before any row is
-  // touched; the apply pass then decodes each record again.
+  // touched. The validating pass stages each sparse record's set
+  // positions in one flat buffer (at most four bytes per payload byte),
+  // so the store pass copies or sets them; any other record it decodes
+  // into words again.
+  struct Staged {
+    uint64_t key;
+    uint32_t meta;
+    uint32_t count;  // staged positions
+    bool decode;     // decoded into words again, from its record offset
+    size_t at;       // its first staged position, or that offset
+  };
+  std::vector<Staged> staged;
+  staged.reserve(static_cast<size_t>(header->num_flows));
+  std::vector<uint32_t> positions;
   std::vector<uint64_t> words(words_per_slot_);
-  std::vector<uint64_t> keys;
-  keys.reserve(static_cast<size_t>(header->num_flows));
-  if (!ForEachSmbz1Record(records, *header, words,
-                          [&](uint64_t key, uint32_t) {
-                            keys.push_back(key);
-                            return true;
-                          })) {
+  if (!ForEachSmbz1Record(
+          records, *header, &positions, words,
+          [&](uint64_t key, uint32_t meta, uint32_t count) {
+            staged.push_back(
+                {key, meta, count, false, positions.size() - count});
+            return true;
+          },
+          [&](uint64_t key, uint32_t meta, size_t record) {
+            staged.push_back({key, meta, 0, true, record});
+            return true;
+          })) {
     return false;
   }
+  std::vector<uint64_t> keys(staged.size());
+  std::transform(staged.begin(), staged.end(), keys.begin(),
+                 [](const Staged& record) { return record.key; });
   std::sort(keys.begin(), keys.end());
   if (std::adjacent_find(keys.begin(), keys.end()) != keys.end()) {
     return false;
@@ -1252,14 +1390,24 @@ bool ArenaSmbEngine::ApplySmbz1(std::span<const uint8_t> bytes) {
   // budget can evict between two upserts.
   const bool evicting = config_.tuning.memory_budget_bytes > 0 &&
                         config_.tuning.eviction != ArenaEviction::kOff;
-  ForEachSmbz1Record(records, *header, words,
-                     [&](uint64_t key, uint32_t meta) {
-                       StoreState(FindOrCreateRow(key,
-                                                  FlowTable::BucketHash(key)),
-                                  meta, words);
-                       if (evicting) SettleBoundary();
-                       return true;
-                     });
+  for (const Staged& record : staged) {
+    const uint32_t row =
+        FindOrCreateRow(record.key, FlowTable::BucketHash(record.key));
+    if (record.decode) {
+      size_t pos = record.at;
+      codec::DecodedSlot decoded;
+      const bool decoded_again = codec::DecodeSlot(
+          records, &pos, header->num_bits, &decoded, words);
+      SMB_DCHECK(decoded_again);
+      (void)decoded_again;
+      StoreState(row, record.meta, words);
+    } else {
+      StoreState(row, record.meta,
+                 std::span<const uint32_t>(positions.data() + record.at,
+                                           record.count));
+    }
+    if (evicting) SettleBoundary();
+  }
   SettleBoundary();
   return true;
 }

@@ -40,15 +40,21 @@
 // a binary search, and an insert shifts their tail. Readers of bits go
 // through MaterializedWords(); writers of a whole state (restore,
 // upsert, merge, thaw) through StoreState(), which picks the class from
-// (r, v) alone and writes lists ascending.
+// (r, v) alone. From words it writes a list ascending; a round-0 state
+// given by its positions is copied as given, ascending wherever the
+// class is a long one.
 //
 // Snapshots leave the engine as SMBZ1 (DESIGN.md §12, §17):
 // SerializeSmbz1 writes each list row's sparse record straight from its
 // positions (a short list sorted into a copy first) and bitmap and
-// frozen rows through codec::EncodeSlot; DeserializeSmbz1 and the
-// all-or-nothing ApplySmbz1 decode each record into scratch words,
-// check it with SmbStateReachable and StoreState it. No FLW1 image is
-// built on that path; Serialize/Deserialize keep the FLW1 image.
+// frozen rows through codec::EncodeSlot. DeserializeSmbz1 and the
+// all-or-nothing ApplySmbz1 read a sparse record over the set bits as
+// its positions (codec::ReadSparsePositions), check its count against
+// (r, v) and write the positions straight into the row's slot: copied
+// into a list, set into a bitmap. Raw, rle and zero-polarity records
+// are decoded into scratch words, checked with SmbStateReachableCounts
+// and stored from them. No FLW1 image is built on that path;
+// Serialize/Deserialize keep the FLW1 image.
 //
 // Memory budget + eviction (DESIGN.md §15): crossing the budget evicts
 // cold flows — CLOCK second-chance over a per-row reference byte
@@ -242,9 +248,13 @@ class ArenaSmbEngine {
            config_.threshold == other.config_.threshold &&
            config_.base_seed == other.config_.base_seed;
   }
-  // Morph-aware approximate union merge (DESIGN.md §13): flows unknown
-  // here are adopted verbatim; flows present in both engines are merged
-  // with the replay merge, using the same per-flow salt derivation as
+  // Morph-aware approximate union merge (DESIGN.md §13): a live source
+  // flow unknown here is adopted verbatim straight from its slot — a
+  // list row's positions (a short, unsorted list lands in a short class
+  // under any tuning) or a bitmap row's words — whatever the two
+  // engines' tunings. Flows present in both engines, and frozen source
+  // flows, are materialized into words; a held one is merged with the
+  // replay merge, using the same per-flow salt derivation as
   // SelfMorphingBitmap::MergeFrom on the flows' standalone snapshots —
   // so an arena merge is bit-identical to snapshotting both sides and
   // merging flow by flow. Requires CanMergeWith(other).
@@ -328,17 +338,20 @@ class ArenaSmbEngine {
   // codec::EncodeSlot.
   std::vector<uint8_t> SerializeSmbz1() const;
   std::vector<uint8_t> SerializeSmbz1(std::span<const uint64_t> flows) const;
-  // Deserialize(*DecompressToFlw1Image(bytes), tuning), decoding each
-  // record into scratch words: accepts and rejects exactly the same
-  // inputs and restores the same engine.
+  // Deserialize(*DecompressToFlw1Image(bytes), tuning) without the
+  // image, a sparse record stored from its positions: accepts and
+  // rejects exactly the same inputs and restores the same engine.
   static std::optional<ArenaSmbEngine> DeserializeSmbz1(
       std::span<const uint8_t> bytes, const ArenaTuning& tuning = {});
   // The replication apply: upserts every flow of an SMBZ1 snapshot (a
   // delta) with UpsertFlowState's replacement semantics, in payload
   // order — or nothing. The whole payload is validated first: framing
   // and CRC, geometry equal to this engine's (CanMergeWith), each
-  // record's decode and SmbStateReachable, no duplicate key, no bytes
-  // after the last record. False leaves the engine untouched.
+  // record's decode and reachability, no duplicate key, no bytes after
+  // the last record. False leaves the engine untouched. Validation
+  // stages each sparse record's positions, which the store pass writes
+  // into the rows; it decodes only raw, rle and zero-polarity records
+  // again.
   bool ApplySmbz1(std::span<const uint8_t> bytes);
 
  private:
@@ -399,9 +412,19 @@ class ArenaSmbEngine {
   // Moves a list row to class `cls`: a larger list (a copy), or the
   // bitmap (a graduation, its positions materialized). Returns the ref.
   uint32_t MoveList(uint32_t row, uint32_t cls);
+  // The row's slot, moved to class `cls` first (a fresh slot) when it
+  // sits elsewhere.
+  uint32_t SlotIn(uint32_t row, uint32_t cls);
   // Replaces the row's whole state, moving it to ClassFor(meta).
   void StoreState(uint32_t row, uint32_t meta,
                   std::span<const uint64_t> words);
+  // The same for a state given by its set positions: a list-class
+  // state's (round 0, meta their count) are copied into the list slot,
+  // and must be ascending if it is a long class; a bitmap-class state's
+  // are set into the zeroed slot. No scratch words are built.
+  template <typename Pos>
+  void StoreState(uint32_t row, uint32_t meta,
+                  std::span<const Pos> positions);
 
   // Block-boundary upkeep: evicts cold rows until LiveBytes() fits the
   // budget (or one row is left); re-derives the live row count and

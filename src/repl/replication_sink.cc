@@ -233,6 +233,7 @@ void ReplicationSink::HandleFrame(size_t conn_index, Frame frame,
     }
     child.conn_index = static_cast<int>(conn_index);
     child.last_seen_ms = now_ms;
+    child.said_goodbye = false;
     conn.bound = true;
     conn.bound_child = frame.child_id;
     SendAck(conn_index, frame.child_id, child.persisted_high_water,
@@ -293,6 +294,7 @@ void ReplicationSink::HandleFrame(size_t conn_index, Frame frame,
               FrameType::kAck);
       return;
     case FrameType::kGoodbye:
+      child.said_goodbye = true;
       DropConn(conn_index);
       return;
     default:
@@ -424,6 +426,7 @@ std::vector<ReplicationSink::ChildInfo> ReplicationSink::Children(
     ChildInfo info;
     info.child_id = child_id;
     info.connected = child.conn_index >= 0;
+    info.said_goodbye = child.said_goodbye;
     info.alive = child.last_seen_ms != 0 &&
                  now_ms - child.last_seen_ms <= options_.child_timeout_ms;
     info.acked_seq = child.persisted_high_water;

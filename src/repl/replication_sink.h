@@ -69,6 +69,10 @@ class ReplicationSink {
     uint64_t child_id = 0;
     bool connected = false;
     bool alive = false;  // heard from within child_timeout_ms
+    // Its last session ended with a goodbye (sent once its spool
+    // drained); a hello clears it. A child that dropped without one may
+    // still hold spooled deltas.
+    bool said_goodbye = false;
     uint64_t acked_seq = 0;      // persisted high-water (what we ack)
     uint64_t applied_seq = 0;    // in-memory high-water
     uint64_t deltas_applied = 0;
@@ -144,6 +148,7 @@ class ReplicationSink {
     uint64_t dup_dropped = 0;
     uint64_t rejected = 0;
     int conn_index = -1;  // index into conns_, -1 when disconnected
+    bool said_goodbye = false;
   };
 
   struct Conn {

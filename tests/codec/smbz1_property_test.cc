@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/random.h"
@@ -243,6 +244,86 @@ TEST(Smbz1PropertyTest, PositionsFedSparseRecordIsEncodeSlots) {
   }
   EXPECT_GT(sparse, 100u);
   EXPECT_GT(other, 50u);
+}
+
+// Re-encoding a decoded record gives back its bytes, in every mode the
+// chooser picks — raw, sparse over the set bits, sparse over the zero
+// bits, rle — and in every forced mode, on the engine's two position
+// widths (uint16 below 65536 bits, uint32 above). A reader that keeps a
+// record's bytes instead of decoding and re-encoding it (a frozen row
+// copied into a snapshot) relies on this.
+TEST(Smbz1PropertyTest, ReencodingADecodedRecordGivesItsBytes) {
+  Xoshiro256 rng(0x2E2E);
+  for (const uint64_t num_bits : {uint64_t{10000}, uint64_t{70000}}) {
+    const size_t num_words = static_cast<size_t>((num_bits + 63) / 64);
+    const uint64_t tail_mask = (uint64_t{1} << (num_bits % 64)) - 1;
+    // Chosen records by mode byte: raw, set sparse, rle, zero sparse.
+    size_t chosen_modes[4] = {};
+    for (size_t i = 0; i < 240; ++i) {
+      std::vector<uint64_t> words(num_words, 0);
+      const size_t shape = i % 4;
+      if (shape == 0) {  // a few set bits
+        const size_t count = rng.NextBounded(num_bits / 20);
+        for (size_t k = 0; k < count; ++k) {
+          const uint64_t pos = rng.NextBounded(num_bits);
+          words[pos / 64] |= uint64_t{1} << (pos % 64);
+        }
+      } else if (shape == 1) {  // a few zero bits
+        std::fill(words.begin(), words.end(), ~uint64_t{0});
+        const size_t count = rng.NextBounded(num_bits / 20);
+        for (size_t k = 0; k < count; ++k) {
+          const uint64_t pos = rng.NextBounded(num_bits);
+          words[pos / 64] &= ~(uint64_t{1} << (pos % 64));
+        }
+      } else if (shape == 2) {  // runs of zero, ones and literal words
+        for (size_t w = 0; w < num_words;) {
+          const uint64_t kind = rng.NextBounded(3);
+          const size_t len = 1 + rng.NextBounded(12);
+          for (size_t k = 0; k < len && w < num_words; ++k, ++w) {
+            words[w] = kind == 0   ? 0
+                       : kind == 1 ? ~uint64_t{0}
+                                   : rng.Next();
+          }
+        }
+      } else {  // mid fill
+        for (uint64_t& w : words) w = rng.Next();
+      }
+      words.back() &= tail_mask;
+      const SlotState state{static_cast<uint32_t>(rng.NextBounded(10)),
+                            static_cast<uint32_t>(rng.NextBounded(num_bits)),
+                            words};
+      std::vector<uint8_t> chosen;
+      EncodeSlot(num_bits, state, &chosen);
+      ++chosen_modes[(chosen[0] & 0x03) | ((chosen[0] & 0x04) ? 3 : 0)];
+      const auto reencoded = [&](const std::vector<uint8_t>& record,
+                                 std::optional<SlotMode> forced) {
+        size_t pos = 0;
+        DecodedSlot slot;
+        std::vector<uint64_t> decoded(num_words);
+        EXPECT_TRUE(DecodeSlot(record, &pos, num_bits, &slot, decoded));
+        EXPECT_EQ(pos, record.size());
+        const SlotState again{slot.round, slot.ones, decoded};
+        std::vector<uint8_t> out;
+        if (forced.has_value()) {
+          EXPECT_TRUE(EncodeSlotAs(*forced, num_bits, again, &out));
+        } else {
+          EncodeSlot(num_bits, again, &out);
+        }
+        return out;
+      };
+      ASSERT_EQ(reencoded(chosen, std::nullopt), chosen)
+          << num_bits << " bits, case " << i;
+      for (const SlotMode mode :
+           {SlotMode::kRaw, SlotMode::kSparse, SlotMode::kRle}) {
+        std::vector<uint8_t> forced;
+        ASSERT_TRUE(EncodeSlotAs(mode, num_bits, state, &forced));
+        ASSERT_EQ(reencoded(forced, mode), forced)
+            << num_bits << " bits, case " << i << ", mode "
+            << static_cast<int>(mode);
+      }
+    }
+    for (const size_t count : chosen_modes) EXPECT_GE(count, 20u) << num_bits;
+  }
 }
 
 // ---------------------------------------------------------------------------

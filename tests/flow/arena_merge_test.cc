@@ -12,8 +12,12 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "core/self_morphing_bitmap.h"
 #include "flow/arena_smb_engine.h"
 #include "flow_test_util.h"
@@ -65,6 +69,18 @@ TEST(ArenaMergeTest, CanMergeWithRequiresIdenticalConfig) {
   EXPECT_FALSE(a.CanMergeWith(ArenaSmbEngine(seed)));
 }
 
+// A flow's (round, fill, words), copied out of Inspect's scratch.
+std::optional<std::tuple<size_t, size_t, std::vector<uint64_t>>> StateOf(
+    const ArenaSmbEngine& engine, uint64_t flow) {
+  const auto state = engine.Inspect(flow);
+  if (!state.has_value()) return std::nullopt;
+  return std::make_tuple(
+      state->round, state->ones_in_round,
+      std::vector<uint64_t>(state->words.begin(), state->words.end()));
+}
+
+// Flow 2 adopted into an engine holding only flow 1, then every kind
+// of source row into destinations of every tuning.
 TEST(ArenaMergeTest, DisjointFlowsAreAdoptedVerbatim) {
   ArenaSmbEngine a(EngineConfig());
   ArenaSmbEngine b(EngineConfig());
@@ -83,6 +99,97 @@ TEST(ArenaMergeTest, DisjointFlowsAreAdoptedVerbatim) {
   EXPECT_EQ(adopted->ones_in_round, original->ones_in_round);
   EXPECT_TRUE(std::equal(adopted->words.begin(), adopted->words.end(),
                          original->words.begin(), original->words.end()));
+
+  // Then every kind of source row adopted whole — short lists in insertion
+  // order, ascending long lists, bitmaps, frozen flows — into destinations
+  // whose tuning differs from the source's, on both position widths: each
+  // flow ends in the state a per-flow UpsertFlowState oracle holds, and an
+  // unbudgeted destination serializes byte for byte like its oracle.
+  for (const auto& [num_bits, threshold] :
+       {std::pair<size_t, size_t>{10000, 1000}, {70000, 7000}}) {
+    ArenaSmbEngine::Config geometry;
+    geometry.num_bits = num_bits;
+    geometry.threshold = threshold;
+    geometry.base_seed = 91;
+    Xoshiro256 rng(num_bits);
+    uint64_t next_flow = 1000;
+    const auto feed = [&](ArenaSmbEngine& engine, size_t distinct) {
+      for (size_t e = 0; e < distinct; ++e) {
+        engine.Record(next_flow, rng.Next());
+      }
+      ++next_flow;
+    };
+    ArenaSmbEngine full(geometry);
+    for (size_t i = 0; i < 30; ++i) feed(full, 1 + rng.NextBounded(60));
+    for (size_t i = 0; i < 20; ++i) feed(full, 100 + rng.NextBounded(400));
+    for (size_t i = 0; i < 6; ++i) feed(full, 1500 + 4000 * i);
+    // Restored under half its live bytes with the cold tier on, so some
+    // rows freeze, then recorded into: new short lists keep insertion
+    // order.
+    ArenaTuning frozen;
+    frozen.cold_tier = true;
+    frozen.memory_budget_bytes = full.LiveBytes() / 2;
+    auto restored = ArenaSmbEngine::Deserialize(full.Serialize(), frozen);
+    ASSERT_TRUE(restored.has_value());
+    ArenaSmbEngine source = std::move(*restored);
+    for (size_t i = 0; i < 30; ++i) feed(source, 1 + rng.NextBounded(60));
+    for (size_t i = 0; i < 4; ++i) feed(source, 100 + rng.NextBounded(400));
+    const auto stats = source.Stats();
+    ASSERT_GT(stats.cold_flows, 0u);
+    ASSERT_GT(stats.nursery_flows, 0u);
+    ASSERT_GT(stats.main_flows, 0u);
+    std::vector<uint64_t> flows;
+    source.ForEachFlow([&](uint64_t flow, double) { flows.push_back(flow); });
+    for (uint64_t flow = 1; flow <= 20; ++flow) flows.push_back(flow);
+
+    ArenaTuning other_lists;
+    other_lists.nursery_capacity = 100;
+    ArenaTuning no_lists;
+    no_lists.nursery_capacity = 0;
+    ArenaTuning budgeted;
+    budgeted.cold_tier = true;
+    budgeted.memory_budget_bytes = full.LiveBytes() / 3;
+    for (const ArenaTuning& tuning :
+         {ArenaTuning{}, other_lists, no_lists, budgeted}) {
+      ArenaSmbEngine::Config config = geometry;
+      config.tuning = tuning;
+      ArenaSmbEngine merged(config);
+      ArenaSmbEngine oracle(config);
+      // Flows the destination already holds, disjoint from the source's.
+      for (uint64_t flow = 1; flow <= 20; ++flow) {
+        for (uint64_t e = 0; e < flow * flow * 3; ++e) {
+          merged.Record(flow, e);
+          oracle.Record(flow, e);
+        }
+      }
+      merged.MergeFrom(source);
+      source.ForEachFlowState([&](uint64_t flow, uint32_t round,
+                                  uint32_t ones,
+                                  std::span<const uint64_t> words) {
+        ASSERT_TRUE(oracle.UpsertFlowState(flow, round, ones, words));
+      });
+      const std::string what =
+          std::to_string(num_bits) + " bits, nursery capacity " +
+          std::to_string(tuning.nursery_capacity) + ", budget " +
+          std::to_string(tuning.memory_budget_bytes);
+      for (const uint64_t flow : flows) {
+        const auto state = StateOf(merged, flow);
+        ASSERT_TRUE(state.has_value()) << what << ", flow " << flow;
+        ASSERT_EQ(state, StateOf(oracle, flow)) << what << ", flow " << flow;
+      }
+      EXPECT_EQ(merged.NumFlows() + merged.Stats().cold_flows, flows.size())
+          << what;
+      // The budgeted pair evicts at different moments (the merge settles
+      // once, each upsert after itself), so only its flow states agree.
+      if (tuning.memory_budget_bytes == 0) {
+        EXPECT_EQ(merged.Serialize(), oracle.Serialize()) << what;
+      } else {
+        EXPECT_GT(merged.Stats().cold_flows, 0u) << what;
+      }
+      EXPECT_TRUE(merged.ListsWellFormed()) << what;
+    }
+  }
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 TEST(ArenaMergeTest, SharedFlowMergeIsBitIdenticalToSnapshotMerge) {

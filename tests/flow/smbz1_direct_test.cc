@@ -7,7 +7,10 @@
 // insertion order, and planted, so lists written in order), bitmap rows,
 // final-round rows at the fill clamp, lists the rle mode wins, and
 // frozen rows; each case runs with uint16 positions (m = 10000) and
-// uint32 ones (m = 70000).
+// uint32 ones (m = 70000). Hand-built records reach the readers' other
+// branches: list-class states written raw, as rle or over their zero
+// bits (decoded into words, not read as positions), sparse records whose
+// count disagrees with the fill, and the graduation fill itself.
 
 #include <gtest/gtest.h>
 
@@ -59,6 +62,13 @@ std::vector<uint8_t> EditedImage(std::vector<uint8_t> image, Edit edit) {
   image.resize(image.size() - 8);
   AppendU64(&image, Murmur3_128(image.data(), image.size(), 0x464C5731u).lo);
   return Compressed(image);
+}
+
+void PutVarint(std::vector<uint8_t>* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) {
+    out->push_back(static_cast<uint8_t>(v) | 0x80);
+  }
+  out->push_back(static_cast<uint8_t>(v));
 }
 
 void StoreU64(std::vector<uint8_t>* bytes, size_t at, uint64_t v) {
@@ -183,6 +193,103 @@ class Smbz1DirectTest : public ::testing::TestWithParam<size_t> {
     return engine;
   }
 
+  // The fill at which a round-0 state leaves the list classes: the last
+  // list class's capacity, or T when that is lower.
+  size_t GraduationFill() const {
+    const auto classes = ArenaSmbEngine(Geometry()).Stats().classes;
+    return std::min<size_t>(classes[classes.size() - 2].positions,
+                            Geometry().threshold);
+  }
+
+  // SMBZ1 containers of hand-built records in the fixture's geometry,
+  // each written with EncodeSlotAs in a mode the engine's own writer
+  // would not pick, or carrying a defect. Each container also holds two
+  // ordinary records around the crafted one (key 7).
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> Crafted() const {
+    Xoshiro256 rng(0xC2AF + GetParam());
+    const ArenaSmbEngine::Config config = Geometry();
+    const auto container = [&](const std::vector<uint8_t>& record) {
+      std::vector<uint8_t> out;
+      codec::BeginContainer({config.num_bits, config.threshold,
+                             config.base_seed, 3, Words()},
+                            &out);
+      const std::vector<uint64_t> short_list = RandomBits(rng, 9);
+      const std::vector<uint64_t> long_list = RandomBits(rng, 300);
+      AppendU64(&out, 1);
+      codec::EncodeSlot(config.num_bits, {0, 9, short_list}, &out);
+      AppendU64(&out, 7);
+      out.insert(out.end(), record.begin(), record.end());
+      AppendU64(&out, 2);
+      codec::EncodeSlot(config.num_bits, {0, 300, long_list}, &out);
+      codec::SealContainer(&out);
+      return out;
+    };
+    const auto forced = [&](codec::SlotMode mode, uint32_t ones,
+                            const std::vector<uint64_t>& words) {
+      std::vector<uint8_t> record;
+      EXPECT_TRUE(EncodeSlotAs(mode, config.num_bits, {0, ones, words},
+                               &record));
+      return record;
+    };
+    // A round-0 state as a sparse record over its zero bits, which no
+    // encoder writes for a state this sparse: mode byte, (0, ones), the
+    // zero count, then the zero positions as varint gaps.
+    const auto zeros_listed = [&](uint32_t ones,
+                                  const std::vector<uint64_t>& words) {
+      std::vector<uint64_t> gaps;
+      uint64_t next = 0;
+      for (uint64_t pos = 0; pos < GetParam(); ++pos) {
+        if ((words[pos / 64] >> (pos % 64)) & 1) continue;
+        gaps.push_back(pos - next);
+        next = pos + 1;
+      }
+      std::vector<uint8_t> record = {0x05};
+      for (const uint64_t v : {uint64_t{0}, uint64_t{ones},
+                               uint64_t{gaps.size()}}) {
+        PutVarint(&record, v);
+      }
+      for (const uint64_t gap : gaps) PutVarint(&record, gap);
+      return record;
+    };
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> out;
+    const size_t graduation = GraduationFill();
+    for (const size_t fill : {size_t{0}, size_t{20}, size_t{200},
+                              graduation - 1}) {
+      const std::vector<uint64_t> words = RandomBits(rng, fill);
+      const uint32_t ones = static_cast<uint32_t>(fill);
+      const std::string at = " list of " + std::to_string(fill);
+      out.emplace_back("sparse" + at,
+                       container(forced(codec::SlotMode::kSparse, ones,
+                                        words)));
+      out.emplace_back("raw" + at, container(forced(codec::SlotMode::kRaw,
+                                                    ones, words)));
+      out.emplace_back("rle" + at, container(forced(codec::SlotMode::kRle,
+                                                    ones, words)));
+      out.emplace_back("zeros listed" + at,
+                       container(zeros_listed(ones, words)));
+      for (const uint32_t wrong : {ones + 1, ones - 1}) {
+        if (wrong > graduation) continue;  // ones - 1 wraps at fill 0
+        out.emplace_back("sparse" + at + ", ones " + std::to_string(wrong),
+                         container(forced(codec::SlotMode::kSparse, wrong,
+                                          words)));
+        out.emplace_back("zeros listed" + at + ", ones " +
+                             std::to_string(wrong),
+                         container(zeros_listed(wrong, words)));
+      }
+    }
+    // Exactly the graduation fill: a bitmap-class state (or, when T is
+    // the bound, one a round-0 state cannot reach). Two different ones,
+    // so a sparse store over a raw one must clear the bitmap first.
+    const uint32_t ones = static_cast<uint32_t>(graduation);
+    out.emplace_back("raw at the graduation fill",
+                     container(forced(codec::SlotMode::kRaw, ones,
+                                      RandomBits(rng, graduation))));
+    out.emplace_back("sparse at the graduation fill",
+                     container(forced(codec::SlotMode::kSparse, ones,
+                                      RandomBits(rng, graduation))));
+    return out;
+  }
+
   void TearDown() override { EXPECT_EQ(FlowInvariantViolations(), 0u); }
 };
 
@@ -248,6 +355,7 @@ TEST_P(Smbz1DirectTest, DeserializeSmbz1AcceptsExactlyWhatTheImagePathDoes) {
     if (direct.has_value()) {
       ++accepted;
       ASSERT_EQ(direct->Serialize(), via->Serialize()) << what;
+      ASSERT_TRUE(direct->ListsWellFormed()) << what;
     } else {
       ++rejected;
     }
@@ -318,6 +426,18 @@ TEST_P(Smbz1DirectTest, DeserializeSmbz1AcceptsExactlyWhatTheImagePathDoes) {
     bad.insert(bad.end() - 4, uint8_t{0});
     check(Reseal(bad), "trailing byte");
   }
+  // Hand-built records: list-class states in the modes the engine's own
+  // writer would not pick, counts that disagree with the fill, and the
+  // graduation fill.
+  const auto crafted = Crafted();
+  size_t crafted_accepted = 0;
+  for (const auto& [what, bytes] : crafted) {
+    const size_t before = accepted;
+    check(bytes, what);
+    crafted_accepted += accepted - before;
+  }
+  EXPECT_GE(crafted_accepted, 16u);
+  EXPECT_GE(crafted.size() - crafted_accepted, 14u);
   EXPECT_GT(accepted, 5u);
   EXPECT_GT(rejected, 100u);
 }
@@ -409,6 +529,42 @@ TEST_P(Smbz1DirectTest, ApplySmbz1UpsertsWholeOrNothing) {
   }
   EXPECT_TRUE(direct.ApplySmbz1(next));
   EXPECT_NE(direct.Serialize(), before);
+
+  // Hand-built records, each container applied to two fresh budgeted
+  // replicas holding the first delta: the image path's upserts decide,
+  // and a rejected container changes nothing.
+  ArenaSmbEngine crafted_direct(budgeted);
+  ArenaSmbEngine crafted_via(budgeted);
+  ASSERT_TRUE(crafted_direct.ApplySmbz1(delta));
+  staged->ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
+                               std::span<const uint64_t> words) {
+    ASSERT_TRUE(crafted_via.UpsertFlowState(flow, round, ones, words));
+  });
+  size_t crafted_accepted = 0;
+  for (const auto& [what, bytes] : Crafted()) {
+    const std::vector<uint8_t> prior = crafted_direct.Serialize();
+    ASSERT_EQ(prior, crafted_via.Serialize()) << what;
+    const auto unpacked_crafted = codec::DecompressToFlw1Image(bytes);
+    const auto parsed =
+        unpacked_crafted.has_value()
+            ? ArenaSmbEngine::Deserialize(*unpacked_crafted)
+            : std::nullopt;
+    const bool applied = crafted_direct.ApplySmbz1(bytes);
+    ASSERT_EQ(applied, parsed.has_value()) << what;
+    if (!applied) {
+      EXPECT_EQ(crafted_direct.Serialize(), prior) << what;
+      continue;
+    }
+    ++crafted_accepted;
+    parsed->ForEachFlowState([&](uint64_t flow, uint32_t round,
+                                 uint32_t ones,
+                                 std::span<const uint64_t> words) {
+      ASSERT_TRUE(crafted_via.UpsertFlowState(flow, round, ones, words));
+    });
+    EXPECT_EQ(crafted_direct.Serialize(), crafted_via.Serialize()) << what;
+    EXPECT_TRUE(crafted_direct.ListsWellFormed()) << what;
+  }
+  EXPECT_GE(crafted_accepted, 16u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,10 +1,8 @@
 // Parent mode (--listen, DESIGN.md §16): pump the replication sink until
 // every expected child has connected, drained (acked == applied) and said
 // goodbye, then print the merged top spreads. A child only sends its
-// goodbye after its spool drained, so "all disconnected with nothing
-// unacked" is the quiesced state.
-
-#include <algorithm>
+// goodbye after its spool drained, so "every child's last session ended
+// in a goodbye, with nothing unacked" is the quiesced state.
 
 #include "repl/replication_sink.h"
 #include "smbcard_cli/runners.h"
@@ -47,11 +45,6 @@ int RunParent(const CliOptions& options) {
           ? NowMs() + options.listen_timeout_s * 1000
           : 0;
   bool timed_out = false;
-  // Children that connected during THIS parent's lifetime. A restarted
-  // parent recovers children from its checkpoint with nothing unacked —
-  // it must still wait for them to come back (they may hold spooled
-  // deltas), not mistake "recovered and quiet" for "drained".
-  std::vector<uint64_t> greeted;
   while (true) {
     const uint64_t now_ms = NowMs();
     if (deadline_ms != 0 && now_ms >= deadline_ms) {
@@ -59,18 +52,20 @@ int RunParent(const CliOptions& options) {
       break;
     }
     sink.PollOnce(now_ms, /*timeout_ms=*/50);
-    bool quiesced = true;
-    for (const auto& child : sink.Children(NowMs())) {
-      const bool was_greeted =
-          std::find(greeted.begin(), greeted.end(), child.child_id) !=
-          greeted.end();
-      if (child.connected && !was_greeted) greeted.push_back(child.child_id);
-      if (child.connected || child.acked_seq != child.applied_seq ||
-          !was_greeted) {
+    // A child that dropped without a goodbye (its connection recycled
+    // over a gap, a rejected payload or a corrupt frame) is in reconnect
+    // backoff with deltas still spooled. A restarted parent's children,
+    // recovered from its checkpoint, have said no goodbye to it either:
+    // it waits for them to come back, since they may hold spooled deltas.
+    const auto children = sink.Children(NowMs());
+    bool quiesced = children.size() >= options.expect_children;
+    for (const auto& child : children) {
+      if (child.connected || !child.said_goodbye ||
+          child.acked_seq != child.applied_seq) {
         quiesced = false;
       }
     }
-    if (quiesced && greeted.size() >= options.expect_children) break;
+    if (quiesced) break;
   }
 
   std::vector<std::pair<uint64_t, double>> spreads;

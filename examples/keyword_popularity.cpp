@@ -48,7 +48,7 @@ int main() {
     // query several times.
     for (int repeat = 0; repeat < kw.queries_per_user; ++repeat) {
       for (size_t u = 0; u < kw.distinct_users; ++u) {
-        char client[32];
+        char client[48];
         std::snprintf(client, sizeof(client), "user-%zu-%zu", k, u);
         popularity.AddBytes(client);
       }

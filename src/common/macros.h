@@ -14,6 +14,13 @@
 #define SMB_LIKELY(x) (__builtin_expect(!!(x), 1))
 #define SMB_UNLIKELY(x) (__builtin_expect(!!(x), 0))
 
+// Starts a function's code on a 64-byte boundary, on a definition:
+// `SMB_CACHELINE_ALIGNED double Engine::Query(...) const { ... }`. For
+// short, latency-measured functions whose placement would otherwise move
+// with every edit to their file (a 32-byte shift read as a 10-25% swing
+// in a sub-microsecond query).
+#define SMB_CACHELINE_ALIGNED __attribute__((aligned(64)))
+
 // Always-on invariant check. Use for API preconditions whose violation is a
 // caller bug (e.g., zero-sized bitmap). Aborts with file:line context.
 #define SMB_CHECK(cond)                                                    \

@@ -86,7 +86,7 @@ void ArenaSmbEngine::PublishResidency() const {
   ins.cold_flows->Set(static_cast<int64_t>(stats.cold_flows));
   ins.cold_bytes->Set(static_cast<int64_t>(stats.cold_encoded_bytes));
   ins.cold_resident_bytes->Set(
-      cold_ ? static_cast<int64_t>(cold_->ResidentBytes()) : 0);
+      cold_ ? static_cast<int64_t>(cold_->tier.ResidentBytes()) : 0);
   ins.cold_ratio_milli->Set(
       stats.cold_encoded_bytes > 0
           ? static_cast<int64_t>(stats.cold_raw_bytes * 1000 /
@@ -272,6 +272,50 @@ void WordsToList(std::span<const uint64_t> words, size_t position_bytes,
   }
 }
 
+// codec::EncodeSparseSlot for a list row of n positions: a long list is
+// ascending in place, a short one is sorted into a copy first.
+template <typename Pos>
+bool EncodeListRecord(uint64_t num_bits, const uint64_t* slot, uint32_t n,
+                      bool ascending, std::vector<uint8_t>* out) {
+  const Pos* list = reinterpret_cast<const Pos*>(slot);
+  if (ascending) {
+    return codec::EncodeSparseSlot(num_bits, std::span<const Pos>(list, n),
+                                   out);
+  }
+  std::array<Pos, kShortListBytes / sizeof(Pos)> sorted;
+  SMB_DCHECK(n <= sorted.size());
+  std::copy(list, list + n, sorted.begin());
+  std::sort(sorted.begin(), sorted.begin() + n);
+  return codec::EncodeSparseSlot(num_bits,
+                                 std::span<const Pos>(sorted.data(), n), out);
+}
+
+// Reads the position count of a sparse record over the set bits whose
+// header is `slot`, at *pos, with every check made before a position is
+// read: the count is the popcount (r, v) calls for — so a list-class
+// state's positions fit its class — and each position takes at least a
+// byte, so a count the bytes left cannot hold fails here, before
+// anything is sized from it.
+bool ReadSetCount(std::span<const uint8_t> in, size_t* pos,
+                  uint64_t num_bits, uint64_t threshold,
+                  const codec::SlotHeader& slot, uint64_t* count) {
+  return codec::ReadSparseCount(in, pos, num_bits, count) &&
+         *count <= in.size() - *pos &&
+         SmbStateReachableCounts(num_bits, threshold, slot.round, slot.ones,
+                                 *count);
+}
+
+// Reads the `count` ascending positions of a sparse payload at *pos into
+// a list slot of Pos entries.
+template <typename Pos>
+bool ReadListPositions(std::span<const uint8_t> in, size_t* pos,
+                       uint64_t num_bits, uint64_t count, uint64_t* slot) {
+  Pos* out = reinterpret_cast<Pos*>(slot);
+  return codec::ReadSparsePositions(
+      in, pos, num_bits, count,
+      [&](uint64_t p) { *out++ = static_cast<Pos>(p); });
+}
+
 }  // namespace
 
 bool ArenaSmbEngine::Supports(size_t num_bits, size_t threshold) {
@@ -333,7 +377,7 @@ ArenaSmbEngine::ArenaSmbEngine(const Config& config)
                 class_positions_[bitmap_class_ - 1], morph_fill));
   slabs_.emplace_back(words_per_slot_, options);
   if (config_.tuning.cold_tier) {
-    cold_ = std::make_unique<ColdSketchTier>(config_.num_bits);
+    cold_ = std::make_unique<Cold>(config_.num_bits);
   }
 }
 
@@ -394,11 +438,11 @@ uint32_t ArenaSmbEngine::FindOrCreateRow(uint64_t flow, uint64_t bucket_hash,
     // Thaw-before-gate: a returning frozen flow resumes from its exact
     // evicted state, in the class that state calls for, so the bits it
     // records from here on are identical to a never-evicted engine's.
-    if (cold_ != nullptr && cold_->Contains(flow)) {
-      uint32_t round = 0, ones = 0;
-      inspect_scratch_.resize(words_per_slot_);
-      cold_->Thaw(flow, &round, &ones, inspect_scratch_);
-      StoreState(row, (round << kRoundShift) | ones, inspect_scratch_);
+    // One tier lookup finds, stores and drops the record.
+    if (cold_ != nullptr &&
+        cold_->tier.Take(flow, [&](const ColdSketchTier::Record& record) {
+          StoreRecord(row, record.bytes);
+        })) {
       ++thawed_flows_;
     }
   }
@@ -454,6 +498,53 @@ void ArenaSmbEngine::StoreState(uint32_t row, uint32_t meta,
                    [](Pos pos) { return static_cast<uint32_t>(pos); });
   }
   meta_[row] = meta;
+}
+
+void ArenaSmbEngine::StoreRecord(uint32_t row,
+                                 std::span<const uint8_t> record) {
+  size_t pos = 0;
+  codec::SlotHeader header;
+  const bool header_ok = codec::ReadSlotHeader(record, &pos, &header);
+  SMB_CHECK_MSG(header_ok, "slot record failed to decode");
+  const uint32_t meta = (header.round << kRoundShift) | header.ones;
+  const uint32_t cls = ClassFor(meta);
+  if (cls != bitmap_class_ && header.mode == codec::SlotMode::kSparse &&
+      !header.zeros_listed) {
+    // A list-class state's set positions go straight into its list slot,
+    // ascending, with the checks an SMBZ1 reader makes.
+    uint64_t count = 0;
+    bool ok = ReadSetCount(record, &pos, config_.num_bits, config_.threshold,
+                           header, &count);
+    if (ok) {
+      uint64_t* slot = SlotWords(SlotIn(row, cls));
+      ok = position_bytes_ == 2
+               ? ReadListPositions<uint16_t>(record, &pos, config_.num_bits,
+                                             count, slot)
+               : ReadListPositions<uint32_t>(record, &pos, config_.num_bits,
+                                             count, slot);
+    }
+    SMB_CHECK_MSG(ok && pos == record.size(), "slot record failed to decode");
+    meta_[row] = meta;
+  } else if (cls == bitmap_class_) {
+    DecodeRecord(record, {SlotWords(SlotIn(row, cls)), words_per_slot_});
+    meta_[row] = meta;
+  } else {
+    inspect_scratch_.resize(words_per_slot_);
+    DecodeRecord(record, inspect_scratch_);
+    StoreState(row, meta, inspect_scratch_);
+  }
+}
+
+void ArenaSmbEngine::DecodeRecord(std::span<const uint8_t> record,
+                                  std::span<uint64_t> words) const {
+  size_t pos = 0;
+  codec::DecodedSlot slot;
+  const bool ok =
+      codec::DecodeSlot(record, &pos, config_.num_bits, &slot, words) &&
+      pos == record.size() &&
+      SmbStateReachableCounts(config_.num_bits, config_.threshold, slot.round,
+                              slot.ones, slot.set_bits);
+  SMB_CHECK_MSG(ok, "slot record failed to decode");
 }
 
 uint32_t ArenaSmbEngine::MoveList(uint32_t row, uint32_t cls) {
@@ -644,7 +735,9 @@ void ArenaSmbEngine::RecordBatch(const Packet* packets, size_t n) {
 
 void ArenaSmbEngine::SettleBoundary() {
   const size_t budget = config_.tuning.memory_budget_bytes;
-  if (budget > 0 && config_.tuning.eviction != ArenaEviction::kOff) {
+  if (budget > 0 && config_.tuning.eviction != ArenaEviction::kOff &&
+      NumFlows() > 1 && LiveBytes() > budget) {
+    TRACE_SPAN("flow", "arena.evict");
     while (NumFlows() > 1 && LiveBytes() > budget && EvictOneRow()) continue;
   }
   // The accounting identities, re-derived from the class slabs' own slot
@@ -690,8 +783,10 @@ bool ArenaSmbEngine::EvictOneRow() {
       // Freeze: the state stays queryable and revivable in-process, so
       // nothing is lost. Without the cold tier the state is dropped.
       const uint32_t meta = meta_[row];
-      cold_->Freeze(flow, meta >> kRoundShift, meta & kFillMask,
-                    MaterializedWords(row, &inspect_scratch_));
+      cold_->record.clear();
+      AppendSlotRecord(row, &inspect_scratch_, &cold_->record);
+      cold_->tier.Freeze(flow, meta >> kRoundShift, meta & kFillMask,
+                         cold_->record);
     }
     const bool erased = table_.Erase(flow, FlowTable::BucketHash(flow));
     SMB_DCHECK(erased);
@@ -722,20 +817,22 @@ double ArenaSmbEngine::EstimateMeta(uint32_t round32, uint32_t ones32) const {
   return s_table_[round] + scale * (-std::log1p(-v / m_r));
 }
 
-bool ArenaSmbEngine::FindMeta(uint64_t flow, uint32_t* meta) const {
+SMB_CACHELINE_ALIGNED bool ArenaSmbEngine::FindMeta(uint64_t flow,
+                                                   uint32_t* meta) const {
   const FlowTable::Probe probe =
       table_.Find(flow, FlowTable::BucketHash(flow));
   if (probe.found) {
     *meta = meta_[probe.slot];
     return true;
   }
-  uint32_t round = 0, ones = 0;
-  if (cold_ == nullptr || !cold_->PeekMeta(flow, &round, &ones)) return false;
-  *meta = (round << kRoundShift) | ones;
+  if (cold_ == nullptr) return false;
+  const std::optional<ColdSketchTier::Record> record = cold_->tier.Find(flow);
+  if (!record.has_value()) return false;
+  *meta = (record->round << kRoundShift) | record->ones;
   return true;
 }
 
-double ArenaSmbEngine::Query(uint64_t flow) const {
+SMB_CACHELINE_ALIGNED double ArenaSmbEngine::Query(uint64_t flow) const {
   // The estimate is a pure function of (r, v), so a frozen flow answers
   // from its cold-tier header and its payload stays compressed.
   uint32_t meta = 0;
@@ -759,11 +856,10 @@ void ArenaSmbEngine::ForEachFlow(
        EstimateMeta(meta_[row] >> kRoundShift, meta_[row] & kFillMask));
   }
   if (cold_ != nullptr) {
-    for (const uint64_t flow : cold_->SortedFlows()) {
-      uint32_t round = 0, ones = 0;
-      cold_->PeekMeta(flow, &round, &ones);
-      fn(flow, EstimateMeta(round, ones));
-    }
+    cold_->tier.ForEachSorted(
+        [&](uint64_t flow, const ColdSketchTier::Record& record) {
+          fn(flow, EstimateMeta(record.round, record.ones));
+        });
   }
 }
 
@@ -782,10 +878,9 @@ std::span<const uint64_t> ArenaSmbEngine::HeldWords(
   const FlowTable::Probe probe =
       table_.Find(flow, FlowTable::BucketHash(flow));
   if (probe.found) return MaterializedWords(probe.slot, scratch);
-  SMB_DCHECK(cold_ != nullptr && cold_->Contains(flow));
-  scratch->assign(words_per_slot_, 0);
-  uint32_t round = 0, ones = 0;
-  cold_->ReadState(flow, &round, &ones, *scratch);
+  SMB_DCHECK(cold_ != nullptr && cold_->tier.Contains(flow));
+  scratch->resize(words_per_slot_);
+  DecodeRecord(cold_->tier.Find(flow)->bytes, *scratch);
   return {scratch->data(), words_per_slot_};
 }
 
@@ -834,7 +929,7 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
   // below merges against its revived state.
   const auto held = [&](uint64_t flow, uint64_t bucket_hash) {
     return table_.Find(flow, bucket_hash).found ||
-           (cold_ != nullptr && cold_->Contains(flow));
+           (cold_ != nullptr && cold_->tier.Contains(flow));
   };
   const auto merge_held = [&](uint64_t flow, uint64_t bucket_hash,
                               std::span<const uint64_t> src_words,
@@ -889,19 +984,22 @@ void ArenaSmbEngine::MergeFrom(const ArenaSmbEngine& other) {
                                 reinterpret_cast<const uint32_t*>(slot), meta));
     }
   }
-  // Frozen source flows, materialized from the source's cold tier.
+  // Frozen source flows from the source's cold tier, by ascending key:
+  // a held one is decoded and replay-merged, an unheld one adopted
+  // straight from its record (a set-sparse list-class record as its
+  // positions).
   if (other.cold_ != nullptr) {
-    for (const uint64_t flow : other.cold_->SortedFlows()) {
-      uint32_t round = 0, ones = 0;
-      other.cold_->ReadState(flow, &round, &ones, scratch);
-      const uint32_t meta = (round << kRoundShift) | ones;
-      const uint64_t bucket_hash = FlowTable::BucketHash(flow);
-      if (held(flow, bucket_hash)) {
-        merge_held(flow, bucket_hash, scratch, meta);
-      } else {
-        StoreState(FindOrCreateRow(flow, bucket_hash), meta, scratch);
-      }
-    }
+    other.cold_->tier.ForEachSorted(
+        [&](uint64_t flow, const ColdSketchTier::Record& record) {
+          const uint64_t bucket_hash = FlowTable::BucketHash(flow);
+          if (held(flow, bucket_hash)) {
+            other.DecodeRecord(record.bytes, scratch);
+            merge_held(flow, bucket_hash, scratch,
+                       (record.round << kRoundShift) | record.ones);
+          } else {
+            StoreRecord(FindOrCreateRow(flow, bucket_hash), record.bytes);
+          }
+        });
   }
   // Adopted flows may have pushed past the budget; reclaim at the merge
   // boundary (no cached row ids here).
@@ -958,7 +1056,10 @@ size_t ArenaSmbEngine::ResidentBytes() const {
          row_free_.capacity() * sizeof(uint32_t) +
          inspect_scratch_.capacity() * sizeof(uint64_t) +
          s_table_.capacity() * sizeof(double) +
-         (cold_ != nullptr ? cold_->ResidentBytes() : 0);
+         (cold_ != nullptr ? cold_->tier.ResidentBytes() +
+                                 sizeof(cold_->record) +
+                                 cold_->record.capacity()
+                           : 0);
 }
 
 ArenaSmbEngine::ArenaStats ArenaSmbEngine::Stats() const {
@@ -984,10 +1085,10 @@ ArenaSmbEngine::ArenaStats ArenaSmbEngine::Stats() const {
     stats.alloc.thp_advised_bytes += slab.alloc_stats().thp_advised_bytes;
   }
   if (cold_ != nullptr) {
-    stats.cold_flows = cold_->NumFlows();
-    stats.cold_encoded_bytes = cold_->EncodedBytes();
-    stats.cold_raw_bytes = cold_->RawBytes();
-    stats.cold_compactions = cold_->compactions();
+    stats.cold_flows = cold_->tier.NumFlows();
+    stats.cold_encoded_bytes = cold_->tier.EncodedBytes();
+    stats.cold_raw_bytes = cold_->tier.RawBytes();
+    stats.cold_compactions = cold_->tier.compactions();
   }
   stats.thawed_flows = thawed_flows_;
   return stats;
@@ -1067,7 +1168,7 @@ void SealSnapshot(std::vector<uint8_t>* out) {
 std::vector<uint8_t> ArenaSmbEngine::Serialize() const {
   // Frozen flows ride the same snapshot, materialized, after the live
   // rows — ascending key so snapshot bytes are deterministic.
-  const size_t cold_flows = cold_ != nullptr ? cold_->NumFlows() : 0;
+  const size_t cold_flows = cold_ != nullptr ? cold_->tier.NumFlows() : 0;
   std::vector<uint8_t> out =
       BeginSnapshot(config_, NumFlows() + cold_flows, words_per_slot_);
   ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
@@ -1176,16 +1277,9 @@ bool ForEachSmbz1Record(std::span<const uint8_t> records,
     if (!codec::ReadSlotHeader(records, &pos, &slot)) return false;
     const uint32_t meta = (slot.round << kRoundShift) | slot.ones;
     if (slot.mode == codec::SlotMode::kSparse && !slot.zeros_listed) {
-      // The count is the popcount, so reachability is settled before a
-      // position is read (and a list-class state's positions fit its
-      // class). Each position takes at least a byte, so a count the
-      // bytes left cannot hold fails here, before anything is sized
-      // from it.
       uint64_t count = 0;
-      if (!codec::ReadSparseCount(records, &pos, header.num_bits, &count) ||
-          count > records.size() - pos ||
-          !SmbStateReachableCounts(header.num_bits, header.threshold,
-                                   slot.round, slot.ones, count)) {
+      if (!ReadSetCount(records, &pos, header.num_bits, header.threshold,
+                        slot, &count)) {
         return false;
       }
       const size_t base = positions->size();
@@ -1212,24 +1306,6 @@ bool ForEachSmbz1Record(std::span<const uint8_t> records,
   return pos == records.size();
 }
 
-// codec::EncodeSparseSlot for a list row of n positions: a long list is
-// ascending in place, a short one is sorted into a copy first.
-template <typename Pos>
-bool EncodeListRecord(uint64_t num_bits, const uint64_t* slot, uint32_t n,
-                      bool ascending, std::vector<uint8_t>* out) {
-  const Pos* list = reinterpret_cast<const Pos*>(slot);
-  if (ascending) {
-    return codec::EncodeSparseSlot(num_bits, std::span<const Pos>(list, n),
-                                   out);
-  }
-  std::array<Pos, kShortListBytes / sizeof(Pos)> sorted;
-  SMB_DCHECK(n <= sorted.size());
-  std::copy(list, list + n, sorted.begin());
-  std::sort(sorted.begin(), sorted.begin() + n);
-  return codec::EncodeSparseSlot(num_bits,
-                                 std::span<const Pos>(sorted.data(), n), out);
-}
-
 codec::ContainerHeader Smbz1Header(const ArenaSmbEngine::Config& config,
                                    size_t num_flows, size_t words_per_slot) {
   return {config.num_bits, config.threshold, config.base_seed, num_flows,
@@ -1238,10 +1314,9 @@ codec::ContainerHeader Smbz1Header(const ArenaSmbEngine::Config& config,
 
 }  // namespace
 
-void ArenaSmbEngine::AppendSmbz1Record(uint32_t row,
-                                       std::vector<uint64_t>* scratch,
-                                       std::vector<uint8_t>* out) const {
-  AppendU64(out, flow_keys_[row]);
+void ArenaSmbEngine::AppendSlotRecord(uint32_t row,
+                                      std::vector<uint64_t>* scratch,
+                                      std::vector<uint8_t>* out) const {
   const uint32_t ref = slab_ref_[row];
   const uint32_t meta = meta_[row];
   if (IsList(ref)) {
@@ -1264,23 +1339,24 @@ void ArenaSmbEngine::AppendSmbz1Record(uint32_t row,
 
 std::vector<uint8_t> ArenaSmbEngine::SerializeSmbz1() const {
   // The same records in the same order as Serialize(): live rows, then
-  // frozen flows by ascending key.
-  const std::vector<uint64_t> cold_flows =
-      cold_ != nullptr ? cold_->SortedFlows() : std::vector<uint64_t>();
+  // frozen flows by ascending key, whose records are copied as they are
+  // (re-encoding a decoded record gives its bytes).
+  const size_t cold_flows = cold_ != nullptr ? cold_->tier.NumFlows() : 0;
   std::vector<uint8_t> out;
   codec::BeginContainer(
-      Smbz1Header(config_, NumFlows() + cold_flows.size(), words_per_slot_),
-      &out);
+      Smbz1Header(config_, NumFlows() + cold_flows, words_per_slot_), &out);
   std::vector<uint64_t> scratch(words_per_slot_);
   for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
-    if (slab_ref_[row] != kDeadRef) AppendSmbz1Record(row, &scratch, &out);
+    if (slab_ref_[row] == kDeadRef) continue;
+    AppendU64(&out, flow_keys_[row]);
+    AppendSlotRecord(row, &scratch, &out);
   }
-  for (const uint64_t flow : cold_flows) {
-    codec::SlotState state;
-    cold_->ReadState(flow, &state.round, &state.ones, scratch);
-    state.words = scratch;
-    AppendU64(&out, flow);
-    codec::EncodeSlot(config_.num_bits, state, &out);
+  if (cold_ != nullptr) {
+    cold_->tier.ForEachSorted(
+        [&](uint64_t flow, const ColdSketchTier::Record& record) {
+          AppendU64(&out, flow);
+          out.insert(out.end(), record.bytes.begin(), record.bytes.end());
+        });
   }
   codec::SealContainer(&out);
   return out;
@@ -1293,7 +1369,10 @@ std::vector<uint8_t> ArenaSmbEngine::SerializeSmbz1(
   codec::BeginContainer(Smbz1Header(config_, rows.size(), words_per_slot_),
                         &out);
   std::vector<uint64_t> scratch(words_per_slot_);
-  for (const uint32_t row : rows) AppendSmbz1Record(row, &scratch, &out);
+  for (const uint32_t row : rows) {
+    AppendU64(&out, flow_keys_[row]);
+    AppendSlotRecord(row, &scratch, &out);
+  }
   codec::SealContainer(&out);
   return out;
 }
@@ -1438,11 +1517,11 @@ void ArenaSmbEngine::ForEachFlowState(
        MaterializedWords(row, &scratch));
   }
   if (cold_ != nullptr) {
-    for (const uint64_t flow : cold_->SortedFlows()) {
-      uint32_t round = 0, ones = 0;
-      cold_->ReadState(flow, &round, &ones, scratch);
-      fn(flow, round, ones, scratch);
-    }
+    cold_->tier.ForEachSorted(
+        [&](uint64_t flow, const ColdSketchTier::Record& record) {
+          DecodeRecord(record.bytes, scratch);
+          fn(flow, record.round, record.ones, scratch);
+        });
   }
 }
 

@@ -37,19 +37,28 @@
 // Short lists (slots of at most 128 bytes) keep insertion order and are
 // probed by a whole-list compare; longer lists are strictly ascending —
 // a list entering the first long class is sorted once — and probed by
-// a binary search, and an insert shifts their tail. Readers of bits go
-// through MaterializedWords(); writers of a whole state (restore,
-// upsert, merge, thaw) through StoreState(), which picks the class from
-// (r, v) alone. From words it writes a list ascending; a round-0 state
-// given by its positions is copied as given, ascending wherever the
-// class is a long one.
+// a binary search, and an insert shifts their tail. Readers of a live
+// row's bits go through MaterializedWords(); writers of a whole state
+// (restore, upsert, merge) through StoreState(), which picks the class
+// from (r, v) alone. From words it writes a list ascending; a round-0
+// state given by its positions is copied as given, ascending wherever
+// the class is a long one.
+//
+// The cold tier (DESIGN.md §17) holds SMBZ1 slot records, not words. A
+// freeze writes the row's record with AppendSlotRecord, the writer
+// SerializeSmbz1 uses (a list row from its positions); a thaw, and the
+// adoption of a frozen source flow in MergeFrom, goes through
+// StoreRecord, which reads a list-class sparse record's positions
+// straight into the list slot. Other readers of frozen state decode
+// the record (DecodeRecord); SerializeSmbz1 copies it verbatim.
 //
 // Snapshots leave the engine as SMBZ1 (DESIGN.md §12, §17):
 // SerializeSmbz1 writes each list row's sparse record straight from its
-// positions (a short list sorted into a copy first) and bitmap and
-// frozen rows through codec::EncodeSlot. DeserializeSmbz1 and the
-// all-or-nothing ApplySmbz1 read a sparse record over the set bits as
-// its positions (codec::ReadSparsePositions), check its count against
+// positions (a short list sorted into a copy first), bitmap rows
+// through codec::EncodeSlot, and copies frozen records as they are.
+// DeserializeSmbz1 and the all-or-nothing ApplySmbz1 read a sparse
+// record over the set bits as its positions
+// (codec::ReadSparsePositions), check its count against
 // (r, v) and write the positions straight into the row's slot: copied
 // into a list, set into a bitmap. Raw, rle and zero-polarity records
 // are decoded into scratch words, checked with SmbStateReachableCounts
@@ -252,8 +261,9 @@ class ArenaSmbEngine {
   // flow unknown here is adopted verbatim straight from its slot — a
   // list row's positions (a short, unsorted list lands in a short class
   // under any tuning) or a bitmap row's words — whatever the two
-  // engines' tunings. Flows present in both engines, and frozen source
-  // flows, are materialized into words; a held one is merged with the
+  // engines' tunings. An unknown frozen source flow is adopted from its
+  // record (a list-class sparse record as its positions). Flows present
+  // in both engines are materialized into words and merged with the
   // replay merge, using the same per-flow salt derivation as
   // SelfMorphingBitmap::MergeFrom on the flows' standalone snapshots —
   // so an arena merge is bit-identical to snapshotting both sides and
@@ -333,9 +343,9 @@ class ArenaSmbEngine {
   // What leaves a process: CompressFlw1Image(Serialize()) and
   // CompressFlw1Image(SerializeFlows(flows)), byte for byte, written
   // straight from the rows. A list row's sparse record comes from its
-  // ascending positions (codec::EncodeSparseSlot); bitmap and frozen
-  // rows, and any list the sparse mode would not win, go through
-  // codec::EncodeSlot.
+  // ascending positions (codec::EncodeSparseSlot); bitmap rows, and any
+  // list the sparse mode would not win, go through codec::EncodeSlot; a
+  // frozen flow's record is copied as the cold tier holds it.
   std::vector<uint8_t> SerializeSmbz1() const;
   std::vector<uint8_t> SerializeSmbz1(std::span<const uint64_t> flows) const;
   // Deserialize(*DecompressToFlw1Image(bytes), tuning) without the
@@ -440,10 +450,24 @@ class ArenaSmbEngine {
   // The live rows of `flows`, first occurrence of each, unknown flows
   // skipped: the records SerializeFlows and SerializeSmbz1(flows) write.
   std::vector<uint32_t> ListedRows(std::span<const uint64_t> flows) const;
-  // Appends the row's SMBZ1 record (flow key, then slot record).
-  // `scratch` holds words_per_slot_ words.
-  void AppendSmbz1Record(uint32_t row, std::vector<uint64_t>* scratch,
-                         std::vector<uint8_t>* out) const;
+  // Appends the row's SMBZ1 slot record: a list row's sparse record
+  // straight from its positions, and through codec::EncodeSlot over its
+  // words when the sparse encoder declines and for a bitmap row.
+  // `scratch` holds words_per_slot_ words. The one record writer for
+  // SMBZ1 snapshots and cold-tier freezes.
+  void AppendSlotRecord(uint32_t row, std::vector<uint64_t>* scratch,
+                        std::vector<uint8_t>* out) const;
+  // Replaces the row's whole state with one slot record's, moving it to
+  // ClassFor((r, v)) — a thaw and a frozen flow's adoption. A list-class
+  // sparse record over the set bits is read straight into the list
+  // slot; any other record is decoded into words, a bitmap-class one
+  // straight into its slot. The record must decode and be reachable
+  // (SMB_CHECK): the engine wrote it.
+  void StoreRecord(uint32_t row, std::span<const uint8_t> record);
+  // Decodes one slot record into `words` (words_per_slot_ of them),
+  // checking that it decodes exactly and is reachable (SMB_CHECK).
+  void DecodeRecord(std::span<const uint8_t> record,
+                    std::span<uint64_t> words) const;
 
   // The row's bitmap words: bitmap rows in place, list rows
   // materialized into *scratch (valid until its next use or a mutation).
@@ -500,8 +524,14 @@ class ArenaSmbEngine {
   size_t clock_hand_ = 0;
   bool residency_changed_ = false;  // gauges are stale
   // Present only when tuning.cold_tier; unique_ptr keeps the engine
-  // movable.
-  std::unique_ptr<ColdSketchTier> cold_;
+  // movable. `record` holds a freeze's slot record until the tier
+  // copies it.
+  struct Cold {
+    explicit Cold(size_t num_bits) : tier(num_bits) {}
+    ColdSketchTier tier;
+    std::vector<uint8_t> record;
+  };
+  std::unique_ptr<Cold> cold_;
   mutable std::vector<uint64_t> inspect_scratch_;
 };
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "codec/smbz1.h"
 #include "common/macros.h"
+#include "trace/span_tracer.h"
 
 namespace smb {
 namespace {
@@ -21,9 +21,7 @@ ColdSketchTier::ColdSketchTier(size_t num_bits)
   SMB_CHECK_MSG(num_bits >= 8, "cold tier needs a real bitmap width");
 }
 
-void ColdSketchTier::AppendRecord(uint64_t flow, uint32_t round,
-                                  uint32_t ones,
-                                  std::span<const uint8_t> record) {
+void ColdSketchTier::Append(std::span<const uint8_t> record, Entry* entry) {
   if (chunks_.empty() ||
       chunks_.back().size() + record.size() >
           std::max(kChunkBytes, record.size())) {
@@ -31,96 +29,41 @@ void ColdSketchTier::AppendRecord(uint64_t flow, uint32_t round,
     chunks_.back().reserve(std::max(kChunkBytes, record.size()));
   }
   std::vector<uint8_t>& chunk = chunks_.back();
-  Entry entry;
-  entry.chunk = static_cast<uint32_t>(chunks_.size() - 1);
-  entry.offset = static_cast<uint32_t>(chunk.size());
-  entry.length = static_cast<uint32_t>(record.size());
-  entry.round = round;
-  entry.ones = ones;
+  entry->chunk = static_cast<uint32_t>(chunks_.size() - 1);
+  entry->offset = static_cast<uint32_t>(chunk.size());
+  entry->length = static_cast<uint32_t>(record.size());
   chunk.insert(chunk.end(), record.begin(), record.end());
-  index_[flow] = entry;
-  live_bytes_ += record.size();
 }
 
 void ColdSketchTier::Freeze(uint64_t flow, uint32_t round, uint32_t ones,
-                            std::span<const uint64_t> words) {
-  SMB_DCHECK(words.size() == words_per_slot_);
-  const auto it = index_.find(flow);
-  if (it != index_.end()) {
-    // Replacement: the old record bytes rot in place until compaction.
-    live_bytes_ -= it->second.length;
-    dead_bytes_ += it->second.length;
-    index_.erase(it);
-  }
-  scratch_.clear();
-  codec::SlotState state;
-  state.round = round;
-  state.ones = ones;
-  state.words = words;
-  codec::EncodeSlot(num_bits_, state, &scratch_);
-  AppendRecord(flow, round, ones, scratch_);
+                            std::span<const uint8_t> record) {
+  Entry& entry = index_[flow];
+  // Replacement: the old record bytes rot in place until compaction.
+  live_bytes_ -= entry.length;
+  dead_bytes_ += entry.length;
+  entry.round = round;
+  entry.ones = ones;
+  Append(record, &entry);
+  live_bytes_ += record.size();
   MaybeCompact();
 }
 
-bool ColdSketchTier::ReadState(uint64_t flow, uint32_t* round,
-                               uint32_t* ones,
-                               std::span<uint64_t> words) const {
+std::optional<ColdSketchTier::Record> ColdSketchTier::Find(
+    uint64_t flow) const {
   const auto it = index_.find(flow);
-  if (it == index_.end()) return false;
-  const Entry& entry = it->second;
-  const std::vector<uint8_t>& chunk = chunks_[entry.chunk];
-  size_t pos = 0;
-  codec::DecodedSlot slot;
-  const bool ok = codec::DecodeSlot(
-      std::span<const uint8_t>(chunk.data() + entry.offset, entry.length),
-      &pos, num_bits_, &slot, words);
-  // We encoded this record ourselves; a decode failure means memory
-  // corruption, not input rot.
-  SMB_CHECK_MSG(ok && pos == entry.length,
-                "cold tier record failed to decode");
-  *round = slot.round;
-  *ones = slot.ones;
-  return true;
+  if (it == index_.end()) return std::nullopt;
+  return RecordOf(it->second);
 }
 
-bool ColdSketchTier::Thaw(uint64_t flow, uint32_t* round, uint32_t* ones,
-                          std::span<uint64_t> words) {
-  if (!ReadState(flow, round, ones, words)) return false;
-  Erase(flow);
-  return true;
-}
-
-bool ColdSketchTier::PeekMeta(uint64_t flow, uint32_t* round,
-                              uint32_t* ones) const {
-  const auto it = index_.find(flow);
-  if (it == index_.end()) return false;
-  *round = it->second.round;
-  *ones = it->second.ones;
-  return true;
-}
-
-void ColdSketchTier::Erase(uint64_t flow) {
-  const auto it = index_.find(flow);
-  if (it == index_.end()) return;
+void ColdSketchTier::Remove(Index::iterator it) {
   live_bytes_ -= it->second.length;
   dead_bytes_ += it->second.length;
   index_.erase(it);
   MaybeCompact();
 }
 
-std::vector<uint64_t> ColdSketchTier::SortedFlows() const {
-  std::vector<uint64_t> flows;
-  flows.reserve(index_.size());
-  for (const auto& [flow, entry] : index_) {
-    (void)entry;
-    flows.push_back(flow);
-  }
-  std::sort(flows.begin(), flows.end());
-  return flows;
-}
-
 size_t ColdSketchTier::ResidentBytes() const {
-  size_t bytes = sizeof(*this) + scratch_.capacity();
+  size_t bytes = sizeof(*this);
   for (const auto& chunk : chunks_) bytes += chunk.capacity();
   // Rough unordered_map node cost: entry + key + two pointers.
   bytes += index_.size() * (sizeof(Entry) + sizeof(uint64_t) + 16);
@@ -131,19 +74,19 @@ void ColdSketchTier::MaybeCompact() {
   // Compact only once the dead bytes outweigh the live ones AND amount
   // to at least a chunk — small tiers never churn.
   if (dead_bytes_ < kChunkBytes || dead_bytes_ < live_bytes_) return;
-  std::vector<std::vector<uint8_t>> old_chunks = std::move(chunks_);
+  TRACE_SPAN("flow", "cold.compact");
+  // Live records move into fresh chunks; each index entry is rewritten
+  // in place, so no index node is reallocated.
+  const std::vector<std::vector<uint8_t>> old_chunks = std::move(chunks_);
   chunks_.clear();
-  live_bytes_ = 0;
-  dead_bytes_ = 0;
-  std::unordered_map<uint64_t, Entry> old_index = std::move(index_);
-  index_.clear();
-  index_.reserve(old_index.size());
-  for (const auto& [flow, entry] : old_index) {
+  for (auto& [flow, entry] : index_) {
+    (void)flow;
     const std::vector<uint8_t>& chunk = old_chunks[entry.chunk];
-    AppendRecord(flow, entry.round, entry.ones,
-                 std::span<const uint8_t>(chunk.data() + entry.offset,
-                                          entry.length));
+    Append(std::span<const uint8_t>(chunk.data() + entry.offset,
+                                    entry.length),
+           &entry);
   }
+  dead_bytes_ = 0;
   ++compactions_;
 }
 

@@ -6,30 +6,40 @@
 // state in-process instead, one SMBZ1 slot record per flow (mode byte,
 // varint (r, v), compressed payload — codec/smbz1.h), so:
 //
-//   * a returning flow THAWS — its exact frozen state is decoded back
+//   * a returning flow THAWS — its exact frozen state is stored back
 //     into a slab slot before the geometric gate runs, making the
 //     engine's recorded bits identical to a never-evicted oracle;
-//   * a query for a frozen flow answers from the slot header alone
+//   * a query for a frozen flow answers from the cached (r, v) alone
 //     (the estimate is a pure function of (r, v)), no decode needed;
-//   * snapshots still cover frozen flows, because the tier can
-//     materialize any record on demand.
+//   * snapshots still cover frozen flows: an SMBZ1 snapshot copies the
+//     record bytes as they are.
+//
+// The tier neither encodes nor decodes: it stores the record bytes the
+// engine hands it, with their (r, v), and hands them back. The engine
+// writes a list row's record straight from its positions and reads a
+// sparse record's positions straight into a list slot, so a round-0
+// flow never becomes bitmap words on its way through here.
 //
 // Storage is a chunked append-only byte log plus a flow -> record index
 // that caches each record's (r, v). Freezing appends; thawing and
 // re-freezing strand dead bytes, which a compaction pass copies away
 // once they outweigh the live bytes. Chunks are plain heap vectors —
-// this tier trades CPU (one slot decode per thaw) for memory, typically
-// 2-10x less than the slab bytes the same flows would pin.
+// this tier trades CPU (one record write per freeze, one read per
+// thaw) for memory, typically 2-10x less than the slab bytes the same
+// flows would pin.
 //
 // Not thread-safe; owned and serialized by one ArenaSmbEngine.
 
 #ifndef SMBCARD_FLOW_COLD_TIER_H_
 #define SMBCARD_FLOW_COLD_TIER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace smb {
@@ -43,34 +53,52 @@ class ColdSketchTier {
   ColdSketchTier(const ColdSketchTier&) = delete;
   ColdSketchTier& operator=(const ColdSketchTier&) = delete;
 
-  // Encodes one flow's state into the log. `words` must span exactly
-  // (num_bits + 63) / 64 words. Re-freezing a flow replaces its record
-  // (the old bytes become dead until compaction).
+  // One frozen flow: its (r, v) and its SMBZ1 slot record. The bytes
+  // stay valid until the tier's next mutation.
+  struct Record {
+    uint32_t round = 0;
+    uint32_t ones = 0;
+    std::span<const uint8_t> bytes;
+  };
+
+  // Stores one flow's slot record, whose header holds (round, ones).
+  // Re-freezing a flow replaces its record (the old bytes become dead
+  // until compaction).
   void Freeze(uint64_t flow, uint32_t round, uint32_t ones,
-              std::span<const uint64_t> words);
+              std::span<const uint8_t> record);
 
-  // Decodes the flow's frozen state into `words` (fully overwritten)
-  // and removes it from the tier. False when the flow is not frozen.
-  bool Thaw(uint64_t flow, uint32_t* round, uint32_t* ones,
-            std::span<uint64_t> words);
-
-  // Decodes without removing — snapshot/iteration support.
-  bool ReadState(uint64_t flow, uint32_t* round, uint32_t* ones,
-                 std::span<uint64_t> words) const;
-
-  // The cached (r, v) from the record header; no payload decode. This
-  // is all an estimate needs.
-  bool PeekMeta(uint64_t flow, uint32_t* round, uint32_t* ones) const;
+  // The flow's record; nullopt when the flow is not frozen.
+  std::optional<Record> Find(uint64_t flow) const;
 
   bool Contains(uint64_t flow) const {
     return index_.find(flow) != index_.end();
   }
 
-  // Drops a frozen flow without decoding it.
-  void Erase(uint64_t flow);
+  // Hands the flow's record to fn(record) and then removes the flow,
+  // with one index lookup; false (fn not called) when the flow is not
+  // frozen. The record's bytes are valid only inside fn: the removal
+  // may compact the log.
+  template <typename Fn>
+  bool Take(uint64_t flow, Fn&& fn) {
+    const auto it = index_.find(flow);
+    if (it == index_.end()) return false;
+    fn(RecordOf(it->second));
+    Remove(it);
+    return true;
+  }
 
-  // Frozen flow keys in ascending order — snapshot determinism.
-  std::vector<uint64_t> SortedFlows() const;
+  // Calls fn(flow, record) for every frozen flow in ascending key order
+  // — snapshot determinism — sorting the index once. fn must not mutate
+  // the tier.
+  template <typename Fn>
+  void ForEachSorted(Fn&& fn) const {
+    std::vector<std::pair<uint64_t, const Entry*>> sorted;
+    sorted.reserve(index_.size());
+    for (const auto& [flow, entry] : index_) sorted.emplace_back(flow, &entry);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [flow, entry] : sorted) fn(flow, RecordOf(*entry));
+  }
 
   size_t NumFlows() const { return index_.size(); }
   // Bytes of live (indexed) records.
@@ -95,19 +123,26 @@ class ColdSketchTier {
     uint32_t round = 0;
     uint32_t ones = 0;
   };
+  using Index = std::unordered_map<uint64_t, Entry>;
 
-  void AppendRecord(uint64_t flow, uint32_t round, uint32_t ones,
-                    std::span<const uint8_t> record);
+  Record RecordOf(const Entry& entry) const {
+    return {entry.round, entry.ones,
+            std::span<const uint8_t>(
+                chunks_[entry.chunk].data() + entry.offset, entry.length)};
+  }
+  // Copies `record` to the end of the log and points `entry` at it.
+  void Append(std::span<const uint8_t> record, Entry* entry);
+  // Drops an indexed flow; its bytes become dead.
+  void Remove(Index::iterator it);
   void MaybeCompact();
 
   size_t num_bits_;
   size_t words_per_slot_;
   std::vector<std::vector<uint8_t>> chunks_;
-  std::unordered_map<uint64_t, Entry> index_;
+  Index index_;
   size_t live_bytes_ = 0;
   size_t dead_bytes_ = 0;
   uint64_t compactions_ = 0;
-  std::vector<uint8_t> scratch_;
 };
 
 }  // namespace smb

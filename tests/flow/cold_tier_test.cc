@@ -1,17 +1,28 @@
-// ColdSketchTier unit tests plus the engine-level bit-identity
+// ColdSketchTier unit tests (the tier stores SMBZ1 slot records the
+// tests encode with the codec) plus the engine-level bit-identity
 // guarantee: an engine that evicts into the frozen cold tier and thaws
 // on return must hold exactly the bits of a never-evicted oracle fed
-// the same stream (DESIGN.md §17).
+// the same stream, for whole streams and for each kind of record one
+// state at a time (DESIGN.md §17).
 
 #include "flow/cold_tier.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "codec/smbz1.h"
+#include "common/bit_util.h"
 #include "common/random.h"
 #include "flow/arena_smb_engine.h"
 #include "flow_test_util.h"
+#include "hash/batch_hash.h"
+#include "hash/murmur3.h"
 
 namespace smb {
 namespace {
@@ -27,64 +38,121 @@ std::vector<uint64_t> WordsWithBits(std::initializer_list<uint32_t> bits) {
   return words;
 }
 
+// The tier stores records the engine writes; these tests write them with
+// the codec.
+std::vector<uint8_t> RecordOf(uint32_t round, uint32_t ones,
+                              const std::vector<uint64_t>& words) {
+  codec::SlotState state;
+  state.round = round;
+  state.ones = ones;
+  state.words = words;
+  std::vector<uint8_t> record;
+  codec::EncodeSlot(kNumBits, state, &record);
+  return record;
+}
+
+void Freeze(ColdSketchTier* tier, uint64_t flow, uint32_t round,
+            uint32_t ones, const std::vector<uint64_t>& words) {
+  tier->Freeze(flow, round, ones, RecordOf(round, ones, words));
+}
+
+// The words a record holds, decoded by the codec.
+std::vector<uint64_t> WordsOf(std::span<const uint8_t> record) {
+  std::vector<uint64_t> words(kWords, ~uint64_t{0});
+  size_t pos = 0;
+  codec::DecodedSlot slot;
+  EXPECT_TRUE(codec::DecodeSlot(record, &pos, kNumBits, &slot, words));
+  EXPECT_EQ(pos, record.size());
+  return words;
+}
+
+std::vector<uint64_t> SortedFlows(const ColdSketchTier& tier) {
+  std::vector<uint64_t> flows;
+  tier.ForEachSorted([&](uint64_t flow, const ColdSketchTier::Record&) {
+    flows.push_back(flow);
+  });
+  return flows;
+}
+
 TEST(ColdSketchTierTest, FreezePeekThawRoundTrip) {
   ColdSketchTier tier(kNumBits);
   const std::vector<uint64_t> a = WordsWithBits({1, 70, 199});
   const std::vector<uint64_t> b = WordsWithBits({0, 64, 128, 192, 255});
-  tier.Freeze(10, 0, 3, a);
-  tier.Freeze(20, 2, 5, b);
+  Freeze(&tier, 10, 0, 3, a);
+  Freeze(&tier, 20, 2, 5, b);
   EXPECT_EQ(tier.NumFlows(), 2u);
   EXPECT_TRUE(tier.Contains(10));
   EXPECT_FALSE(tier.Contains(11));
+  EXPECT_FALSE(tier.Find(11).has_value());
 
-  uint32_t round = 0, ones = 0;
-  ASSERT_TRUE(tier.PeekMeta(20, &round, &ones));
-  EXPECT_EQ(round, 2u);
-  EXPECT_EQ(ones, 5u);
+  const auto peeked = tier.Find(20);
+  ASSERT_TRUE(peeked.has_value());
+  EXPECT_EQ(peeked->round, 2u);
+  EXPECT_EQ(peeked->ones, 5u);
 
-  std::vector<uint64_t> out(kWords, ~uint64_t{0});
-  ASSERT_TRUE(tier.ReadState(10, &round, &ones, out));
-  EXPECT_EQ(round, 0u);
-  EXPECT_EQ(ones, 3u);
-  EXPECT_EQ(out, a);
-  EXPECT_EQ(tier.NumFlows(), 2u) << "ReadState must not remove";
+  const auto found = tier.Find(10);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->round, 0u);
+  EXPECT_EQ(found->ones, 3u);
+  const std::vector<uint8_t> want = RecordOf(0, 3, a);
+  EXPECT_TRUE(std::equal(found->bytes.begin(), found->bytes.end(),
+                         want.begin(), want.end()))
+      << "the tier hands back the bytes it was given";
+  EXPECT_EQ(WordsOf(found->bytes), a);
+  EXPECT_EQ(tier.NumFlows(), 2u) << "Find must not remove";
 
-  ASSERT_TRUE(tier.Thaw(10, &round, &ones, out));
-  EXPECT_EQ(out, a);
+  std::vector<uint64_t> thawed;
+  ASSERT_TRUE(tier.Take(10, [&](const ColdSketchTier::Record& record) {
+    EXPECT_EQ(record.round, 0u);
+    EXPECT_EQ(record.ones, 3u);
+    thawed = WordsOf(record.bytes);
+  }));
+  EXPECT_EQ(thawed, a);
   EXPECT_FALSE(tier.Contains(10));
   EXPECT_EQ(tier.NumFlows(), 1u);
-  EXPECT_FALSE(tier.Thaw(10, &round, &ones, out));
+  bool called = false;
+  EXPECT_FALSE(
+      tier.Take(10, [&](const ColdSketchTier::Record&) { called = true; }));
+  EXPECT_FALSE(called);
 }
 
 TEST(ColdSketchTierTest, RefreezeReplacesRecord) {
   ColdSketchTier tier(kNumBits);
-  tier.Freeze(7, 0, 1, WordsWithBits({5}));
+  Freeze(&tier, 7, 0, 1, WordsWithBits({5}));
   const std::vector<uint64_t> updated = WordsWithBits({5, 9, 130});
-  tier.Freeze(7, 1, 2, updated);
+  Freeze(&tier, 7, 1, 2, updated);
   EXPECT_EQ(tier.NumFlows(), 1u);
-  uint32_t round = 0, ones = 0;
-  std::vector<uint64_t> out(kWords, 0);
-  ASSERT_TRUE(tier.ReadState(7, &round, &ones, out));
-  EXPECT_EQ(round, 1u);
-  EXPECT_EQ(ones, 2u);
-  EXPECT_EQ(out, updated);
+  EXPECT_EQ(tier.EncodedBytes(), RecordOf(1, 2, updated).size());
+  const auto found = tier.Find(7);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->round, 1u);
+  EXPECT_EQ(found->ones, 2u);
+  EXPECT_EQ(WordsOf(found->bytes), updated);
 }
 
 TEST(ColdSketchTierTest, EraseAndSortedFlows) {
   ColdSketchTier tier(kNumBits);
   for (const uint64_t flow : {42u, 7u, 1000u, 3u}) {
-    tier.Freeze(flow, 0, 1, WordsWithBits({static_cast<uint32_t>(flow % 256)}));
+    Freeze(&tier, flow, 0, 1,
+           WordsWithBits({static_cast<uint32_t>(flow % 256)}));
   }
-  tier.Erase(42);
+  ASSERT_TRUE(tier.Take(42, [](const ColdSketchTier::Record&) {}));
   EXPECT_FALSE(tier.Contains(42));
   const std::vector<uint64_t> want{3, 7, 1000};
-  EXPECT_EQ(tier.SortedFlows(), want);
+  EXPECT_EQ(SortedFlows(tier), want);
+  // The sorted walk hands each flow its own record.
+  tier.ForEachSorted(
+      [&](uint64_t flow, const ColdSketchTier::Record& record) {
+        EXPECT_EQ(WordsOf(record.bytes),
+                  WordsWithBits({static_cast<uint32_t>(flow % 256)}));
+      });
 }
 
 TEST(ColdSketchTierTest, SparseStatesBeatRawFootprint) {
   ColdSketchTier tier(kNumBits);
   for (uint64_t flow = 0; flow < 100; ++flow) {
-    tier.Freeze(flow, 0, 1, WordsWithBits({static_cast<uint32_t>(flow * 2)}));
+    Freeze(&tier, flow, 0, 1,
+           WordsWithBits({static_cast<uint32_t>(flow * 2)}));
   }
   // 100 single-bit flows: a few bytes each against 40 raw bytes each.
   EXPECT_LT(tier.EncodedBytes() * 4, tier.RawBytes());
@@ -102,16 +170,23 @@ TEST(ColdSketchTierTest, CompactionReclaimsDeadBytes) {
   for (const uint64_t w : words) {
     ones += static_cast<uint32_t>(__builtin_popcountll(w));
   }
+  // A second flow frozen between the refreezes: compaction must move
+  // both records and keep each index entry on its own bytes.
+  const std::vector<uint64_t> other = WordsWithBits({3, 100, 200});
   for (int i = 0; i < 10000; ++i) {
-    tier.Freeze(1, 2, ones - 64, words);
+    Freeze(&tier, 1, 2, ones - 64, words);
+    if (i == 5000) Freeze(&tier, 2, 0, 3, other);
   }
   EXPECT_GT(tier.compactions(), 0u);
-  // The log holds exactly one live record afterwards.
-  EXPECT_LT(tier.EncodedBytes(), 64u);
-  uint32_t round = 0, got_ones = 0;
-  std::vector<uint64_t> out(kWords, 0);
-  ASSERT_TRUE(tier.ReadState(1, &round, &got_ones, out));
-  EXPECT_EQ(out, words);
+  // The log holds exactly the two live records afterwards.
+  EXPECT_EQ(tier.EncodedBytes(), RecordOf(2, ones - 64, words).size() +
+                                     RecordOf(0, 3, other).size());
+  const auto found = tier.Find(1);
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(found->round, 2u);
+  EXPECT_EQ(found->ones, ones - 64);
+  EXPECT_EQ(WordsOf(found->bytes), words);
+  EXPECT_EQ(WordsOf(tier.Find(2)->bytes), other);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,6 +328,290 @@ TEST(ArenaColdTierTest, StatsExposeColdFootprint) {
   EXPECT_GT(stats.cold_encoded_bytes, 0u);
   EXPECT_GT(stats.cold_raw_bytes, stats.cold_encoded_bytes)
       << "frozen records should be smaller than raw slots";
+}
+
+// ---------------------------------------------------------------------------
+// The record path one state at a time: a state is frozen into the cold
+// tier as the record the engine writes, thawed again by a packet that
+// leaves it as it is, and held bit-identical to an oracle engine that
+// took the same state through UpsertFlowState — live, frozen and thawed,
+// and after more packets. Each case runs with uint16 positions
+// (m = 10000) and uint32 ones (m = 70000).
+
+constexpr uint64_t kFlow = 11;
+constexpr uint64_t kPusher = 12;
+
+struct State {
+  uint32_t round = 0;
+  uint32_t ones = 0;
+  std::vector<uint64_t> words;
+};
+
+class ColdRecordPathTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  // T = m / 10 lies above every list class, so each one exists: 16 to
+  // 512 positions at m = 10000, 16 to 2048 at m = 70000. The final
+  // round, 9, keeps a logical bitmap of T bits.
+  ArenaSmbEngine::Config Geometry() const {
+    ArenaSmbEngine::Config config;
+    config.num_bits = GetParam();
+    config.threshold = GetParam() / 10;
+    config.base_seed = 0x7EA5;
+    return config;
+  }
+  size_t Words() const { return (GetParam() + 63) / 64; }
+
+  // The list capacities, the last one being the graduation fill.
+  std::vector<size_t> ListCapacities() const {
+    std::vector<size_t> out;
+    for (const auto& cls : ArenaSmbEngine(Geometry()).Stats().classes) {
+      if (cls.positions > 0) out.push_back(cls.positions);
+    }
+    return out;
+  }
+
+  // The bit a packet of `element` for `flow` would set (the engine's
+  // per-flow seed derivation).
+  uint64_t PositionOf(uint64_t flow, uint64_t element) const {
+    const uint64_t offset =
+        ItemSeedOffset(Murmur3Fmix64(Geometry().base_seed ^ flow));
+    return FastRange64(ItemHash128(element + offset, 0).lo, GetParam());
+  }
+
+  // A reachable state of `round` whose words hold exactly `set` bits at
+  // random positions, the rest of the fill in round.
+  State RandomState(Xoshiro256& rng, uint32_t round, size_t set) const {
+    State state;
+    state.round = round;
+    state.ones = static_cast<uint32_t>(set - round * Geometry().threshold);
+    state.words.assign(Words(), 0);
+    for (size_t n = 0; n < set;) {
+      const uint64_t pos = rng.NextBounded(GetParam());
+      const uint64_t bit = uint64_t{1} << (pos & 63);
+      if ((state.words[pos >> 6] & bit) != 0) continue;
+      state.words[pos >> 6] |= bit;
+      ++n;
+    }
+    return state;
+  }
+
+  // The mode byte EncodeSlot picks for `state`.
+  uint8_t ModeByte(const State& state) const {
+    std::vector<uint8_t> record;
+    codec::EncodeSlot(GetParam(), {state.round, state.ones, state.words},
+                      &record);
+    return record[0];
+  }
+
+  // Freezes kFlow (built by `build` into an engine whose budget keeps
+  // one row live), thaws it, and checks it against an oracle holding
+  // its state through UpsertFlowState at every step.
+  template <typename Build>
+  void ExpectBuiltRoundTrip(Build build) const {
+    ArenaSmbEngine::Config config = Geometry();
+    config.tuning.memory_budget_bytes = 1;
+    config.tuning.eviction = ArenaEviction::kClock;
+    config.tuning.cold_tier = true;
+    ArenaSmbEngine engine(config);
+    build(engine);
+    const auto live = engine.Inspect(kFlow);
+    ASSERT_TRUE(live.has_value());
+    const State state{static_cast<uint32_t>(live->round),
+                      static_cast<uint32_t>(live->ones_in_round),
+                      std::vector<uint64_t>(live->words.begin(),
+                                            live->words.end())};
+    ArenaSmbEngine oracle(Geometry());
+    ASSERT_TRUE(
+        oracle.UpsertFlowState(kFlow, state.round, state.ones, state.words));
+    ExpectSameFlow(engine, oracle);
+
+    // A second row pushes kFlow out: CLOCK clears both reference bytes,
+    // then takes row 0.
+    const std::vector<uint8_t> no_flows = engine.SerializeFlows({});
+    const std::vector<uint64_t> only_flow{kFlow};
+    ASSERT_TRUE(engine.UpsertFlowState(kPusher, 0, 0,
+                                       std::vector<uint64_t>(Words(), 0)));
+    ASSERT_EQ(engine.Stats().cold_flows, 1u);
+    ASSERT_EQ(engine.SerializeFlows(only_flow), no_flows) << "not frozen";
+    ExpectSameFlow(engine, oracle);
+    // The frozen record is copied into SMBZ1 as it is.
+    EXPECT_EQ(engine.SerializeSmbz1(),
+              codec::CompressFlw1Image(engine.Serialize()).value());
+
+    // A packet that the gate rejects or that hits a set bit thaws the
+    // flow and changes nothing; the empty state has no such packet.
+    const auto unchanging = [&](uint64_t e) {
+      const uint64_t pos = PositionOf(kFlow, e);
+      return static_cast<uint32_t>(oracle.GateRank(kFlow, e)) < state.round ||
+             ((state.words[pos >> 6] >> (pos & 63)) & 1) != 0;
+    };
+    uint64_t element = 0;
+    if (state.round > 0 || state.ones > 0) {
+      while (!unchanging(element)) ++element;
+    }
+    engine.Record(kFlow, element);
+    oracle.Record(kFlow, element);
+    ASSERT_EQ(engine.Stats().thawed_flows, 1u);
+    ASSERT_NE(engine.SerializeFlows(only_flow), no_flows) << "not thawed";
+    ExpectSameFlow(engine, oracle);
+    if (state.ones > 0) {
+      EXPECT_EQ(oracle.Inspect(kFlow)->ones_in_round, state.ones)
+          << "the thawing packet changed the state";
+    }
+    EXPECT_TRUE(engine.ListsWellFormed());
+
+    // The thawed row keeps recording as the oracle's does, across the
+    // class boundaries above it.
+    Xoshiro256 rng(GetParam() + state.ones);
+    for (int p = 0; p < 300; ++p) {
+      const uint64_t next = rng.Next();
+      engine.Record(kFlow, next);
+      oracle.Record(kFlow, next);
+    }
+    ExpectSameFlow(engine, oracle);
+    EXPECT_TRUE(engine.ListsWellFormed());
+    EXPECT_EQ(engine.Stats().thawed_flows, 1u);
+  }
+
+  void ExpectRoundTrip(const State& state) const {
+    ExpectBuiltRoundTrip([&](ArenaSmbEngine& engine) {
+      ASSERT_TRUE(engine.UpsertFlowState(kFlow, state.round, state.ones,
+                                         state.words));
+    });
+  }
+
+  static void ExpectSameFlow(const ArenaSmbEngine& got,
+                             const ArenaSmbEngine& want) {
+    const auto got_state = got.Inspect(kFlow);
+    ASSERT_TRUE(got_state.has_value());
+    const std::vector<uint64_t> got_words(got_state->words.begin(),
+                                          got_state->words.end());
+    const auto want_state = want.Inspect(kFlow);
+    ASSERT_TRUE(want_state.has_value());
+    EXPECT_EQ(got_state->round, want_state->round);
+    EXPECT_EQ(got_state->ones_in_round, want_state->ones_in_round);
+    EXPECT_TRUE(std::equal(got_words.begin(), got_words.end(),
+                           want_state->words.begin(),
+                           want_state->words.end()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.Query(kFlow)),
+              std::bit_cast<uint64_t>(want.Query(kFlow)));
+  }
+
+  void TearDown() override { EXPECT_EQ(FlowInvariantViolations(), 0u); }
+};
+
+TEST_P(ColdRecordPathTest, EveryListClassBoundary) {
+  // Planted lists are written ascending: below, on and above each
+  // capacity, the last of which is the graduation fill (a bitmap row).
+  Xoshiro256 rng(0xB0B0 + GetParam());
+  const std::vector<size_t> capacities = ListCapacities();
+  ASSERT_EQ(capacities.back(), GetParam() == 10000 ? 512u : 2048u);
+  std::vector<size_t> fills{0, 1};
+  for (const size_t capacity : capacities) {
+    fills.insert(fills.end(), {capacity - 1, capacity, capacity + 1});
+  }
+  for (const size_t fill : fills) {
+    SCOPED_TRACE("planted fill " + std::to_string(fill));
+    ExpectRoundTrip(RandomState(rng, 0, fill));
+  }
+}
+
+TEST_P(ColdRecordPathTest, RecordedShortAndLongLists) {
+  // Recorded lists: the short classes keep insertion order (frozen
+  // through a sorted copy), the long ones were sorted once.
+  for (const size_t fill : {size_t{1}, size_t{9}, size_t{15}, size_t{16},
+                            size_t{31}, size_t{40}, size_t{63}, size_t{64},
+                            size_t{200}}) {
+    SCOPED_TRACE("recorded fill " + std::to_string(fill));
+    ExpectBuiltRoundTrip([&](ArenaSmbEngine& engine) {
+      for (uint64_t e = 0; !engine.Inspect(kFlow).has_value() ||
+                           engine.Inspect(kFlow)->ones_in_round < fill;
+           ++e) {
+        engine.Record(kFlow, e * 0x9E3779B97F4A7C15ULL);
+      }
+      ASSERT_EQ(engine.Inspect(kFlow)->round, 0u);
+    });
+  }
+}
+
+TEST_P(ColdRecordPathTest, BitmapAndFinalRoundRows) {
+  Xoshiro256 rng(0xF1A1 + GetParam());
+  const size_t threshold = Geometry().threshold;
+  const uint32_t last = static_cast<uint32_t>(
+      ArenaSmbEngine(Geometry()).max_round());
+  ASSERT_EQ(last, 9u);
+  // Mid-round bitmap rows.
+  for (const uint32_t round : {1u, 3u}) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ExpectRoundTrip(RandomState(rng, round, round * threshold + 17));
+  }
+  // The final round's fill runs to m - r*T; the estimate clamps it one
+  // below. Above, at and below the clamp.
+  const size_t full = GetParam() - last * threshold;
+  for (const size_t fill : {full, full - 1, full - 2, full / 2}) {
+    SCOPED_TRACE("final round, fill " + std::to_string(fill));
+    ExpectRoundTrip(RandomState(rng, last, last * threshold + fill));
+  }
+}
+
+TEST_P(ColdRecordPathTest, OneRecordOfEachMode) {
+  Xoshiro256 rng(0x30DE + GetParam());
+  const size_t threshold = Geometry().threshold;
+  const auto mode = [](uint8_t byte) { return byte & 3; };
+  const auto zeros_listed = [](uint8_t byte) { return (byte >> 2) & 1; };
+
+  const State raw = RandomState(rng, 4, 4 * threshold + threshold / 2);
+  ASSERT_EQ(mode(ModeByte(raw)), 0);
+  const State sparse = RandomState(rng, 0, 100);
+  ASSERT_EQ(mode(ModeByte(sparse)), 1);
+  ASSERT_EQ(zeros_listed(ModeByte(sparse)), 0);
+  // Round 0 in a list class, and a bitmap row, as whole words of ones.
+  State list_rle;
+  list_rle.words.assign(Words(), 0);
+  list_rle.words[10] = list_rle.words[11] = ~uint64_t{0};
+  list_rle.ones = 128;
+  ASSERT_EQ(mode(ModeByte(list_rle)), 2);
+  State bitmap_rle;
+  bitmap_rle.round = 2;
+  const size_t prefix = RoundUp(2 * threshold + 1, 64);
+  bitmap_rle.ones = static_cast<uint32_t>(prefix - 2 * threshold);
+  bitmap_rle.words.assign(Words(), 0);
+  std::fill_n(bitmap_rle.words.begin(), prefix / 64, ~uint64_t{0});
+  ASSERT_EQ(mode(ModeByte(bitmap_rle)), 2);
+  const State zeros = RandomState(rng, 9, GetParam() - 5);
+  ASSERT_EQ(mode(ModeByte(zeros)), 1);
+  ASSERT_EQ(zeros_listed(ModeByte(zeros)), 1);
+
+  for (const auto& [name, state] :
+       {std::pair<const char*, const State&>{"raw", raw},
+        {"set sparse", sparse},
+        {"rle list", list_rle},
+        {"rle bitmap", bitmap_rle},
+        {"zero sparse", zeros}}) {
+    SCOPED_TRACE(name);
+    ExpectRoundTrip(state);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, ColdRecordPathTest, ::testing::Values(10000, 70000),
+    [](const ::testing::TestParamInfo<size_t>& param) {
+      return std::string(param.param > 65536 ? "Uint32" : "Uint16") + "M" +
+             std::to_string(param.param);
+    });
+
+TEST(ArenaColdSnapshotTest, SerializeSmbz1CopiesFrozenRecords) {
+  // An evicting engine's direct SMBZ1 bytes, frozen records copied as
+  // they are, equal the compressed image of its FLW1 snapshot.
+  constexpr size_t kFlows = 300;
+  const EnginePair pair = FedPair(kFlows, 0x5B5B);
+  ASSERT_GT(pair.cold.Stats().cold_flows, 0u);
+  const std::vector<uint8_t> direct = pair.cold.SerializeSmbz1();
+  EXPECT_EQ(direct, codec::CompressFlw1Image(pair.cold.Serialize()).value());
+  const auto restored = ArenaSmbEngine::DeserializeSmbz1(direct);
+  ASSERT_TRUE(restored.has_value());
+  ExpectSameStates(*restored, pair.oracle, kFlows);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 
 }  // namespace

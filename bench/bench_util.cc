@@ -72,6 +72,12 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_bytes_drop =
           std::strtod(argv[i] + sizeof(kBytesDropFlag) - 1, nullptr);
     }
+    constexpr const char kWalkRatioFlag[] = "--assert-walk-ratio=";
+    if (std::strncmp(argv[i], kWalkRatioFlag, sizeof(kWalkRatioFlag) - 1) ==
+        0) {
+      scale.assert_walk_ratio =
+          std::strtod(argv[i] + sizeof(kWalkRatioFlag) - 1, nullptr);
+    }
     constexpr const char kDenseRatioFlag[] = "--assert-dense-ratio=";
     if (std::strncmp(argv[i], kDenseRatioFlag,
                      sizeof(kDenseRatioFlag) - 1) == 0) {

@@ -39,6 +39,11 @@ struct BenchScale {
   // bytes_per_flow_drop (1 - resident bytes per flow of the position-list
   // engine over the fixed-stride engine's) is below X (0 disables).
   double assert_bytes_drop = 0.0;
+  // --assert-walk-ratio=X makes per_flow_throughput exit nonzero when its
+  // walk_ratio (the median ForEachFlow walk over the evicted, cold-tier
+  // engine over the median walk over the unevicted one) is above X (0
+  // disables).
+  double assert_walk_ratio = 0.0;
   // codec_throughput gates (0 disables each): minimum SMBZ1 compression
   // ratio on the dense and sparse fixtures, minimum decode throughput in
   // MB/s of rehydrated FLW1 bytes, minimum sparse-fixture encode

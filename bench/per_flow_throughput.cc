@@ -30,13 +30,18 @@
 // position-list engines instead (both budget-free, so they must agree
 // exactly). --zipf=S and --memory-budget=BYTES shape the trace and the
 // eviction run at any tier; --assert-bytes-drop=X gates the list engine's
-// resident-bytes saving over fixed stride.
+// resident-bytes saving over fixed stride. --assert-walk-ratio=X gates
+// the estimate walk (ForEachFlow, under every top-K and threshold
+// reader) over the evicted engine's live and frozen flows against the
+// walk over the unevicted engine: walk_ratio, medians of alternating
+// walks, so host speed cancels.
 //
 // The ISSUE acceptance gate (arena >= 2x legacy at >= 100k flows) is the
 // --full configuration; CI smoke runs the fast scale with
 // --assert-speedup=1.0 as a no-regression floor. hardware_concurrency is
 // in the output so single-core boxes' parallel numbers read correctly.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -134,6 +139,30 @@ ModeResult RunParallel(const Trace& trace, const EstimatorSpec& spec,
   result.bytes_per_flow = static_cast<double>(monitor.ResidentBytes()) /
                           static_cast<double>(monitor.NumFlows());
   return result;
+}
+
+// The median ForEachFlow walk over `evicted` over the median walk over
+// `unevicted`, the walks alternating so both see the same host speed.
+double WalkRatio(const ArenaSmbEngine& evicted,
+                 const ArenaSmbEngine& unevicted) {
+  constexpr size_t kWalks = 7;
+  const auto walk_seconds = [](const ArenaSmbEngine& engine) {
+    double sum = 0.0;
+    WallTimer timer;
+    engine.ForEachFlow([&](uint64_t, double estimate) { sum += estimate; });
+    const double seconds = timer.ElapsedSeconds();
+    DoNotOptimize(sum);
+    return seconds;
+  };
+  std::vector<double> evicted_s;
+  std::vector<double> unevicted_s;
+  for (size_t i = 0; i < kWalks; ++i) {
+    evicted_s.push_back(walk_seconds(evicted));
+    unevicted_s.push_back(walk_seconds(unevicted));
+  }
+  std::sort(evicted_s.begin(), evicted_s.end());
+  std::sort(unevicted_s.begin(), unevicted_s.end());
+  return evicted_s[kWalks / 2] / unevicted_s[kWalks / 2];
 }
 
 // Mean relative error of `estimate(flow)` against the trace's ground
@@ -256,6 +285,7 @@ int Run(const BenchScale& scale) {
       ++evict_mismatches;
     }
   }
+  const double walk_ratio = WalkRatio(evict_engine, nursery_engine);
   const double rel_error = MeanRelativeError(
       trace, [&](uint64_t flow) { return nursery_engine.Query(flow); });
 
@@ -367,6 +397,8 @@ int Run(const BenchScale& scale) {
   json.Uint(evict_stats.thawed_flows);
   json.Key("estimate_mismatches");
   json.Uint(evict_mismatches);
+  json.Key("walk_ratio");
+  json.Double(walk_ratio, 3);
   json.Key("mean_rel_error");
   json.Double(rel_error, 4);
   json.EndObject();
@@ -417,6 +449,15 @@ int Run(const BenchScale& scale) {
                  "position lists %.1f B/flow)\n",
                  bytes_per_flow_drop, scale.assert_bytes_drop,
                  fixed_result.bytes_per_flow, nursery_result.bytes_per_flow);
+    return 1;
+  }
+  if (scale.assert_walk_ratio > 0 && walk_ratio > scale.assert_walk_ratio) {
+    std::fprintf(stderr,
+                 "FAIL: walk_ratio %.3f above the --assert-walk-ratio "
+                 "ceiling %.3f (%zu live + %zu frozen flows against %zu "
+                 "live)\n",
+                 walk_ratio, scale.assert_walk_ratio, evict_stats.live_flows,
+                 evict_stats.cold_flows, nursery_engine.NumFlows());
     return 1;
   }
   return 0;

@@ -842,7 +842,7 @@ SMB_CACHELINE_ALIGNED double ArenaSmbEngine::Query(uint64_t flow) const {
 
 std::vector<uint64_t> ArenaSmbEngine::FlowsOver(double threshold) const {
   std::vector<uint64_t> out;
-  ForEachFlow([&](uint64_t flow, double estimate) {
+  ForEachFlowMeta([&](uint64_t flow, uint32_t, uint32_t, double estimate) {
     if (estimate >= threshold) out.push_back(flow);
   });
   return out;
@@ -850,17 +850,9 @@ std::vector<uint64_t> ArenaSmbEngine::FlowsOver(double threshold) const {
 
 void ArenaSmbEngine::ForEachFlow(
     const std::function<void(uint64_t, double)>& fn) const {
-  for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
-    if (slab_ref_[row] == kDeadRef) continue;
-    fn(flow_keys_[row],
-       EstimateMeta(meta_[row] >> kRoundShift, meta_[row] & kFillMask));
-  }
-  if (cold_ != nullptr) {
-    cold_->tier.ForEachSorted(
-        [&](uint64_t flow, const ColdSketchTier::Record& record) {
-          fn(flow, EstimateMeta(record.round, record.ones));
-        });
-  }
+  ForEachFlowMeta([&](uint64_t flow, uint32_t, uint32_t, double estimate) {
+    fn(flow, estimate);
+  });
 }
 
 std::span<const uint64_t> ArenaSmbEngine::MaterializedWords(

@@ -96,6 +96,7 @@
 #include <span>
 #include <vector>
 
+#include "codec/flw1_layout.h"
 #include "estimators/estimator_factory.h"
 #include "flow/cold_tier.h"
 #include "flow/flow_table.h"
@@ -190,13 +191,24 @@ class ArenaSmbEngine {
   // Currently-tracked (live) flows; evicted flows are excluded.
   size_t NumFlows() const { return live_flows_; }
 
-  // Flows whose current estimate is >= threshold, in row (creation)
-  // order.
+  // Flows whose current estimate is >= threshold: live rows in row
+  // order, then frozen flows in cold-index order (ForEachFlowMeta).
   std::vector<uint64_t> FlowsOver(double threshold) const;
 
-  // Calls fn(flow, estimate) for every live flow, in row order.
+  // Calls fn(flow, estimate) for every held flow: live rows in row
+  // order, then frozen flows in cold-index order (ForEachFlowMeta).
   void ForEachFlow(
       const std::function<void(uint64_t flow, double estimate)>& fn) const;
+
+  // The estimate walk under every whole-engine reader: calls
+  // fn(flow, round, ones, estimate) for every held flow — live rows in
+  // row order, then frozen flows in cold-index order. That order is the
+  // same for the same history, but it is not key order. The estimate is
+  // Query(flow)'s, bit for bit: a per-walk memo of EstimateMeta by packed
+  // meta pays log1p once per distinct (r, v) state rather than once per
+  // flow. fn must not mutate the engine.
+  template <typename Fn>
+  void ForEachFlowMeta(Fn&& fn) const;
 
   // True heap + object footprint: flow table buckets, SoA metadata
   // arrays, and every class slab's mapped bytes.
@@ -302,9 +314,11 @@ class ArenaSmbEngine {
   bool UpsertFlowState(uint64_t flow, uint32_t round, uint32_t ones,
                        std::span<const uint64_t> words);
 
-  // Calls fn(flow, round, ones, words) for every live flow in row order
-  // (list rows materialized). The words span is valid only for the
-  // duration of the callback.
+  // Calls fn(flow, round, ones, words) for every held flow: live rows in
+  // row order (list rows materialized), then frozen flows in ascending
+  // key order (each record decoded). The words span is valid only for
+  // the duration of the callback. Readers of (r, v) or estimates alone
+  // walk ForEachFlowMeta instead.
   void ForEachFlowState(
       const std::function<void(uint64_t flow, uint32_t round, uint32_t ones,
                                std::span<const uint64_t> words)>& fn) const;
@@ -492,6 +506,36 @@ class ArenaSmbEngine {
   // bitmap payload.
   double EstimateMeta(uint32_t round, uint32_t ones) const;
 
+  // One walk's direct-mapped cache of EstimateMeta by packed meta, on the
+  // walk's stack. Every slot starts out holding meta 0 and its estimate,
+  // a true pair wherever it sits since a lookup compares the whole meta,
+  // so a hit returns the very double EstimateMeta produced for it.
+  class EstimateMemo {
+   public:
+    explicit EstimateMemo(const ArenaSmbEngine& engine) : engine_(engine) {
+      metas_.fill(0);
+      estimates_.fill(engine.EstimateMeta(0, 0));
+    }
+    double operator()(uint32_t meta) {
+      // Consecutive fills of one round land in consecutive slots.
+      const size_t slot =
+          (meta + (meta >> flw1::kRoundShift) * kRoundStride) & (kSlots - 1);
+      if (metas_[slot] != meta) {
+        metas_[slot] = meta;
+        estimates_[slot] = engine_.EstimateMeta(meta >> flw1::kRoundShift,
+                                                meta & flw1::kFillMask);
+      }
+      return estimates_[slot];
+    }
+
+   private:
+    static constexpr size_t kSlots = 1024;
+    static constexpr uint32_t kRoundStride = 433;
+    const ArenaSmbEngine& engine_;
+    std::array<uint32_t, kSlots> metas_;
+    std::array<double, kSlots> estimates_;
+  };
+
   Config config_;
   size_t max_round_;
   size_t words_per_slot_;
@@ -534,6 +578,23 @@ class ArenaSmbEngine {
   std::unique_ptr<Cold> cold_;
   mutable std::vector<uint64_t> inspect_scratch_;
 };
+
+template <typename Fn>
+void ArenaSmbEngine::ForEachFlowMeta(Fn&& fn) const {
+  EstimateMemo estimate(*this);
+  for (uint32_t row = 0; row < flow_keys_.size(); ++row) {
+    if (slab_ref_[row] == kDeadRef) continue;
+    const uint32_t meta = meta_[row];
+    fn(flow_keys_[row], meta >> flw1::kRoundShift, meta & flw1::kFillMask,
+       estimate(meta));
+  }
+  if (cold_ == nullptr) return;
+  cold_->tier.ForEach(
+      [&](uint64_t flow, const ColdSketchTier::Record& record) {
+        fn(flow, record.round, record.ones,
+           estimate((record.round << flw1::kRoundShift) | record.ones));
+      });
+}
 
 }  // namespace smb
 

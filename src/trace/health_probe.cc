@@ -142,44 +142,48 @@ ArenaHealthReport ProbeArena(const ArenaSmbEngine& engine, size_t top_k) {
       static_cast<double>(stats.live_bytes) >=
           kMemoryPressureShare * static_cast<double>(stats.budget_bytes);
 
-  // One pass to find the top_k flows by estimate and the aggregates.
-  std::vector<std::pair<double, uint64_t>> ranked;
-  ranked.reserve(report.num_flows);
-  engine.ForEachFlow([&](uint64_t flow, double estimate) {
-    ranked.emplace_back(estimate, flow);
-    report.max_estimate = std::max(report.max_estimate, estimate);
-  });
-  const size_t keep = std::min(top_k, ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<ptrdiff_t>(keep),
-                    ranked.end(), [](const auto& a, const auto& b) {
-                      if (a.first != b.first) return a.first > b.first;
-                      return a.second < b.second;
-                    });
-
-  // The flags over every flow need only (r, v); the expected-error
-  // bisection DeriveHealth runs is kept to the top flows.
+  // One estimate walk ranks every live and frozen flow and counts the
+  // flags, which need only (r, v); the expected-error bisection
+  // DeriveHealth runs is kept to the top flows.
+  struct Ranked {
+    double estimate;
+    uint64_t flow;
+    uint32_t round;
+    uint32_t ones;
+  };
+  std::vector<Ranked> ranked;
+  ranked.reserve(report.num_flows + stats.cold_flows);
   HealthInput input;
   input.num_bits = engine.config().num_bits;
   input.threshold = engine.config().threshold;
   input.max_round = engine.max_round();
-  engine.ForEachFlowState([&](uint64_t, uint32_t round, uint32_t ones,
-                              std::span<const uint64_t>) {
-    report.max_round_in_use = std::max<size_t>(report.max_round_in_use, round);
-    input.round = round;
-    input.ones_in_round = ones;
-    if (Saturated(input)) ++report.saturated_flows;
-    if (StuckRound(input)) ++report.stuck_flows;
-  });
+  engine.ForEachFlowMeta(
+      [&](uint64_t flow, uint32_t round, uint32_t ones, double estimate) {
+        ranked.push_back({estimate, flow, round, ones});
+        report.max_estimate = std::max(report.max_estimate, estimate);
+        report.max_round_in_use =
+            std::max<size_t>(report.max_round_in_use, round);
+        input.round = round;
+        input.ones_in_round = ones;
+        if (Saturated(input)) ++report.saturated_flows;
+        if (StuckRound(input)) ++report.stuck_flows;
+      });
+  const size_t keep = std::min(top_k, ranked.size());
+  std::partial_sort(ranked.begin(),
+                    ranked.begin() + static_cast<ptrdiff_t>(keep),
+                    ranked.end(), [](const Ranked& a, const Ranked& b) {
+                      if (a.estimate != b.estimate) {
+                        return a.estimate > b.estimate;
+                      }
+                      return a.flow < b.flow;
+                    });
 
   report.top.reserve(keep);
   for (size_t i = 0; i < keep; ++i) {
-    const uint64_t flow = ranked[i].second;
-    const auto state = engine.Inspect(flow);
-    if (!state.has_value()) continue;
-    input.round = state->round;
-    input.ones_in_round = state->ones_in_round;
-    input.estimate = ranked[i].first;
-    report.top.push_back(FlowHealth{flow, DeriveHealth(input)});
+    input.round = ranked[i].round;
+    input.ones_in_round = ranked[i].ones;
+    input.estimate = ranked[i].estimate;
+    report.top.push_back(FlowHealth{ranked[i].flow, DeriveHealth(input)});
   }
   return report;
 }

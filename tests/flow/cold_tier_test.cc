@@ -3,7 +3,8 @@
 // guarantee: an engine that evicts into the frozen cold tier and thaws
 // on return must hold exactly the bits of a never-evicted oracle fed
 // the same stream, for whole streams and for each kind of record one
-// state at a time (DESIGN.md §17).
+// state at a time (DESIGN.md §17). The estimate walk over live and
+// frozen flows answers as the oracle does, bit for bit.
 
 #include "flow/cold_tier.h"
 
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <utility>
@@ -140,6 +142,17 @@ TEST(ColdSketchTierTest, EraseAndSortedFlows) {
   EXPECT_FALSE(tier.Contains(42));
   const std::vector<uint64_t> want{3, 7, 1000};
   EXPECT_EQ(SortedFlows(tier), want);
+  // The unsorted walk visits the same flows once each, with their own
+  // records.
+  std::vector<uint64_t> walked;
+  tier.ForEach([&](uint64_t flow, const ColdSketchTier::Record& record) {
+    walked.push_back(flow);
+    EXPECT_EQ(record.round, 0u);
+    EXPECT_EQ(WordsOf(record.bytes),
+              WordsWithBits({static_cast<uint32_t>(flow % 256)}));
+  });
+  std::sort(walked.begin(), walked.end());
+  EXPECT_EQ(walked, want);
   // The sorted walk hands each flow its own record.
   tier.ForEachSorted(
       [&](uint64_t flow, const ColdSketchTier::Record& record) {
@@ -317,6 +330,132 @@ TEST(ArenaColdTierTest, MergeSeesFrozenRowsOnBothSides) {
   merged_oracle.MergeFrom(right.oracle);
 
   ExpectSameStates(merged_cold, merged_oracle, kFlows + 80);
+  EXPECT_EQ(FlowInvariantViolations(), 0u);
+}
+
+// The CLI's top spreads: estimate descending, then flow id ascending.
+std::vector<std::pair<uint64_t, double>> TopSpreads(
+    const ArenaSmbEngine& engine, size_t k) {
+  std::vector<std::pair<uint64_t, double>> spreads;
+  engine.ForEachFlow([&](uint64_t flow, double estimate) {
+    spreads.emplace_back(flow, estimate);
+  });
+  k = std::min(k, spreads.size());
+  std::partial_sort(spreads.begin(),
+                    spreads.begin() + static_cast<std::ptrdiff_t>(k),
+                    spreads.end(), [](const auto& a, const auto& b) {
+                      if (a.second != b.second) return a.second > b.second;
+                      return a.first < b.first;
+                    });
+  spreads.resize(k);
+  return spreads;
+}
+
+std::vector<uint64_t> SortedFlowsOver(const ArenaSmbEngine& engine,
+                                      double threshold) {
+  std::vector<uint64_t> flows = engine.FlowsOver(threshold);
+  std::sort(flows.begin(), flows.end());
+  return flows;
+}
+
+TEST(ArenaColdTierTest, EstimateWalkCoversLiveAndFrozenOnce) {
+  constexpr size_t kFlows = 600;
+  const EnginePair pair = FedPair(kFlows, 0xE57);
+  const auto stats = pair.cold.Stats();
+  ASSERT_GT(stats.cold_flows, 0u);
+  ASSERT_GT(stats.thawed_flows, 0u);
+
+  // Every live and every frozen flow exactly once, each with Query's
+  // estimate bit for bit.
+  std::vector<uint64_t> walked;
+  pair.cold.ForEachFlow([&](uint64_t flow, double estimate) {
+    walked.push_back(flow);
+    EXPECT_EQ(std::bit_cast<uint64_t>(estimate),
+              std::bit_cast<uint64_t>(pair.cold.Query(flow)))
+        << "flow " << flow;
+  });
+  EXPECT_EQ(walked.size(), stats.live_flows + stats.cold_flows);
+  std::sort(walked.begin(), walked.end());
+  std::vector<uint64_t> want(kFlows);
+  for (uint64_t flow = 1; flow <= kFlows; ++flow) want[flow - 1] = flow;
+  EXPECT_EQ(walked, want);
+
+  // The answers built on the walk equal the never-evicted oracle's.
+  const auto top = TopSpreads(pair.cold, 100);
+  ASSERT_EQ(top.size(), 100u);
+  EXPECT_EQ(top, TopSpreads(pair.oracle, 100));
+  for (const double threshold : {0.0, 10.0, 30.0, 60.0, top[50].second}) {
+    SCOPED_TRACE("threshold " + std::to_string(threshold));
+    EXPECT_EQ(SortedFlowsOver(pair.cold, threshold),
+              SortedFlowsOver(pair.oracle, threshold));
+  }
+  EXPECT_EQ(pair.cold.FlowsOver(0.0).size(), kFlows);
+  EXPECT_LT(pair.cold.FlowsOver(top[50].second).size(), kFlows);
+}
+
+TEST(ArenaColdTierTest, EstimateMemoCollisionsStayExact) {
+  // Far more distinct (r, v) states than the walk's memo has slots, so
+  // slots collide: round-0 list rows and bitmap rows, every mid round,
+  // and the final round at, below and above the fill clamp (m_r - 1),
+  // with about two thirds of the rows frozen.
+  ArenaSmbEngine::Config config;
+  config.num_bits = 10000;
+  config.threshold = 1000;
+  config.base_seed = 0x3E30;
+  config.tuning.memory_budget_bytes = 2u << 20;
+  config.tuning.eviction = ArenaEviction::kClock;
+  config.tuning.cold_tier = true;
+  ArenaSmbEngine engine(config);
+  const uint32_t last = static_cast<uint32_t>(engine.max_round());
+  ASSERT_EQ(last, 9u);
+  const uint32_t final_fill =
+      static_cast<uint32_t>(config.num_bits - last * config.threshold);
+
+  // A reachable state: its first round * T + ones bits set.
+  const auto upsert = [&](uint64_t flow, uint32_t round, uint32_t ones) {
+    std::vector<uint64_t> words((config.num_bits + 63) / 64, 0);
+    const size_t set = round * config.threshold + ones;
+    for (size_t bit = 0; bit < set; ++bit) {
+      words[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    ASSERT_TRUE(engine.UpsertFlowState(flow, round, ones, words))
+        << "round " << round << " ones " << ones;
+  };
+  uint64_t flow = 1;
+  for (uint32_t ones = 0; ones <= final_fill; ++ones) {
+    upsert(flow++, last, ones);
+  }
+  for (uint32_t round = last; round-- > 0;) {
+    for (uint32_t ones = 0; ones < config.threshold; ones += 2) {
+      upsert(flow++, round, ones);
+    }
+  }
+  const size_t flows = flow - 1;
+  ASSERT_GE(flows, 5000u);
+
+  const auto stats = engine.Stats();
+  EXPECT_GT(stats.nursery_flows, 0u) << "no live list row";
+  EXPECT_GT(stats.main_flows, 0u) << "no live bitmap row";
+  EXPECT_GT(stats.cold_flows, flows / 2) << "too few frozen rows";
+
+  size_t walked = 0;
+  engine.ForEachFlowMeta(
+      [&](uint64_t key, uint32_t round, uint32_t ones, double estimate) {
+        ++walked;
+        const auto state = engine.Inspect(key);
+        ASSERT_TRUE(state.has_value()) << "flow " << key;
+        EXPECT_EQ(round, state->round) << "flow " << key;
+        EXPECT_EQ(ones, state->ones_in_round) << "flow " << key;
+        EXPECT_EQ(std::bit_cast<uint64_t>(estimate),
+                  std::bit_cast<uint64_t>(engine.Query(key)))
+            << "flow " << key << " at (" << round << ", " << ones << ")";
+      });
+  EXPECT_EQ(walked, flows);
+  for (const auto& [key, estimate] : TopSpreads(engine, flows)) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(estimate),
+              std::bit_cast<uint64_t>(engine.Query(key)))
+        << "flow " << key;
+  }
   EXPECT_EQ(FlowInvariantViolations(), 0u);
 }
 

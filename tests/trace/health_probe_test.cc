@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/self_morphing_bitmap.h"
 #include "core/smb_theory.h"
@@ -194,6 +198,116 @@ TEST(ProbeArenaTest, TopKIsSortedAndAggregatesMatchTheEngine) {
   // top_k larger than the flow count returns every flow once.
   const ArenaHealthReport all = ProbeArena(engine, 100);
   EXPECT_EQ(all.top.size(), engine.NumFlows());
+}
+
+// The probe's report recounted the long way: (r, v) from
+// ForEachFlowState, estimates from Query, every flow's flags from
+// DeriveHealth, and the top flows' state from Inspect.
+ArenaHealthReport Recount(const ArenaSmbEngine& engine, size_t top_k) {
+  ArenaHealthReport report;
+  report.num_flows = engine.NumFlows();
+  HealthInput input;
+  input.num_bits = engine.config().num_bits;
+  input.threshold = engine.config().threshold;
+  input.max_round = engine.max_round();
+  std::vector<std::pair<double, uint64_t>> ranked;
+  engine.ForEachFlowState([&](uint64_t flow, uint32_t round, uint32_t ones,
+                              std::span<const uint64_t>) {
+    input.round = round;
+    input.ones_in_round = ones;
+    input.estimate = engine.Query(flow);
+    ranked.emplace_back(input.estimate, flow);
+    report.max_estimate = std::max(report.max_estimate, input.estimate);
+    report.max_round_in_use = std::max<size_t>(report.max_round_in_use, round);
+    const HealthReport health = DeriveHealth(input);
+    if (health.saturated) ++report.saturated_flows;
+    if (health.stuck_round) ++report.stuck_flows;
+  });
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    if (a.first != b.first) return a.first > b.first;
+    return a.second < b.second;
+  });
+  for (size_t i = 0; i < std::min(top_k, ranked.size()); ++i) {
+    const auto state = engine.Inspect(ranked[i].second);
+    input.round = state->round;
+    input.ones_in_round = state->ones_in_round;
+    input.estimate = ranked[i].first;
+    report.top.push_back(FlowHealth{ranked[i].second, DeriveHealth(input)});
+  }
+  return report;
+}
+
+void ExpectSameHealth(const HealthReport& got, const HealthReport& want) {
+  EXPECT_EQ(got.estimate, want.estimate);
+  EXPECT_EQ(got.fill_fraction, want.fill_fraction);
+  EXPECT_EQ(got.virtual_round, want.virtual_round);
+  EXPECT_EQ(got.expected_relative_error, want.expected_relative_error);
+  EXPECT_EQ(got.morph_cadence_items, want.morph_cadence_items);
+  EXPECT_EQ(got.headroom, want.headroom);
+  EXPECT_EQ(got.round, want.round);
+  EXPECT_EQ(got.max_round, want.max_round);
+  EXPECT_EQ(got.saturated, want.saturated);
+  EXPECT_EQ(got.near_saturation, want.near_saturation);
+  EXPECT_EQ(got.stuck_round, want.stuck_round);
+  EXPECT_EQ(got.flags, want.flags);
+}
+
+TEST(ProbeArenaTest, OnePassReportEqualsRecountOverFrozenFlows) {
+  ArenaSmbEngine::Config config;
+  config.num_bits = 2048;
+  config.threshold = 128;
+  config.base_seed = 5;
+  config.tuning.memory_budget_bytes = 32 * 1024;
+  config.tuning.eviction = ArenaEviction::kClock;
+  config.tuning.cold_tier = true;
+  ArenaSmbEngine engine(config);
+  // Spreads from one element to several rounds deep, plus planted
+  // final-round states at and near a full logical bitmap.
+  for (uint64_t flow = 0; flow < 150; ++flow) {
+    const uint64_t spread = flow * flow * flow % 20000 + 1;
+    for (uint64_t i = 0; i < spread; ++i) {
+      engine.Record(flow, flow * 1000000 + i);
+    }
+  }
+  const uint32_t last = static_cast<uint32_t>(engine.max_round());
+  const uint32_t full =
+      static_cast<uint32_t>(config.num_bits - last * config.threshold);
+  for (uint32_t ones = full - 3; ones <= full; ++ones) {
+    std::vector<uint64_t> words((config.num_bits + 63) / 64, 0);
+    for (size_t bit = 0; bit < last * config.threshold + ones; ++bit) {
+      words[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+    ASSERT_TRUE(engine.UpsertFlowState(1000 + ones, last, ones, words));
+  }
+  const ArenaSmbEngine::ArenaStats stats = engine.Stats();
+  ASSERT_GT(stats.cold_flows, 0u);
+  ASSERT_GT(stats.live_flows, 0u);
+
+  for (const size_t top_k : {size_t{10}, size_t{100000}}) {
+    SCOPED_TRACE("top_k " + std::to_string(top_k));
+    const ArenaHealthReport got = ProbeArena(engine, top_k);
+    const ArenaHealthReport want = Recount(engine, top_k);
+    EXPECT_EQ(got.num_flows, want.num_flows);
+    EXPECT_GT(got.saturated_flows, 0u);
+    EXPECT_EQ(got.saturated_flows, want.saturated_flows);
+    EXPECT_EQ(got.stuck_flows, want.stuck_flows);
+    EXPECT_EQ(got.max_round_in_use, want.max_round_in_use);
+    EXPECT_EQ(got.max_estimate, want.max_estimate);
+    ASSERT_EQ(got.top.size(), want.top.size());
+    for (size_t i = 0; i < got.top.size(); ++i) {
+      SCOPED_TRACE("rank " + std::to_string(i));
+      EXPECT_EQ(got.top[i].flow, want.top[i].flow);
+      ExpectSameHealth(got.top[i].report, want.top[i].report);
+    }
+    EXPECT_EQ(got.nursery_flows, stats.nursery_flows);
+    EXPECT_EQ(got.evicted_flows, stats.evicted_flows);
+    EXPECT_EQ(got.live_bytes, stats.live_bytes);
+    EXPECT_EQ(got.budget_bytes, stats.budget_bytes);
+    EXPECT_TRUE(got.memory_pressure);
+  }
+  // The second probe ranked every flow, live and frozen.
+  EXPECT_EQ(ProbeArena(engine, 100000).top.size(),
+            stats.live_flows + stats.cold_flows);
 }
 
 TEST(PublishHealthTest, HealthGaugesRideTheExporter) {

@@ -122,6 +122,12 @@ BenchScale ParseScale(int argc, char** argv) {
       scale.assert_direct_decode_ratio = std::strtod(
           argv[i] + sizeof(kDirectDecodeRatioFlag) - 1, nullptr);
     }
+    constexpr const char kCrcSpeedupFlag[] = "--assert-crc-speedup=";
+    if (std::strncmp(argv[i], kCrcSpeedupFlag,
+                     sizeof(kCrcSpeedupFlag) - 1) == 0) {
+      scale.assert_crc_speedup =
+          std::strtod(argv[i] + sizeof(kCrcSpeedupFlag) - 1, nullptr);
+    }
     constexpr const char kTraceOutFlag[] = "--trace-out=";
     if (std::strncmp(argv[i], kTraceOutFlag, sizeof(kTraceOutFlag) - 1) ==
         0) {

@@ -62,6 +62,10 @@ struct BenchScale {
   // --assert-direct-decode-ratio=X: the same for restoring,
   // Deserialize(DecompressToFlw1Image()) over DeserializeSmbz1().
   double assert_direct_decode_ratio = 0.0;
+  // --assert-crc-speedup=X: codec_throughput exits nonzero when the
+  // dispatched Crc32c runs less than X times the table kernel's rate
+  // (0 disables).
+  double assert_crc_speedup = 0.0;
   // --trace-out=PATH captures the span tracer across the measured runs
   // and writes Chrome trace-event JSON to PATH.
   std::string trace_out;

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -14,6 +16,7 @@
 #include "hash/batch_hash.h"
 #include "hash/murmur3.h"
 #include "hash/xxhash64.h"
+#include "io/crc32c.h"
 #include "simd/simd_dispatch.h"
 
 namespace smb::bench {
@@ -142,6 +145,38 @@ void BM_XxHash64String128(benchmark::State& state) {
 }
 BENCHMARK(BM_XxHash64String128);
 
+// CRC-32C per kernel (the portable table, and SSE4.2 where the CPU has
+// it) over a frame-sized, a page-sized and a chunk-sized buffer,
+// reported as bytes/second.
+void BM_Crc32c(benchmark::State& state, io::Crc32cFn kernel) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(NthItem(9, i));
+  }
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = kernel(bytes.data(), bytes.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void RegisterCrc32cKernels() {
+  std::vector<std::pair<std::string, io::Crc32cFn>> kernels = {
+      {"table", &io::Crc32cTable}};
+  if (io::Crc32cSse42Kernel() != nullptr) {
+    kernels.emplace_back("sse4.2", io::Crc32cSse42Kernel());
+  }
+  for (const auto& [name, kernel] : kernels) {
+    benchmark::RegisterBenchmark(("BM_Crc32c/" + name).c_str(), BM_Crc32c,
+                                 kernel)
+        ->Arg(64)
+        ->Arg(4 << 10)
+        ->Arg(64 << 10);
+  }
+}
+
 }  // namespace
 }  // namespace smb::bench
 
@@ -155,6 +190,7 @@ int main(int argc, char** argv) {
   }
   smb::bench::RegisterPerKind();
   smb::bench::RegisterPerKernel();
+  smb::bench::RegisterCrc32cKernels();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -22,9 +22,10 @@ namespace {
 //        | num_flows u64 true cardinalities | num_packets (u64 flow, u64
 //        element) pairs, all little-endian (common/le_bytes.h).
 constexpr char kMagic[5] = {'S', 'M', 'B', 'T', '1'};
+constexpr size_t kHeaderBytes = sizeof(kMagic) + 16;
 
-// The packet array moves in one copy, so its in-memory layout must be the
-// on-disk (flow, element) pair.
+// The packet array is read in one call, so its in-memory layout must be
+// the on-disk (flow, element) pair.
 static_assert(sizeof(Packet) == 16 && offsetof(Packet, element) == 8 &&
               std::is_trivially_copyable_v<Packet>);
 
@@ -32,7 +33,7 @@ static_assert(sizeof(Packet) == 16 && offsetof(Packet, element) == 8 &&
 
 bool WriteTraceFile(const Trace& trace, const std::string& path) {
   std::vector<uint8_t> out;
-  out.reserve(sizeof(kMagic) + 16 + trace.true_cardinality.size() * 8 +
+  out.reserve(kHeaderBytes + trace.true_cardinality.size() * 8 +
               trace.packets.size() * sizeof(Packet));
   AppendBytes(&out, kMagic, sizeof(kMagic));
   AppendU64(&out, trace.true_cardinality.size());
@@ -48,44 +49,47 @@ bool WriteTraceFile(const Trace& trace, const std::string& path) {
 }
 
 std::optional<Trace> ReadTraceFile(const std::string& path) {
-  // file_size refuses anything but a regular file, so the one read below
-  // is sized by the file itself.
+  // file_size refuses anything but a regular file, so every read below is
+  // sized by the file itself.
   std::error_code error;
   const uintmax_t size = std::filesystem::file_size(path, error);
   if (error) return std::nullopt;
-  std::vector<uint8_t> in(size);
   std::ifstream file(path, std::ios::binary);
-  if (!file.read(reinterpret_cast<char*>(in.data()),
-                 static_cast<std::streamsize>(size))) {
-    return std::nullopt;
-  }
+  const auto read_exactly = [&file](void* out, size_t bytes) {
+    return static_cast<bool>(file.read(static_cast<char*>(out),
+                                       static_cast<std::streamsize>(bytes)));
+  };
 
-  if (in.size() < sizeof(kMagic) ||
-      std::memcmp(in.data(), kMagic, sizeof(kMagic)) != 0) {
+  uint8_t header[kHeaderBytes] = {};
+  if (size < kHeaderBytes || !read_exactly(header, kHeaderBytes) ||
+      std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return std::nullopt;
   }
-  size_t pos = sizeof(kMagic);
-  uint64_t num_flows = 0;
-  uint64_t num_packets = 0;
-  if (!ReadU64(in, &pos, &num_flows) || !ReadU64(in, &pos, &num_packets)) {
-    return std::nullopt;
-  }
+  const uint64_t num_flows = LoadU64(header + sizeof(kMagic));
+  const uint64_t num_packets = LoadU64(header + sizeof(kMagic) + 8);
   // Structural sanity: the remaining bytes must match the header exactly.
   // Checked by division, so a huge count cannot wrap the byte total and
   // reach the resizes below.
-  const size_t body = in.size() - pos;
+  const uintmax_t body = size - kHeaderBytes;
   if (num_flows > body / 8) return std::nullopt;
-  const size_t packet_bytes = body - num_flows * 8;
+  const uintmax_t packet_bytes = body - num_flows * 8;
   if (packet_bytes % sizeof(Packet) != 0 ||
       num_packets != packet_bytes / sizeof(Packet)) {
     return std::nullopt;
   }
 
+  // Each section is read straight into its vector: one zero-fill and one
+  // copy per byte, with no staging buffer of the whole file.
   Trace trace;
   trace.true_cardinality.resize(num_flows);
-  if (!ReadU64s(in, &pos, trace.true_cardinality)) return std::nullopt;
+  if (!read_exactly(trace.true_cardinality.data(), num_flows * 8)) {
+    return std::nullopt;
+  }
   trace.packets.resize(num_packets);
-  std::memcpy(trace.packets.data(), in.data() + pos, packet_bytes);
+  if (!read_exactly(trace.packets.data(), packet_bytes)) return std::nullopt;
+  // The file may have grown since file_size: a byte past the sized body
+  // is refused like a size mismatch.
+  if (file.peek() != std::ifstream::traits_type::eof()) return std::nullopt;
   for (const Packet& p : trace.packets) {
     if (p.flow >= num_flows) return std::nullopt;
   }

@@ -128,6 +128,58 @@ TEST_F(TraceIoTest, ReadRejectsFlowOutOfRange) {
   EXPECT_FALSE(ReadTraceFile(Path("flow.bin")).has_value());
 }
 
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// Three flows and four packets: a 21-byte header, 24 bytes of
+// cardinalities, 64 bytes of packets. A cut inside any section, or at
+// a section boundary, is refused.
+TEST_F(TraceIoTest, ReadRejectsTruncationInsideEachSection) {
+  Trace trace;
+  trace.true_cardinality = {2, 1, 1};
+  trace.packets = {{0, 10}, {0, 11}, {1, 12}, {2, 13}};
+  ASSERT_TRUE(WriteTraceFile(trace, Path("t.bin")));
+  const std::string bytes = FileBytes(Path("t.bin"));
+  ASSERT_EQ(bytes.size(), 21u + 24u + 64u);
+  ASSERT_TRUE(ReadTraceFile(Path("t.bin")).has_value());
+  for (const size_t cut : {0u, 3u, 5u, 12u, 20u, 21u, 30u, 44u, 45u, 50u, 61u,
+                           108u}) {
+    std::ofstream(Path("cut.bin"), std::ios::binary | std::ios::trunc)
+        << bytes.substr(0, cut);
+    EXPECT_FALSE(ReadTraceFile(Path("cut.bin")).has_value())
+        << "cut at " << cut;
+  }
+}
+
+// Bytes past the body the header sizes are refused, whether one stray
+// byte or a whole extra packet the count does not name.
+TEST_F(TraceIoTest, ReadRejectsTrailingBytes) {
+  const Trace original = SmallTrace();
+  ASSERT_TRUE(WriteTraceFile(original, Path("t.bin")));
+  const std::string bytes = FileBytes(Path("t.bin"));
+  std::ofstream(Path("byte.bin"), std::ios::binary) << bytes << 'x';
+  EXPECT_FALSE(ReadTraceFile(Path("byte.bin")).has_value());
+  std::ofstream(Path("packet.bin"), std::ios::binary)
+      << bytes << std::string(16, '\0');
+  EXPECT_FALSE(ReadTraceFile(Path("packet.bin")).has_value());
+}
+
+// The flow bound is checked on every packet, the last one included: the
+// highest valid id reads back, one past it is refused.
+TEST_F(TraceIoTest, ReadChecksTheFlowBoundOnTheLastPacket) {
+  Trace trace;
+  trace.true_cardinality = {1, 1, 1};
+  trace.packets = {{0, 1}, {1, 2}, {2, 3}};
+  ASSERT_TRUE(WriteTraceFile(trace, Path("ok.bin")));
+  EXPECT_TRUE(ReadTraceFile(Path("ok.bin")).has_value());
+  trace.packets.back().flow = 3;
+  ASSERT_TRUE(WriteTraceFile(trace, Path("past.bin")));
+  EXPECT_FALSE(ReadTraceFile(Path("past.bin")).has_value());
+}
+
 // A directory opens but is not a trace file.
 TEST_F(TraceIoTest, ReadRejectsDirectory) {
   EXPECT_FALSE(ReadTraceFile(dir_.string()).has_value());
